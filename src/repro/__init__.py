@@ -33,6 +33,7 @@ from .core import (
     ProtocolSpec,
     PruningMode,
     Rep,
+    RunOptions,
     SharingLevel,
     VerificationReport,
     explore,
@@ -62,6 +63,7 @@ __all__ = [
     "Rep",
     "ResultCache",
     "RunJournal",
+    "RunOptions",
     "SharingLevel",
     "VerificationJob",
     "VerificationReport",

@@ -42,12 +42,14 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .analysis.compare import compare_protocols
 from .analysis.reporting import expansion_listing, figure4_table, format_table
-from .core.essential import PruningMode, explore
+from .core.essential import explore
 from .core.graph import to_dot
+from .core.options import RunOptions
 from .analysis.fsm import check_definition_1
 from .core.protocol import ProtocolDefinitionError
 from .core.serialize import result_to_json
@@ -150,9 +152,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    options = RunOptions.from_args(args)
     status = EXIT_OK
     if args.spec_file:
-        if args.preflight:
+        if options.preflight != "off":
             # Parse leniently: the preflight (not the structural
             # validator) should be the one reporting static problems.
             from pathlib import Path
@@ -172,14 +175,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for spec in specs:
         if args.mutant:
             spec = get_mutant(spec, args.mutant)
-        report = verify(
-            spec,
-            augmented=not args.structural,
-            pruning=PruningMode.DUPLICATES if args.no_pruning else PruningMode.CONTAINMENT,
-            validate_spec=not args.mutant,
-            preflight=args.preflight or "off",
-            mode=args.mode,
-        )
+        report = verify(spec, options=options, validate_spec=not args.mutant)
         if report.lint is not None and not report.lint.clean:
             for diagnostic in report.lint.diagnostics:
                 print(f"lint: {diagnostic.render(report.lint.target)}")
@@ -191,7 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(figure4_table(report.result))
                 print()
         if args.trace:
-            traced = explore(spec, augmented=not args.structural, keep_trace=True)
+            traced = explore(spec, augmented=options.augmented, keep_trace=True)
             print(expansion_listing(traced))
             print()
         if args.dot:
@@ -218,6 +214,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         run_batch,
     )
 
+    options = RunOptions.from_args(args)
     jobs: list[VerificationJob] = []
     names: list[str] = []
     for name in args.protocols:
@@ -229,32 +226,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             names.append(name)
     for name in dict.fromkeys(names):  # dedupe, keep order
         [spec] = resolve_specs(name)  # raises KeyError for unknown names
-        jobs.append(
-            VerificationJob(
-                protocol=name,
-                augmented=not args.structural,
-                validate_spec=True,
-                deadline=args.deadline,
-            )
-        )
+        jobs.append(VerificationJob(protocol=name, validate_spec=True, options=options))
         if args.mutants:
             for mutant in mutants_for(spec):
                 jobs.append(
                     VerificationJob(
-                        protocol=name,
-                        mutant=mutant.mutation.key,
-                        augmented=not args.structural,
-                        deadline=args.deadline,
+                        protocol=name, mutant=mutant.mutation.key, options=options
                     )
                 )
     for path in args.spec_file:
-        jobs.append(
-            VerificationJob(
-                spec_file=path,
-                augmented=not args.structural,
-                deadline=args.deadline,
-            )
-        )
+        jobs.append(VerificationJob(spec_file=path, options=options))
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     resume_events = None
@@ -297,9 +278,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 timeout=args.timeout,
                 retries=args.retries,
                 grace=args.grace,
-                preflight=args.preflight,
-                backend=args.backend,
-                mode=args.mode,
                 resume=resume_events,
                 backoff=backoff,
                 breaker=breaker,
@@ -347,12 +325,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         raise ValueError("--max-n must be between 1 and 5")
     if args.soundness_max_n < args.max_n:
         raise ValueError("--soundness-max-n must be at least --max-n")
+    options = RunOptions.from_args(args, base=RunOptions(max_visits=60_000))
     budget = OracleBudget(
         ns=tuple(range(1, args.max_n + 1)),
         soundness_ns=tuple(range(1, args.soundness_max_n + 1)),
-        symbolic_visits=args.max_visits,
+        symbolic_visits=options.max_visits,
         concrete_visits=args.concrete_visits,
-        deadline=args.deadline,
+        deadline=options.deadline,
     )
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     with RunJournal(args.journal) as journal:
@@ -360,7 +339,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             CampaignConfig(
                 seed=args.seed,
                 count=args.count,
-                mode=args.mode,
+                options=options,
                 generator=GeneratorConfig(p_stall=args.p_stall),
                 budget=budget,
                 workers=args.jobs,
@@ -430,14 +409,7 @@ def _submit_payload(args: argparse.Namespace) -> dict:
         payload["tenant"] = args.tenant
     if args.priority != "normal":
         payload["priority"] = args.priority
-    if args.structural:
-        payload["structural"] = True
-    if args.preflight:
-        payload["preflight"] = args.preflight
-    if args.deadline is not None:
-        payload["deadline"] = args.deadline
-    if args.mode != "safety":
-        payload["mode"] = args.mode
+    payload.update(RunOptions.from_args(args).to_dict())
     return payload
 
 
@@ -620,6 +592,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .engine import RunJournal, VerificationJob, run_batch
     from .obs import Collector, render_report, use_collector
 
+    options = RunOptions.from_args(args)
     jobs: list[VerificationJob] = []
     names: list[str] = []
     for name in args.protocol:
@@ -633,21 +606,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             VerificationJob(
                 protocol=name,
                 mutant=args.mutant,
-                augmented=not args.structural,
                 validate_spec=args.mutant is None,
+                options=options,
             )
         )
         if args.mutants:
             for mutant in mutants_for(spec):
                 jobs.append(
                     VerificationJob(
-                        protocol=name,
-                        mutant=mutant.mutation.key,
-                        augmented=not args.structural,
+                        protocol=name, mutant=mutant.mutation.key, options=options
                     )
                 )
     for path in args.spec_file:
-        jobs.append(VerificationJob(spec_file=path, augmented=not args.structural))
+        jobs.append(VerificationJob(spec_file=path, options=options))
     if not jobs:
         raise ValueError(
             "nothing to profile: give protocol names, 'all' or --spec-file"
@@ -660,9 +631,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # keep their spans to themselves) and nothing short-circuits the
     # work being measured.
     with use_collector(collector), collector.span("profile", jobs=len(jobs)):
-        report = run_batch(
-            jobs, workers=1, cache=None, journal=RunJournal(), backend=args.backend
-        )
+        report = run_batch(jobs, workers=1, cache=None, journal=RunJournal())
 
     output = args.output or f"profile-{label}{EXPORT_EXTENSIONS[args.format]}"
     with open(output, "w", encoding="utf-8") as fh:
@@ -672,7 +641,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    if args.backend == "kernel":
+    if options.backend == "kernel":
         print()
         print(_backend_comparison(jobs))
     print()
@@ -696,7 +665,9 @@ def _backend_comparison(jobs: list) -> str:
     for job in jobs:
         spec = job.resolve_spec()
         started = clock.monotonic()
-        interp = verify(spec, augmented=job.augmented, validate_spec=False).result
+        interp = verify(
+            spec, options=replace(job.options, backend="interp"), validate_spec=False
+        ).result
         interp_ms = (clock.monotonic() - started) * 1000.0
         try:
             compile_protocol(spec)
@@ -707,7 +678,7 @@ def _backend_comparison(jobs: list) -> str:
             continue
         started = clock.monotonic()
         kernel = verify(
-            spec, augmented=job.augmented, validate_spec=False, backend="kernel"
+            spec, options=replace(job.options, backend="kernel"), validate_spec=False
         ).result
         kernel_ms = (clock.monotonic() - started) * 1000.0
         speedup = interp_ms / kernel_ms if kernel_ms > 0 else float("inf")
@@ -786,14 +757,15 @@ def _cmd_mutants(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     [spec] = resolve_specs(args.protocol)
+    options = RunOptions.from_args(args)
     equivalence = Equivalence.COUNTING if args.counting else Equivalence.STRICT
     guard = None
-    if args.deadline is not None:
+    if options.deadline is not None:
         from .engine.guard import Budget, Guard
 
-        guard = Guard(Budget(deadline=args.deadline))
+        guard = Guard(Budget(deadline=options.deadline))
     enumerate_fn = enumerate_space
-    if args.backend == "kernel":
+    if options.backend == "kernel":
         from .kernel import KernelUnsupportedError, compile_protocol
         from .kernel import enumerate_space as kernel_enumerate
 
@@ -943,30 +915,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="verify a protocol written in the specification language",
     )
-    p.add_argument("--structural", action="store_true", help="skip context variables")
-    p.add_argument("--no-pruning", action="store_true", help="duplicate-only pruning")
     p.add_argument("--mutant", choices=_MUTANT_CHOICES, help="inject a bug first")
-    p.add_argument(
-        "--mode",
-        choices=("safety", "liveness", "both"),
-        default="safety",
-        help="what to check: 'safety' (reachability, default) or "
-        "'liveness'/'both' (additionally reject starvable requests "
-        "with lasso counterexamples; see docs/LIVENESS.md)",
-    )
     p.add_argument("--trace", action="store_true", help="print the expansion steps")
     p.add_argument("--dot", metavar="FILE", help="write the diagram as DOT")
     p.add_argument("--json", metavar="FILE", help="write the full result as JSON")
     p.add_argument("--quiet", action="store_true", help="one-line summaries only")
-    p.add_argument(
-        "--preflight",
-        nargs="?",
-        const="reject",
-        choices=("reject", "annotate"),
-        help="statically analyze the spec first: 'reject' (default when the "
-        "flag is given) aborts on error-severity findings, 'annotate' "
-        "prints them and verifies anyway",
-    )
+    RunOptions.add_arguments(p)
 
     p = sub.add_parser(
         "batch",
@@ -1033,13 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         "emit a partial result before SIGKILL (default: 1)",
     )
     p.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        help="per-job cooperative deadline: an exhausted job stops "
-        "cleanly with a partial result instead of timing out",
-    )
-    p.add_argument(
         "--retries",
         type=int,
         default=1,
@@ -1077,33 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
         "this journal (and the cache), re-dispatch only the rest; "
         "appends to the same journal file",
     )
-    p.add_argument("--structural", action="store_true", help="skip context variables")
-    p.add_argument(
-        "--preflight",
-        nargs="?",
-        const="reject",
-        choices=("reject", "annotate"),
-        help="lint every spec before dispatch: 'reject' (default when the "
-        "flag is given) turns error-severity findings into rejected jobs "
-        "that never reach a worker, 'annotate' records findings but "
-        "verifies anyway",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("interp", "kernel"),
-        default="interp",
-        help="expansion engine: 'interp' (symbolic interpreter, default) "
-        "or 'kernel' (compiled kernel; identical verdicts, part of the "
-        "cache key)",
-    )
-    p.add_argument(
-        "--mode",
-        choices=("safety", "liveness", "both"),
-        default="safety",
-        help="what to check: 'safety' (default) or 'liveness'/'both' "
-        "(additionally run the starvation analysis; starvable specs "
-        "report NOT-LIVE and exit 1; part of the cache key)",
-    )
+    RunOptions.add_arguments(p)
 
     p = sub.add_parser(
         "lint",
@@ -1207,7 +1128,9 @@ def build_parser() -> argparse.ArgumentParser:
         "expansion, pruning, witness search and engine phases, plus "
         "visit/prune/cache counters.  Prints a text report and writes "
         "the full trace in the chosen export format (chrome-trace "
-        "output loads in Perfetto / chrome://tracing).",
+        "output loads in Perfetto / chrome://tracing).  --backend kernel "
+        "additionally prints an interpreter-vs-kernel wall-time/visits "
+        "comparison table.",
     )
     p.add_argument(
         "protocol",
@@ -1228,7 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also profile every applicable injected-bug mutant",
     )
-    p.add_argument("--structural", action="store_true", help="skip context variables")
+    RunOptions.add_arguments(p, only=("augmented", "backend"))
     p.add_argument(
         "--format",
         choices=sorted(EXPORTERS),
@@ -1246,13 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report",
         metavar="FILE",
         help="also write the text report to this file",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("interp", "kernel"),
-        default="interp",
-        help="expansion engine to profile; 'kernel' additionally prints "
-        "an interpreter-vs-kernel wall-time/visits comparison table",
     )
 
     p = sub.add_parser("mutants", help="verify every injected-bug variant")
@@ -1275,20 +1191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=3, help="number of caches")
     p.add_argument("--counting", action="store_true", help="Definition 5 equivalence")
     p.add_argument("--show-states", action="store_true")
-    p.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        help="wall-clock budget; an exhausted search reports the "
-        "reachable prefix as a partial result instead of running away",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("interp", "kernel"),
-        default="interp",
-        help="enumeration engine: 'interp' (default) or the compiled "
-        "kernel (identical states/verdicts, ~10x faster at large n)",
-    )
+    RunOptions.add_arguments(p, only=("backend", "deadline"))
 
     p = sub.add_parser("crossval", help="Theorem 1 cross-validation")
     p.add_argument("protocol", help="protocol name or 'all'")
@@ -1334,7 +1237,10 @@ def build_parser() -> argparse.ArgumentParser:
         "batch engine) and the exhaustive small-n enumeration, and flag "
         "any verdict or Theorem 1 coverage disagreement.  Disagreements "
         "are auto-shrunk to a minimal specification and persisted to the "
-        "regression corpus; --replay re-verifies the stored corpus.",
+        "regression corpus; --replay re-verifies the stored corpus.  "
+        "Here --max-visits defaults to 60000 and --deadline bounds every "
+        "search, symbolic and concrete (exhausted comparisons are "
+        "reported as skipped, never as findings).",
         epilog=_EXIT_STATUS_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -1355,23 +1261,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest cache count searched for a rejection witness",
     )
     p.add_argument(
-        "--max-visits",
-        type=int,
-        default=60_000,
-        help="visit budget for each symbolic expansion",
-    )
-    p.add_argument(
         "--concrete-visits",
         type=int,
         default=400_000,
         help="visit budget for each concrete enumeration",
-    )
-    p.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        help="wall-clock budget per search; exhausted comparisons are "
-        "reported as skipped, never as findings",
     )
     p.add_argument(
         "-j",
@@ -1410,14 +1303,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-verify every corpus entry instead of fuzzing",
     )
-    p.add_argument(
-        "--mode",
-        choices=("safety", "liveness", "both"),
-        default="safety",
-        help="verification mode for the symbolic side: liveness modes "
-        "additionally hunt starvable requests in generated specs and "
-        "replay each lasso through the reaction semantics",
-    )
+    RunOptions.add_arguments(p, only=("mode", "max_visits", "deadline"))
     p.add_argument(
         "--p-stall",
         type=float,
@@ -1443,7 +1329,8 @@ def build_parser() -> argparse.ArgumentParser:
         "SSE (replayable from a byte offset), /cache/{fingerprint} serves "
         "the shared result cache and /metrics the Prometheus exposition.  "
         "Every campaign is journaled, so a killed server resumes its "
-        "unfinished campaigns from the journal on restart.  Full API "
+        "unfinished campaigns from the journal on restart.  --preflight "
+        "forces that preflight onto every campaign.  Full API "
         "contract: docs/SERVICE.md.",
         epilog=_EXIT_STATUS_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -1485,13 +1372,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock allotment for one tenant (repeatable); tenants "
         "without one are unlimited",
     )
-    p.add_argument(
-        "--preflight",
-        nargs="?",
-        const="reject",
-        choices=("reject", "annotate"),
-        help="force a lint preflight mode on every campaign",
-    )
+    RunOptions.add_arguments(p, only=("preflight",))
     p.add_argument(
         "--max-queue",
         type=int,
@@ -1563,27 +1444,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="normal",
         help="scheduler lane (default: normal)",
     )
-    p.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        help="per-job cooperative deadline (budget-exhausted jobs "
-        "return PARTIAL)",
-    )
-    p.add_argument("--structural", action="store_true", help="skip context variables")
-    p.add_argument(
-        "--preflight",
-        nargs="?",
-        const="reject",
-        choices=("reject", "annotate"),
-        help="lint every spec before dispatch",
-    )
-    p.add_argument(
-        "--mode",
-        choices=("safety", "liveness", "both"),
-        default="safety",
-        help="verification mode for every job in the campaign",
-    )
+    RunOptions.add_arguments(p)
     p.add_argument(
         "--watch",
         action="store_true",

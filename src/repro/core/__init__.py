@@ -42,6 +42,7 @@ from .reactions import (
     stay,
 )
 from .symbols import CountCase, DataValue, Op, SharingLevel
+from .options import RunOptions
 from .verifier import VerificationReport, verify
 
 __all__ = [
@@ -68,6 +69,7 @@ __all__ = [
     "ProtocolSpec",
     "PruningMode",
     "Rep",
+    "RunOptions",
     "SharingLevel",
     "StatePattern",
     "SymbolicExpander",

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 from .errors import Violation, Witness
 from .essential import ExpansionResult, PruningMode, explore
 from .graph import ascii_diagram
+from .options import RunOptions
 from .protocol import ProtocolSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -146,63 +147,38 @@ class VerificationReport:
 def verify(
     protocol: ProtocolSpec | str,
     *,
-    augmented: bool = True,
-    pruning: PruningMode = PruningMode.CONTAINMENT,
-    max_visits: int = 1_000_000,
+    options: RunOptions = RunOptions(),
     stop_on_error: bool = False,
     validate_spec: bool = True,
-    preflight: str = "off",
     guard: "Guard | None" = None,
-    backend: str = "interp",
-    mode: str = "safety",
 ) -> VerificationReport:
     """Verify a protocol; the library's main entry point.
 
     ``protocol`` may be a :class:`~repro.core.protocol.ProtocolSpec`
-    instance or a registry name such as ``"illinois"``.
+    instance or a registry name such as ``"illinois"``; ``options``
+    says how (see :class:`~repro.core.options.RunOptions`):
 
-    ``preflight`` runs the static analyzer (:mod:`repro.lint`) before
-    the expansion: ``"reject"`` raises
-    :class:`~repro.lint.model.LintError` when an error-severity rule
-    fires, ``"annotate"`` only attaches the findings to the returned
-    report's ``lint`` field, ``"off"`` (the default) skips the
-    analysis entirely.
+    * ``preflight`` runs the static analyzer (:mod:`repro.lint`) first:
+      ``"reject"`` raises :class:`~repro.lint.model.LintError` when an
+      error-severity rule fires, ``"annotate"`` only attaches the
+      findings to the report's ``lint`` field;
+    * ``backend="kernel"`` expands with the compiled kernel
+      (:mod:`repro.kernel`), which produces identical verdicts,
+      violations, witnesses and essential sets.  A spec the kernel
+      cannot compile (no IR lowering) silently falls back to the
+      interpreter; see ``docs/KERNEL.md``;
+    * ``mode="liveness"`` additionally runs the starvation analysis
+      (:mod:`repro.liveness`) over the completed expansion and attaches
+      its verdict -- including lasso-shaped counterexamples -- to
+      ``result.liveness``.  The expansion, and so the safety check, is
+      the same in both modes; see ``docs/LIVENESS.md``;
+    * the cooperative budgets (``deadline``, ``max_states``,
+      ``max_rss_mb``) run the expansion under a
+      :class:`~repro.engine.guard.Guard`: an exhausted budget yields a
+      *partial* report (``report.partial``) instead of raising.
 
-    ``guard`` bounds the expansion with a cooperative
-    :class:`~repro.engine.guard.Guard`: an exhausted budget yields a
-    *partial* report (``report.partial``) instead of raising, and
-    ``max_visits`` is ignored in favour of the guard's own budgets.
-
-    ``backend`` selects the expansion engine: ``"interp"`` (the
-    default) runs the symbolic interpreter, ``"kernel"`` the compiled
-    kernel (:mod:`repro.kernel`), which produces identical verdicts,
-    violations, witnesses and essential sets.  A spec the kernel
-    cannot compile (no IR lowering) silently falls back to the
-    interpreter; see ``docs/KERNEL.md``.
-
-    ``mode`` selects what is checked: ``"safety"`` (the default) runs
-    the paper's reachability checks only; ``"liveness"`` and ``"both"``
-    additionally run the starvation analysis (:mod:`repro.liveness`)
-    over the completed expansion and attach its verdict -- including
-    lasso-shaped counterexamples -- to ``result.liveness``.  The
-    expansion itself is identical in every mode (safety violations are
-    inherent to it), so ``"liveness"`` and ``"both"`` differ only in
-    name; both are accepted for symmetry with the batch engine.  See
-    ``docs/LIVENESS.md``.
+    An explicit ``guard`` owns every budget, ``max_visits`` included.
     """
-    if preflight not in ("off", "reject", "annotate"):
-        raise ValueError(
-            f"preflight must be 'off', 'reject' or 'annotate', "
-            f"not {preflight!r}"
-        )
-    if backend not in ("interp", "kernel"):
-        raise ValueError(
-            f"backend must be 'interp' or 'kernel', not {backend!r}"
-        )
-    if mode not in ("safety", "liveness", "both"):
-        raise ValueError(
-            f"mode must be 'safety', 'liveness' or 'both', not {mode!r}"
-        )
     if isinstance(protocol, str):
         # Imported lazily: the registry lives above the core package.
         from ..protocols.registry import get_protocol
@@ -211,17 +187,24 @@ def verify(
     else:
         spec = protocol
     lint_report = None
-    if preflight != "off":
+    if options.preflight != "off":
         # Imported lazily: the linter lives above the core package.
         from ..lint import LintError, lint_spec
 
         lint_report = lint_spec(spec)
-        if preflight == "reject" and not lint_report.ok:
+        if options.preflight == "reject" and not lint_report.ok:
             raise LintError(lint_report)
     if validate_spec:
         spec.validate()
+    if guard is None and (
+        options.deadline, options.max_states, options.max_rss_mb
+    ) != (None, None, None):
+        # Imported lazily: the guard lives in the engine, above core.
+        from ..engine.guard import Guard
+
+        guard = Guard(options.budget())
     expand = explore
-    if backend == "kernel":
+    if options.backend == "kernel":
         # Imported lazily: the kernel lives above the core package.
         from ..kernel import KernelUnsupportedError, compile_protocol
         from ..kernel import explore as kernel_explore
@@ -234,13 +217,13 @@ def verify(
             expand = kernel_explore
     result = expand(
         spec,
-        augmented=augmented,
-        pruning=pruning,
-        max_visits=max_visits,
+        augmented=options.augmented,
+        pruning=PruningMode(options.pruning),
+        max_visits=options.max_visits,
         stop_on_error=stop_on_error,
         guard=guard,
     )
-    if mode != "safety":
+    if options.mode == "liveness":
         # Imported lazily: the liveness pass lives above the core
         # package.  It is backend-agnostic -- it consumes the decoded
         # ExpansionResult, so interpreter and kernel runs get the same

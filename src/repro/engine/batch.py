@@ -24,7 +24,7 @@ the result cache for verdicts), re-dispatching only the remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..obs import NOOP_SPAN
@@ -209,9 +209,6 @@ def run_batch(
     retries: int = 1,
     grace: float | None = None,
     runner: SerialRunner | ParallelRunner | None = None,
-    preflight: str | None = None,
-    backend: str | None = None,
-    mode: str | None = None,
     resume: Sequence[dict[str, Any]] | None = None,
     backoff: BackoffPolicy | None = None,
     breaker: CircuitBreaker | None = None,
@@ -222,7 +219,11 @@ def run_batch(
     Parameters
     ----------
     jobs:
-        The work list; results come back in the same order.
+        The work list; results come back in the same order.  Each job
+        carries its own :class:`~repro.core.options.RunOptions`; a
+        job's ``preflight`` lint runs in *this* process, before cache
+        lookup and worker dispatch, so a rejected job never reaches a
+        worker.
     workers:
         Worker processes.  ``1`` (with no ``timeout``) runs serially in
         this process.
@@ -242,22 +243,6 @@ def run_batch(
         Explicit runner instance (overrides ``workers``/``timeout``/
         ``retries``/``grace``); used by tests to compare execution
         strategies.
-    preflight:
-        Override every job's ``preflight`` mode (``"off"``,
-        ``"reject"`` or ``"annotate"``); ``None`` honours the per-job
-        setting.  Preflight runs in *this* process, before cache lookup
-        and worker dispatch: a rejected job never reaches a worker.
-    backend:
-        Override every job's expansion ``backend`` (``"interp"`` or
-        ``"kernel"``); ``None`` honours the per-job setting.  The
-        override rewrites the jobs themselves, so cache keys and
-        journal metadata reflect the backend that actually ran.
-    mode:
-        Override every job's verification ``mode`` (``"safety"``,
-        ``"liveness"`` or ``"both"``, see :mod:`repro.liveness`);
-        ``None`` honours the per-job setting.  Like ``backend``, the
-        override rewrites the jobs themselves, so cache keys and
-        journal metadata reflect the mode that actually ran.
     resume:
         Event stream of an interrupted run (``RunJournal.read(path)``):
         jobs whose ``job_finish`` record carries a terminal
@@ -291,30 +276,7 @@ def run_batch(
     both happen incrementally) and re-raises, so the run can later be
     picked up with ``resume``.
     """
-    if preflight not in (None, "off", "reject", "annotate"):
-        raise ValueError(
-            "preflight must be None, 'off', 'reject' or 'annotate', "
-            f"not {preflight!r}"
-        )
-    if backend not in (None, "interp", "kernel"):
-        raise ValueError(
-            f"backend must be None, 'interp' or 'kernel', not {backend!r}"
-        )
-    if mode not in (None, "safety", "liveness", "both"):
-        raise ValueError(
-            f"mode must be None, 'safety', 'liveness' or 'both', not {mode!r}"
-        )
     jobs = list(jobs)
-    if backend is not None:
-        jobs = [
-            job if job.backend == backend else replace(job, backend=backend)
-            for job in jobs
-        ]
-    if mode is not None:
-        jobs = [
-            job if job.mode == mode else replace(job, mode=mode)
-            for job in jobs
-        ]
     if journal is None:
         journal = RunJournal()
     started = clock.monotonic()
@@ -336,9 +298,6 @@ def run_batch(
         engine=ENGINE_VERSION,
         cache_dir=str(cache.root) if cache is not None else None,
         journal=str(journal.path) if journal.path is not None else None,
-        preflight=preflight,
-        backend=backend,
-        mode=mode,
     )
 
     # A resumed run adopts the prior journal's terminal error/rejected
@@ -385,10 +344,9 @@ def run_batch(
                 )
                 _finish(journal, results[i])
                 continue
-            mode = preflight if preflight is not None else job.preflight
-            if mode != "off":
+            if job.options.preflight != "off":
                 try:
-                    rejected = _preflight(journal, job, mode, lint_findings, i)
+                    rejected = _preflight(journal, job, lint_findings, i)
                 except Exception as exc:  # noqa: BLE001 - spec errors are data
                     error = f"{type(exc).__name__}: {exc}"
                     results[i] = JobResult(job, JobStatus.ERROR, error=error)
@@ -574,7 +532,6 @@ def _lint_job(job: VerificationJob):
 def _preflight(
     journal: RunJournal,
     job: VerificationJob,
-    mode: str,
     lint_findings: dict[int, list[dict[str, Any]]],
     index: int,
 ) -> JobResult | None:
@@ -590,7 +547,7 @@ def _preflight(
     journal.emit(
         "lint",
         job=job.label,
-        mode=mode,
+        mode=job.options.preflight,
         errors=report.errors,
         warnings=report.warnings,
         infos=report.infos,
@@ -599,7 +556,7 @@ def _preflight(
     )
     if findings:
         lint_findings[index] = findings
-    if mode == "reject" and not report.ok:
+    if job.options.preflight == "reject" and not report.ok:
         coll = _active_collector()
         if coll is not None:
             coll.count("engine.preflight.rejected")

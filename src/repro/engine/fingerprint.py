@@ -56,26 +56,17 @@ def spec_fingerprint(spec: ProtocolSpec) -> str:
 def job_key(fingerprint: str, job: VerificationJob) -> str:
     """Content address of one job's result in the persistent cache.
 
-    Only option fields that influence the verification result
-    participate; the spec itself is represented by its fingerprint, so
-    e.g. a registry job and a DSL job for behaviourally identical specs
-    share an entry.  The resource budgets participate because an
+    The spec is represented by its fingerprint, so e.g. a registry job
+    and a DSL job for behaviourally identical specs share an entry.
+    Every run option participates except ``preflight``, which never
+    changes a payload.  The resource budgets participate because an
     exhausted budget produces a *partial* payload: a partial result may
     only be replayed for a job that requested the very same budgets.
     """
+    options = job.options.to_dict()
+    del options["preflight"]
     return hashlib.sha256(
         canonical_json(
-            {
-                "engine": ENGINE_VERSION,
-                "fingerprint": fingerprint,
-                "augmented": job.augmented,
-                "pruning": job.pruning,
-                "backend": job.backend,
-                "mode": job.mode,
-                "max_visits": job.max_visits,
-                "deadline": job.deadline,
-                "max_states": job.max_states,
-                "max_rss_mb": job.max_rss_mb,
-            }
+            {"engine": ENGINE_VERSION, "fingerprint": fingerprint, **options}
         ).encode("utf-8")
     ).hexdigest()

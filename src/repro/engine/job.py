@@ -20,11 +20,11 @@ from pathlib import Path
 from typing import Any
 
 from ..obs import clock
-from ..core.essential import PruningMode
+from ..core.options import RunOptions
 from ..core.protocol import ProtocolSpec
 from ..core.serialize import result_to_dict
 from ..core.verifier import verify
-from .guard import Budget, Guard, _CancelFlag
+from .guard import Guard, _CancelFlag
 
 __all__ = [
     "JobStatus",
@@ -77,53 +77,24 @@ class VerificationJob:
     specification).  ``mutant`` optionally applies a named mutation to
     the resolved specification.
 
-    ``preflight`` asks the batch engine to statically analyze the
-    resolved specification *before dispatching it to a worker*:
-    ``"reject"`` turns error-severity findings into a ``rejected``
-    result (no worker ever sees the job), ``"annotate"`` records the
-    findings on the result but verifies anyway, ``"off"`` (the
-    default) skips the analysis.  The analysis runs the full rule set,
-    including the flow-sensitive rules over the guarded-action IR
-    (:mod:`repro.lint.flow`), which stay warning-severity: only
-    probe-level errors reject a job.  Preflight never changes a
-    verdict, so it is deliberately *not* part of the cache key.
-
-    ``deadline`` / ``max_visits`` / ``max_states`` / ``max_rss_mb``
-    are the job's cooperative resource budgets (see
-    :mod:`repro.engine.guard`): an exhausted budget yields a
-    structured ``partial`` result instead of an error.  They *are*
-    part of the cache key -- a partial result is only replayed for a
-    job requesting the same budgets.
-
-    ``backend`` selects the expansion engine (``"interp"`` or
-    ``"kernel"``, see :mod:`repro.kernel`).  It is part of the cache
-    key: both backends produce identical verdicts, but keeping the
-    payloads separate means a cached entry always says which engine
-    produced it -- and the documented ``stats.scenarios`` divergence
-    on warm kernel runs never leaks across backends.
-
-    ``mode`` selects what is checked (``"safety"``, ``"liveness"`` or
-    ``"both"``, see :mod:`repro.liveness`): liveness modes run the
-    starvation analysis after the expansion and report starvable
-    requests as ``liveness-violation`` results.  It is part of the
-    cache key -- the payloads differ (the ``liveness`` key) even
-    though the expansion itself is identical.
+    ``options`` (:class:`~repro.core.options.RunOptions`) says how to
+    verify it.  ``options.preflight`` is honoured by the batch engine
+    *before dispatching to a worker*: ``"reject"`` turns error-severity
+    findings into a ``rejected`` result (no worker ever sees the job),
+    ``"annotate"`` records the findings on the result but verifies
+    anyway.  The budgets run under a cooperative
+    :class:`~repro.engine.guard.Guard`: an exhausted budget yields a
+    structured ``partial`` result instead of an error.  Every option
+    but ``preflight`` is part of the cache key (see
+    :func:`repro.engine.fingerprint.job_key`).
     """
 
     protocol: str | None = None
     mutant: str | None = None
     spec_file: str | None = None
     spec: ProtocolSpec | None = field(default=None, compare=False)
-    augmented: bool = True
-    pruning: str = PruningMode.CONTAINMENT.value
-    max_visits: int = 1_000_000
+    options: RunOptions = RunOptions()
     validate_spec: bool = False
-    preflight: str = "off"
-    backend: str = "interp"
-    mode: str = "safety"
-    deadline: float | None = None
-    max_states: int | None = None
-    max_rss_mb: float | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -134,20 +105,6 @@ class VerificationJob:
             raise ValueError(
                 "a VerificationJob needs exactly one of protocol / "
                 "spec_file / spec"
-            )
-        if self.preflight not in ("off", "reject", "annotate"):
-            raise ValueError(
-                "preflight must be 'off', 'reject' or 'annotate', "
-                f"not {self.preflight!r}"
-            )
-        if self.backend not in ("interp", "kernel"):
-            raise ValueError(
-                f"backend must be 'interp' or 'kernel', not {self.backend!r}"
-            )
-        if self.mode not in ("safety", "liveness", "both"):
-            raise ValueError(
-                f"mode must be 'safety', 'liveness' or 'both', "
-                f"not {self.mode!r}"
             )
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
@@ -195,26 +152,9 @@ class VerificationJob:
             "mutant": self.mutant,
             "spec_file": self.spec_file,
             "inline_spec": self.spec.name if self.spec is not None else None,
-            "augmented": self.augmented,
-            "pruning": self.pruning,
-            "max_visits": self.max_visits,
             "validate_spec": self.validate_spec,
-            "preflight": self.preflight,
-            "backend": self.backend,
-            "mode": self.mode,
-            "deadline": self.deadline,
-            "max_states": self.max_states,
-            "max_rss_mb": self.max_rss_mb,
+            **self.options.to_dict(),
         }
-
-    def budget(self) -> Budget:
-        """The cooperative resource budget this job runs under."""
-        return Budget(
-            deadline=self.deadline,
-            max_visits=self.max_visits,
-            max_states=self.max_states,
-            max_rss_mb=self.max_rss_mb,
-        )
 
 
 @dataclass
@@ -297,15 +237,11 @@ def execute_job(
     started = clock.monotonic()
     try:
         spec = job.resolve_spec()
-        guard = Guard(job.budget(), cancel=cancel)
         report = verify(
             spec,
-            augmented=job.augmented,
-            pruning=PruningMode(job.pruning),
+            options=job.options,
             validate_spec=job.validate_spec,
-            guard=guard,
-            backend=job.backend,
-            mode=job.mode,
+            guard=Guard(job.options.budget(), cancel=cancel),
         )
         result = report.result
         if result.violations:

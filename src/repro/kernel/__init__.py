@@ -31,6 +31,7 @@ scenario case-splits (the batch engine keys its cache by backend, so
 payloads never mix).  See ``docs/KERNEL.md``.
 """
 
+from ..core.options import BACKENDS
 from .compile import (
     CompiledProtocol,
     KernelUnsupportedError,
@@ -38,9 +39,6 @@ from .compile import (
 )
 from .essential import explore
 from .exhaustive import enumerate_space
-
-#: Backends selectable on ``verify()`` / ``VerificationJob`` / the CLI.
-BACKENDS: tuple[str, ...] = ("interp", "kernel")
 
 __all__ = [
     "BACKENDS",

@@ -9,9 +9,10 @@ request is checked for a reachable serving state.  Failures come back
 as lasso-shaped witnesses (``stem`` + ``loop``) that replay through
 the ordinary reaction semantics.
 
-Wired end to end as ``mode={"safety", "liveness", "both"}`` on
-:func:`repro.verify`, verification jobs, batch runs, the campaign
-server and the CLI; see ``docs/LIVENESS.md``.
+Selected end to end by the ``mode="liveness"`` run option
+(:class:`repro.core.options.RunOptions`) on :func:`repro.verify`,
+verification jobs, batch runs, the campaign server and the CLI; see
+``docs/LIVENESS.md``.
 """
 
 from .analyze import analyze_liveness
@@ -26,6 +27,3 @@ __all__ = [
     "retry_label",
     "replay_lasso",
 ]
-
-#: Verification modes accepted end to end (verify / jobs / batch / CLI).
-MODES = ("safety", "liveness", "both")

@@ -238,14 +238,14 @@ def criticality_profile(
     if jobs > 1:
         # Imported lazily: the engine package sits above the protocol
         # layer and pulling it in eagerly would be cyclic.
+        from ..core.options import RunOptions
         from ..engine import VerificationJob, run_batch
 
+        options = RunOptions(max_visits=max_visits)
         batch = run_batch(
             [
                 VerificationJob(
-                    spec=candidate,
-                    max_visits=max_visits,
-                    label=f"{candidate.name}#{i}",
+                    spec=candidate, options=options, label=f"{candidate.name}#{i}"
                 )
                 for i, (_, candidate) in enumerate(candidates)
             ],

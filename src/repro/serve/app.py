@@ -40,6 +40,7 @@ import json
 import re
 import signal
 import threading
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -100,6 +101,8 @@ class ServeApp:
         self.store = CampaignStore(state_dir)
         self.cache = cache
         self.job_workers = job_workers
+        #: Preflight forced onto every campaign's run options (``None``
+        #: honours each request's own).
         self.preflight = preflight
         self.collector = collector if collector is not None else Collector("serve")
         #: Per-connection bound on parsing one request (slowloris guard).
@@ -238,7 +241,13 @@ class ServeApp:
     def _execute(self, campaign: Campaign, cap: TenantCap | None) -> None:
         """Run one campaign through the batch engine (in a thread)."""
         try:
-            jobs = campaign.request.jobs(
+            request = campaign.request
+            if self.preflight is not None:
+                request = replace(
+                    request,
+                    options=replace(request.options, preflight=self.preflight),
+                )
+            jobs = request.jobs(
                 self.store.spec_dir(campaign),
                 deadline_cap=cap.deadline if cap else None,
                 max_visits_cap=cap.max_visits if cap else None,
@@ -255,7 +264,6 @@ class ServeApp:
                     workers=self.job_workers,
                     cache=self.cache,
                     journal=journal,
-                    preflight=self.preflight or campaign.request.preflight,
                     resume=resume_events,
                     backoff=self.backoff,
                     breaker=self.breaker,

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+from ..core.options import FIELD_NAMES, RunOptions
 from ..engine import VerificationJob
 from ..engine.batch import BatchReport
 from ..obs import clock
@@ -44,8 +45,9 @@ class CampaignRequest:
     Exactly what a client may ask for: registry protocols (``"all"``
     expands to the zoo), an optional mutant matrix, inline DSL
     specifications (``name -> source`` -- inline, so clients never need
-    a shared filesystem with the server), per-job verification options
-    and the scheduling attributes.  Budgets (``deadline`` /
+    a shared filesystem with the server), the scheduling attributes and
+    the per-job run options.  On the wire the options are flat body
+    keys in :meth:`RunOptions.to_dict` form.  Budgets (``deadline`` /
     ``max_visits``) are *requests*; the scheduler may clamp them
     further to the tenant's remaining allotment.
     """
@@ -55,12 +57,7 @@ class CampaignRequest:
     specs: tuple[tuple[str, str], ...] = ()
     tenant: str = "default"
     priority: str = "normal"
-    structural: bool = False
-    preflight: str | None = None
-    backend: str = "interp"
-    mode: str = "safety"
-    deadline: float | None = None
-    max_visits: int = 1_000_000
+    options: RunOptions = RunOptions()
 
     def __post_init__(self) -> None:
         if not self.protocols and not self.specs:
@@ -72,28 +69,8 @@ class CampaignRequest:
                 f"priority must be one of {'/'.join(PRIORITIES)}, "
                 f"not {self.priority!r}"
             )
-        if self.preflight not in (None, "off", "reject", "annotate"):
-            raise ValueError(
-                "preflight must be 'off', 'reject' or 'annotate', "
-                f"not {self.preflight!r}"
-            )
-        if self.backend not in ("interp", "kernel"):
-            raise ValueError(
-                f"backend must be 'interp' or 'kernel', not {self.backend!r}"
-            )
-        if self.mode not in ("safety", "liveness", "both"):
-            raise ValueError(
-                f"mode must be 'safety', 'liveness' or 'both', "
-                f"not {self.mode!r}"
-            )
         if not self.tenant or not isinstance(self.tenant, str):
             raise ValueError("tenant must be a non-empty string")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
-        if self.max_visits <= 0:
-            raise ValueError(
-                f"max_visits must be positive, got {self.max_visits}"
-            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -101,20 +78,8 @@ class CampaignRequest:
         """Parse and validate a request body; ``ValueError`` means 400."""
         if not isinstance(payload, dict):
             raise ValueError("campaign body must be a JSON object")
-        known = {
-            "protocols",
-            "mutants",
-            "specs",
-            "tenant",
-            "priority",
-            "structural",
-            "preflight",
-            "backend",
-            "mode",
-            "deadline",
-            "max_visits",
-        }
-        unknown = set(payload) - known
+        own = {"protocols", "mutants", "specs", "tenant", "priority"}
+        unknown = set(payload) - own - set(FIELD_NAMES)
         if unknown:
             raise ValueError(f"unknown campaign fields: {sorted(unknown)}")
         protocols = payload.get("protocols", [])
@@ -127,33 +92,17 @@ class CampaignRequest:
             isinstance(k, str) and isinstance(v, str) for k, v in specs.items()
         ):
             raise ValueError("specs must map names to DSL source strings")
-        for flag in ("mutants", "structural"):
-            if not isinstance(payload.get(flag, False), bool):
-                raise ValueError(f"{flag} must be a boolean")
-        deadline = payload.get("deadline")
-        if deadline is not None and not isinstance(deadline, (int, float)):
-            raise ValueError("deadline must be a number of seconds")
-        max_visits = payload.get("max_visits", 1_000_000)
-        if not isinstance(max_visits, int):
-            raise ValueError("max_visits must be an integer")
-        backend = payload.get("backend", "interp")
-        if not isinstance(backend, str):
-            raise ValueError("backend must be a string")
-        mode = payload.get("mode", "safety")
-        if not isinstance(mode, str):
-            raise ValueError("mode must be a string")
+        if not isinstance(payload.get("mutants", False), bool):
+            raise ValueError("mutants must be a boolean")
         return cls(
             protocols=tuple(protocols),
-            mutants=bool(payload.get("mutants", False)),
+            mutants=payload.get("mutants", False),
             specs=tuple(sorted(specs.items())),
             tenant=payload.get("tenant", "default"),
             priority=payload.get("priority", "normal"),
-            structural=bool(payload.get("structural", False)),
-            preflight=payload.get("preflight"),
-            backend=backend,
-            mode=mode,
-            deadline=float(deadline) if deadline is not None else None,
-            max_visits=max_visits,
+            options=RunOptions.from_dict(
+                {k: v for k, v in payload.items() if k not in own}
+            ),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -164,12 +113,7 @@ class CampaignRequest:
             "specs": dict(self.specs),
             "tenant": self.tenant,
             "priority": self.priority,
-            "structural": self.structural,
-            "preflight": self.preflight,
-            "backend": self.backend,
-            "mode": self.mode,
-            "deadline": self.deadline,
-            "max_visits": self.max_visits,
+            **self.options.to_dict(),
         }
 
     # ------------------------------------------------------------------
@@ -201,7 +145,7 @@ class CampaignRequest:
                 parse_protocol(source, default_name=name)
             except DslError as exc:
                 raise ValueError(f"inline spec {name!r}: {exc}")
-        if self.preflight == "reject":
+        if self.options.preflight == "reject":
             from ..lint import Severity, lint_source
 
             for name, source in self.specs:
@@ -239,14 +183,19 @@ class CampaignRequest:
         from ..protocols.mutations import mutants_for
         from ..protocols.registry import protocol_names, resolve_specs
 
-        deadline = self.deadline
+        options = self.options
         if deadline_cap is not None:
-            deadline = (
-                deadline_cap if deadline is None else min(deadline, deadline_cap)
+            deadline = options.deadline
+            options = replace(
+                options,
+                deadline=(
+                    deadline_cap if deadline is None else min(deadline, deadline_cap)
+                ),
             )
-        max_visits = self.max_visits
         if max_visits_cap is not None:
-            max_visits = min(max_visits, max_visits_cap)
+            options = replace(
+                options, max_visits=min(options.max_visits, max_visits_cap)
+            )
 
         names: list[str] = []
         for name in self.protocols:
@@ -258,15 +207,7 @@ class CampaignRequest:
         for name in dict.fromkeys(names):  # dedupe, keep order
             [spec] = resolve_specs(name)  # raises KeyError for unknown names
             jobs.append(
-                VerificationJob(
-                    protocol=name,
-                    augmented=not self.structural,
-                    validate_spec=True,
-                    backend=self.backend,
-                    mode=self.mode,
-                    deadline=deadline,
-                    max_visits=max_visits,
-                )
+                VerificationJob(protocol=name, validate_spec=True, options=options)
             )
             if self.mutants:
                 for mutant in mutants_for(spec):
@@ -274,11 +215,7 @@ class CampaignRequest:
                         VerificationJob(
                             protocol=name,
                             mutant=mutant.mutation.key,
-                            augmented=not self.structural,
-                            backend=self.backend,
-                            mode=self.mode,
-                            deadline=deadline,
-                            max_visits=max_visits,
+                            options=options,
                         )
                     )
         for name, source in self.specs:
@@ -286,16 +223,7 @@ class CampaignRequest:
             path = spec_dir / f"{name}.proto"
             if not path.exists():
                 path.write_text(source, encoding="utf-8")
-            jobs.append(
-                VerificationJob(
-                    spec_file=str(path),
-                    augmented=not self.structural,
-                    backend=self.backend,
-                    mode=self.mode,
-                    deadline=deadline,
-                    max_visits=max_visits,
-                )
-            )
+            jobs.append(VerificationJob(spec_file=str(path), options=options))
         return jobs
 
 

@@ -20,10 +20,11 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+from ..core.options import RunOptions
 from ..engine.batch import run_batch
 from ..engine.cache import ResultCache
 from ..engine.job import JobStatus, VerificationJob
@@ -47,15 +48,14 @@ class CampaignConfig:
     count: int = 20
     budget: OracleBudget = field(default_factory=OracleBudget)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    augmented: bool = True
-    #: Verification mode for the symbolic side (``"safety"``,
-    #: ``"liveness"`` or ``"both"``): liveness modes additionally run
-    #: the starvation analysis on every generated spec, check the
+    #: Run options for the symbolic side; its visit and deadline
+    #: budgets come from ``budget``.  ``mode="liveness"`` additionally
+    #: runs the starvation analysis on every generated spec, checks the
     #: static/dynamic agreement (a spec with no statically reachable
-    #: stall must be dynamically live) and re-execute every emitted
+    #: stall must be dynamically live) and re-executes every emitted
     #: lasso through the reaction semantics; a broken invariant is a
     #: campaign finding.
-    mode: str = "safety"
+    options: RunOptions = RunOptions()
     #: Worker processes for the symbolic batch (1 = serial in-process).
     workers: int = 1
     #: Where findings are persisted; ``None`` disables persistence.
@@ -65,12 +65,13 @@ class CampaignConfig:
     journal: RunJournal | None = None
     cache: ResultCache | None = None
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("safety", "liveness", "both"):
-            raise ValueError(
-                f"mode must be 'safety', 'liveness' or 'both', "
-                f"not {self.mode!r}"
-            )
+    def symbolic_options(self) -> RunOptions:
+        """``options`` with the oracle budget's symbolic limits."""
+        return replace(
+            self.options,
+            max_visits=self.budget.symbolic_visits,
+            deadline=self.budget.deadline,
+        )
 
 
 @dataclass
@@ -178,10 +179,9 @@ def _liveness_findings(
 
     report = verify(
         spec,
-        augmented=config.augmented,
-        max_visits=config.budget.symbolic_visits,
+        # The campaign deadline bounds the batch run, not this re-check.
+        options=replace(config.symbolic_options(), deadline=None),
         validate_spec=False,
-        mode="liveness",
     )
     liveness = report.result.liveness
     assert liveness is not None
@@ -239,22 +239,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     generator = SpecGenerator(seed=config.seed, config=config.generator)
     drawn = [generator.draw_checked() for _ in range(config.count)]
 
+    options = config.symbolic_options()
     jobs = [
-        VerificationJob(
-            spec=spec,
-            augmented=config.augmented,
-            max_visits=config.budget.symbolic_visits,
-            deadline=config.budget.deadline,
-            label=model.name,
-        )
+        VerificationJob(spec=spec, options=options, label=model.name)
         for model, spec in drawn
     ]
     batch = run_batch(
-        jobs,
-        workers=config.workers,
-        cache=config.cache,
-        journal=config.journal,
-        mode=config.mode,
+        jobs, workers=config.workers, cache=config.cache, journal=config.journal
     )
 
     report = CampaignReport(
@@ -281,10 +272,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             spec,
             budget=config.budget,
             symbolic=view,
-            augmented=config.augmented,
+            augmented=options.augmented,
         )
         live: bool | None = None
-        if config.mode != "safety" and result.status in (
+        if options.mode == "liveness" and result.status in (
             JobStatus.VERIFIED,
             JobStatus.LIVENESS_VIOLATION,
         ):
@@ -302,7 +293,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         steps = attempts = 0
         if config.shrink_findings:
             shrunk = shrink(
-                model, kind, budget=config.budget, augmented=config.augmented
+                model, kind, budget=config.budget, augmented=options.augmented
             )
             minimized, steps, attempts = (
                 shrunk.model,

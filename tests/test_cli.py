@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.options import RunOptions
 
 
 class TestParser:
@@ -15,7 +16,7 @@ class TestParser:
     def test_verify_defaults(self):
         args = build_parser().parse_args(["verify", "illinois"])
         assert args.protocol == "illinois"
-        assert not args.structural
+        assert RunOptions.from_args(args) == RunOptions()
 
 
 class TestListCommand:

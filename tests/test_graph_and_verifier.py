@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.essential import PruningMode
 from repro.core.graph import ascii_diagram, build_graph, to_dot
+from repro.core.options import RunOptions
 from repro.core.verifier import verify
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.mutations import get_mutant
@@ -94,11 +95,11 @@ class TestVerifyFacade:
         assert "ERRONEOUS" in text
 
     def test_pruning_mode_forwarded(self):
-        report = verify("msi", pruning=PruningMode.DUPLICATES)
+        report = verify("msi", options=RunOptions(pruning=PruningMode.DUPLICATES))
         assert report.result.pruning is PruningMode.DUPLICATES
 
     def test_structural_mode(self):
-        report = verify("illinois", augmented=False)
+        report = verify("illinois", options=RunOptions(augmented=False))
         assert report.ok
         assert not report.result.augmented
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.essential import explore
+from repro.core.options import RunOptions
 from repro.core.verifier import verify
 from repro.liveness import analyze_liveness, replay_lasso
 from repro.protocols.registry import get_protocol
@@ -101,7 +102,7 @@ def test_property_stall_free_draws_are_live(seed):
     # approximation is exact: every draw must be dynamically live.
     generator = SpecGenerator(seed=seed)
     _, spec = generator.draw_checked()
-    report = verify(spec, mode="liveness", validate_spec=False)
+    report = verify(spec, options=RunOptions(mode="liveness"), validate_spec=False)
     assert report.liveness is not None
     if report.liveness.checked:
         assert report.liveness.live, report.liveness.summary()

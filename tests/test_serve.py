@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.options import RunOptions
 from repro.engine import ResultCache, RunJournal, run_batch
 from repro.serve import (
     Campaign,
@@ -258,6 +259,26 @@ class TestCampaignModel:
         with pytest.raises(ValueError, match=match):
             CampaignRequest.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_visits", True),
+            ("deadline", True),
+            ("deadline", float("nan")),
+            ("deadline", float("inf")),
+        ],
+        ids=["max_visits-true", "deadline-true", "deadline-nan", "deadline-inf"],
+    )
+    def test_from_dict_rejects_bool_and_nonfinite_budgets(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CampaignRequest.from_dict({"protocols": ["msi"], field: value})
+
+    def test_structural_key_is_now_augmented(self):
+        with pytest.raises(ValueError, match="unknown campaign fields"):
+            CampaignRequest.from_dict({"protocols": ["msi"], "structural": True})
+        request = CampaignRequest.from_dict({"protocols": ["msi"], "augmented": False})
+        assert request.options.augmented is False
+
     def test_validate_resolves_names_and_specs(self):
         CampaignRequest(protocols=("msi", "all")).validate()
         with pytest.raises(ValueError, match="nonesuch"):
@@ -266,11 +287,13 @@ class TestCampaignModel:
             CampaignRequest(specs=(("bad", "protocol ???"),)).validate()
 
     def test_jobs_clamp_budgets_to_tenant_cap(self, tmp_path):
-        request = CampaignRequest(protocols=("msi",), deadline=10.0)
+        request = CampaignRequest(
+            protocols=("msi",), options=RunOptions(deadline=10.0)
+        )
         [job] = request.jobs(tmp_path, deadline_cap=2.0, max_visits_cap=7)
-        assert job.deadline == 2.0 and job.max_visits == 7
+        assert job.options.deadline == 2.0 and job.options.max_visits == 7
         [job] = request.jobs(tmp_path)  # uncapped: the request's own ask
-        assert job.deadline == 10.0
+        assert job.options.deadline == 10.0
 
     def test_inline_specs_materialize_once(self, tmp_path):
         request = CampaignRequest(specs=(("tiny", GOOD_SPEC),))
@@ -360,6 +383,12 @@ class TestServiceEndToEnd:
             with pytest.raises(client.ServiceError) as excinfo:
                 client.submit(server.base_url, {"protocols": ["msi"], "x": 1})
             assert excinfo.value.status == 400
+            for bad in (float("nan"), True):
+                with pytest.raises(client.ServiceError) as excinfo:
+                    client.submit(
+                        server.base_url, {"protocols": ["msi"], "deadline": bad}
+                    )
+                assert excinfo.value.status == 400
             with pytest.raises(client.ServiceError) as excinfo:
                 client.get_json(server.base_url, "/campaigns/c9999-deadbeef")
             assert excinfo.value.status == 404
