@@ -592,7 +592,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .engine import RunJournal, VerificationJob, run_batch
     from .obs import Collector, render_report, use_collector
 
-    options = RunOptions.from_args(args)
+    # The interpreter stays the base here: its span tree (expand.step,
+    # witness.check, prune.*) is what a profile explains; --backend
+    # kernel adds the side-by-side comparison.
+    options = RunOptions.from_args(args, base=RunOptions(backend="interp"))
     jobs: list[VerificationJob] = []
     names: list[str] = []
     for name in args.protocol:
@@ -1128,9 +1131,10 @@ def build_parser() -> argparse.ArgumentParser:
         "expansion, pruning, witness search and engine phases, plus "
         "visit/prune/cache counters.  Prints a text report and writes "
         "the full trace in the chosen export format (chrome-trace "
-        "output loads in Perfetto / chrome://tracing).  --backend kernel "
-        "additionally prints an interpreter-vs-kernel wall-time/visits "
-        "comparison table.",
+        "output loads in Perfetto / chrome://tracing).  Profiles the "
+        "interpreter by default; --backend kernel profiles the kernel "
+        "and additionally prints an interpreter-vs-kernel "
+        "wall-time/visits comparison table.",
     )
     p.add_argument(
         "protocol",

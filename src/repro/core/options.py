@@ -5,10 +5,10 @@
 ``CampaignRequest``, the fuzz ``CampaignConfig`` and the CLI all take.
 Its canonical dictionary (:meth:`RunOptions.to_dict`) is at once the
 JSON form (journal and cache metadata), the HTTP form (the flat option
-keys of a ``POST /campaigns`` body) and -- minus ``preflight`` -- the
-options' contribution to the result-cache key.  :meth:`add_arguments`
-is the only place the matching CLI flags are registered, so a new run
-option touches this class and nothing else.
+keys of a ``POST /campaigns`` body) and -- minus ``preflight`` and
+``backend`` -- the options' contribution to the result-cache key.
+:meth:`add_arguments` is the only place the matching CLI flags are
+registered, so a new run option touches this class and nothing else.
 
 Stdlib-only on purpose: the CLI imports this module on every start-up,
 so it must not pull in the linter, the kernel, the liveness pass or the
@@ -30,7 +30,8 @@ __all__ = ["BACKENDS", "MODES", "PREFLIGHTS", "PRUNINGS", "RunOptions"]
 #: What is checked: the paper's reachability checks, or those plus the
 #: starvation analysis (:mod:`repro.liveness`).
 MODES: tuple[str, ...] = ("safety", "liveness")
-#: Expansion engines: the symbolic interpreter or the compiled kernel.
+#: Expansion engines: the symbolic interpreter (the readable reference)
+#: or the compiled kernel (the default; identical results).
 BACKENDS: tuple[str, ...] = ("interp", "kernel")
 #: Static-analysis preflight before verification.
 PREFLIGHTS: tuple[str, ...] = ("off", "reject", "annotate")
@@ -46,7 +47,8 @@ class RunOptions:
     is the paper's structural mode); ``pruning`` picks Definition 9
     containment or duplicate-only pruning; ``mode`` adds the liveness
     pass (``"liveness"`` checks safety *and* starvation); ``backend``
-    picks the interpreter or the compiled kernel (identical verdicts);
+    picks the compiled kernel (default) or the interpreter (identical
+    verdicts);
     ``preflight`` lints the spec first (``"reject"`` refuses specs with
     error findings, ``"annotate"`` only records them).
 
@@ -54,14 +56,14 @@ class RunOptions:
     ``max_states`` and ``max_rss_mb`` are cooperative budgets -- an
     exhausted budget yields a *partial* result, never an exception.
 
-    Every field except ``preflight`` is part of the result-cache key:
-    preflight never changes a verification payload.
+    Every field except ``preflight`` and ``backend`` is part of the
+    result-cache key: neither changes a verification payload.
     """
 
     augmented: bool = True
     pruning: str = "containment"
     mode: str = "safety"
-    backend: str = "interp"
+    backend: str = "kernel"
     preflight: str = "off"
     max_visits: int = 1_000_000
     deadline: float | None = None
@@ -207,8 +209,9 @@ _FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
         ("--backend",),
         {
             "choices": BACKENDS,
-            "help": "expansion engine: 'interp' (symbolic interpreter, "
-            "default) or 'kernel' (compiled kernel, identical verdicts)",
+            "help": "expansion engine: 'kernel' (compiled kernel, default) "
+            "or 'interp' (symbolic interpreter, the readable reference); "
+            "identical verdicts, so not part of the cache key",
         },
     ),
     "preflight": (

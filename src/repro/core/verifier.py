@@ -162,9 +162,10 @@ def verify(
       ``"reject"`` raises :class:`~repro.lint.model.LintError` when an
       error-severity rule fires, ``"annotate"`` only attaches the
       findings to the report's ``lint`` field;
-    * ``backend="kernel"`` expands with the compiled kernel
-      (:mod:`repro.kernel`), which produces identical verdicts,
-      violations, witnesses and essential sets.  A spec the kernel
+    * ``backend="kernel"`` (the default) expands with the compiled
+      kernel (:mod:`repro.kernel`), which produces identical verdicts,
+      violations, witnesses and essential sets; ``backend="interp"``
+      runs the interpreter, the readable reference.  A spec the kernel
       cannot compile (no IR lowering) silently falls back to the
       interpreter; see ``docs/KERNEL.md``;
     * ``mode="liveness"`` additionally runs the starvation analysis

@@ -38,7 +38,8 @@ __all__ = [
 #: "3": the expansion backend joined the job key.
 #: "4": the verification mode joined the job key and liveness-mode
 #: payloads carry a ``liveness`` section.
-ENGINE_VERSION = "4"
+#: "5": the backend left the job key (both backends' payloads are equal).
+ENGINE_VERSION = "5"
 
 
 def canonical_json(payload: Any) -> str:
@@ -58,13 +59,15 @@ def job_key(fingerprint: str, job: VerificationJob) -> str:
 
     The spec is represented by its fingerprint, so e.g. a registry job
     and a DSL job for behaviourally identical specs share an entry.
-    Every run option participates except ``preflight``, which never
-    changes a payload.  The resource budgets participate because an
+    Every run option participates except ``preflight`` and ``backend``,
+    which never change a payload (the kernel and the interpreter
+    produce identical ones, so one verdict is cached once whichever
+    backend produced it).  The resource budgets participate because an
     exhausted budget produces a *partial* payload: a partial result may
     only be replayed for a job that requested the very same budgets.
     """
     options = job.options.to_dict()
-    del options["preflight"]
+    del options["preflight"], options["backend"]
     return hashlib.sha256(
         canonical_json(
             {"engine": ENGINE_VERSION, "fingerprint": fingerprint, **options}

@@ -18,17 +18,15 @@ packed integer form once and then explores on plain ``int`` tuples:
   :class:`~repro.core.composite.CompositeState` happens at most once
   per distinct state;
 * the containment lattice (Definition 9) is memoized per interned
-  state pair, making essential-set membership a hash lookup plus a
-  small frontier scan.
+  state pair (two bitmask rows per state), making essential-set
+  membership a memo lookup plus a small frontier scan.
 
 :func:`explore` and :func:`enumerate_space` mirror the interpreter's
 control flow step for step, so verdicts, violation kinds, witness
 shapes, essential-state sets and visit counts are identical -- the
 testkit's :mod:`~repro.testkit.kerneldiff` gate enforces exactly that.
-The only documented divergence is ``stats.scenarios`` on warm runs:
-successor memoization means a re-verified protocol does not re-evaluate
-scenario case-splits (the batch engine keys its cache by backend, so
-payloads never mix).  See ``docs/KERNEL.md``.
+The kernel is the default backend; the interpreter stays the readable
+reference it is checked against.  See ``docs/KERNEL.md``.
 """
 
 from ..core.options import BACKENDS

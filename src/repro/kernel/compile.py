@@ -199,8 +199,7 @@ class CompiledProtocol:
     Instances are *stateful caches* but not *stateful computations*:
     every public method is idempotent and the memoized answers are
     pure functions of the protocol, so sharing one instance across
-    runs is sound (the only observable effect is that warm runs skip
-    scenario re-evaluation; see ``docs/KERNEL.md``).
+    runs is sound: a warm run reports exactly what a cold one does.
     """
 
     def __init__(self, ir: ProtocolIR) -> None:
@@ -317,11 +316,13 @@ class CompiledProtocol:
         self.intern_misses = 0
 
         # Memo layers over interned ids.
-        self._contains: dict[tuple[int, int], bool] = {}
+        #: small -> byte row over ``big`` ids (see contains_ids).
+        self._contains: dict[int, bytearray] = {}
         self.containment_hits = 0
         self.containment_misses = 0
         self._violations: dict[int, tuple[Violation, ...]] = {}
-        self._succ: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        #: sid -> (successor entries, scenario case-splits evaluated).
+        self._succ: dict[int, tuple[tuple[tuple[int, int, int], ...], int]] = {}
 
         # Concrete-side memo layers.
         self._delta: dict[int, tuple] = {}
@@ -433,12 +434,22 @@ class CompiledProtocol:
     # Containment lattice (Definition 9), memoized per id pair
     # ------------------------------------------------------------------
     def contains_ids(self, small: int, big: int) -> bool:
-        """``decoded(small) ⊆_F decoded(big)``, as a hash lookup."""
-        key = (small, big)
-        cached = self._contains.get(key)
-        if cached is not None:
-            self.containment_hits += 1
-            return cached
+        """``decoded(small) ⊆_F decoded(big)``, as a memo lookup.
+
+        The memo keeps one byte row per ``small``, indexed by ``big``
+        (0 unknown, 1 no, 2 yes): one byte per compared pair instead of
+        a tuple key and a dict slot.
+        """
+        row = self._contains.get(small)
+        if row is None:
+            row = self._contains[small] = bytearray(len(self._keys))
+        elif big >= len(row):
+            row.extend(bytes(len(self._keys) - len(row)))
+        else:
+            known = row[big]
+            if known:
+                self.containment_hits += 1
+                return known == 2
         self.containment_misses += 1
         ka = self._keys[small]
         kb = self._keys[big]
@@ -447,7 +458,7 @@ class CompiledProtocol:
             and ka[2] == kb[2]
             and _covers_packed(ka[0], kb[0])
         )
-        self._contains[key] = outcome
+        row[big] = 2 if outcome else 1
         return outcome
 
     # ------------------------------------------------------------------
@@ -634,11 +645,11 @@ class CompiledProtocol:
     def successors(self, sid: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
         """All one-operation successors of one interned state.
 
-        Returns ``(entries, fresh_scenarios)`` where each entry is
+        Returns ``(entries, scenarios)`` where each entry is
         ``(opid, initiator_sid, target_id)`` in the interpreter's
-        emission order and ``fresh_scenarios`` is the number of
-        scenario case-splits evaluated by this call (0 on a memo hit --
-        the one documented stats divergence on warm runs).
+        emission order and ``scenarios`` is the number of scenario
+        case-splits computing them takes -- memoized with the entries,
+        so a warm run reports the interpreter's count too.
 
         Memoizing whole successor lists is sound because the explore
         loop expands each id at most once per run: under containment
@@ -646,11 +657,9 @@ class CompiledProtocol:
         under duplicates pruning the visited set only grows.
         """
         cached = self._succ.get(sid)
-        if cached is not None:
-            return cached, 0
-        entries, scenarios = self._compute_successors(sid)
-        self._succ[sid] = entries
-        return entries, scenarios
+        if cached is None:
+            cached = self._succ[sid] = self._compute_successors(sid)
+        return cached
 
     def _compute_successors(
         self, src_id: int
@@ -1264,9 +1273,12 @@ _MISSING = object()
 # ----------------------------------------------------------------------
 #: spec object -> CompiledProtocol (fast path; weak so specs can die).
 _BY_SPEC: "WeakKeyDictionary" = WeakKeyDictionary()
-#: IR fingerprint -> CompiledProtocol, LRU-bounded.
+#: IR fingerprint -> CompiledProtocol, LRU-bounded.  Kept small: a
+#: long-lived process (``repro serve``) verifies a stream of distinct
+#: specs, and each compile holds its memo layers (up to ~2 MB for a
+#: zoo mutant); reuse only pays off for the same spec run back to back.
 _BY_FP: "OrderedDict[str, CompiledProtocol]" = OrderedDict()
-_BY_FP_LIMIT = 64
+_BY_FP_LIMIT = 8
 
 
 def compile_protocol(spec) -> CompiledProtocol:

@@ -118,8 +118,8 @@ def explore(
             if coll is not None:
                 coll.observe("expand.worklist.depth", len(working) + 1)
 
-            entries, fresh_scenarios = cp.successors(current)
-            stats.scenarios += fresh_scenarios
+            entries, scenarios = cp.successors(current)
+            stats.scenarios += scenarios
             for opid, init_sid, target in entries:
                 stats.visits += 1
                 if guard is not None:

@@ -149,9 +149,13 @@ class TestWorkerFaults:
     def test_slow_job_soft_cancels_into_partial(self, tmp_path):
         # A slow-but-cooperative job notices the cancel flag through
         # its guard and hands back a partial result inside the grace
-        # window instead of being SIGKILLed.
+        # window instead of being SIGKILLed.  Pinned to the interpreter:
+        # the slow fault sleeps in every react() call, and the kernel's
+        # IR lowering probes react() over every present-set before the
+        # guarded expansion starts, so it would outlast the grace.
         jobs = inject(
-            _jobs("illinois"), FaultPlan({0: Fault("slow", delay=0.2)})
+            _jobs("illinois", options=RunOptions(backend="interp")),
+            FaultPlan({0: Fault("slow", delay=0.2)}),
         )
         cache = ResultCache(tmp_path / "cache")
         journal = RunJournal()

@@ -5,24 +5,34 @@ the intern table, the memoized containment lattice, the per-fingerprint
 compile cache), exact parity with the interpreter over the protocol zoo
 (verdicts, violation kinds, essential sets, visit counts, concrete
 state spaces), budget-guard PARTIAL semantics, and the ``backend``
-run option end to end: ``verify()``, ``VerificationJob`` metadata and
-the serve-layer ``CampaignRequest``.
+run option end to end: the kernel default, ``verify()`` and its
+fallback to the interpreter, ``VerificationJob`` metadata, the
+backend-blind cache key and the serve-layer ``CampaignRequest``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core.essential import explore
 from repro.core.options import RunOptions
 from repro.core.verifier import verify
-from repro.engine import VerificationJob, job_key, spec_fingerprint
+from repro.engine import (
+    ResultCache,
+    VerificationJob,
+    job_key,
+    run_batch,
+    spec_fingerprint,
+)
 from repro.engine.guard import Budget, Guard
 from repro.enumeration.exhaustive import Equivalence, enumerate_space
 from repro.ir import lower
 from repro.kernel import (
     BACKENDS,
     CompiledProtocol,
+    KernelUnsupportedError,
     compile_protocol,
 )
 from repro.kernel import enumerate_space as kernel_enumerate
@@ -190,9 +200,13 @@ def test_guard_partial_semantics_enumerate():
 # ---------------------------------------------------------------------------
 
 
+def test_default_backend_is_the_kernel():
+    assert RunOptions().backend == "kernel"
+
+
 def test_verify_backend_kernel_matches_interp():
     spec = IllinoisProtocol()
-    interp = verify(spec).result
+    interp = verify(spec, options=RunOptions(backend="interp")).result
     kern = verify(spec, options=RunOptions(backend="kernel")).result
     assert interp.ok and kern.ok
     assert {s.pretty() for s in interp.essential} == {
@@ -212,13 +226,80 @@ def test_job_validates_backend():
     assert job.to_meta()["backend"] == "kernel"
 
 
-def test_job_key_separates_backends():
+def test_job_key_ignores_backend():
+    # Both backends produce the same payload, so one verdict is cached
+    # once, whichever backend produced it.
     fp = spec_fingerprint(IllinoisProtocol())
-    interp_job = VerificationJob(protocol="illinois")
-    kernel_job = VerificationJob(
-        protocol="illinois", options=RunOptions(backend="kernel")
+    interp_job = VerificationJob(
+        protocol="illinois", options=RunOptions(backend="interp")
     )
-    assert job_key(fp, interp_job) != job_key(fp, kernel_job)
+    kernel_job = VerificationJob(protocol="illinois")
+    assert job_key(fp, interp_job) == job_key(fp, kernel_job)
+
+
+def _without_elapsed(payload):
+    stats = {k: v for k, v in payload["stats"].items() if k != "elapsed_seconds"}
+    return {**payload, "stats": stats}
+
+
+@pytest.mark.parametrize("name", ["illinois", "moesi"])
+def test_warm_kernel_reports_the_interpreters_scenarios(name):
+    # The successor memo stores each state's scenario count with its
+    # entries, so a second run in one process (warm compile cache)
+    # reports what a cold run -- and the interpreter -- does.
+    expected = verify(name, options=RunOptions(backend="interp")).result
+    for _ in range(2):
+        kern = verify(name).result
+        assert kern.stats.scenarios == expected.stats.scenarios > 0
+        assert kern.stats.visits == expected.stats.visits
+
+
+def test_cache_entry_is_shared_across_backends(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    # One verified protocol and one violating mutant.
+    mutant = mutants_for(get_protocol("msi"))[0].mutation.key
+    jobs = [
+        VerificationJob(protocol="illinois"),
+        VerificationJob(protocol="msi", mutant=mutant),
+    ]
+    filled = run_batch(jobs, cache=cache)
+    assert not any(r.cached for r in filled.results)
+    interp_jobs = [
+        replace(job, options=replace(job.options, backend="interp")) for job in jobs
+    ]
+    replayed = run_batch(interp_jobs, cache=cache)
+    assert all(r.cached for r in replayed.results)
+    assert cache.hits == len(jobs)
+    fresh = run_batch(interp_jobs, cache=None)
+    for kern, hit, interp in zip(filled.results, replayed.results, fresh.results):
+        assert hit.payload == kern.payload
+        assert _without_elapsed(hit.payload) == _without_elapsed(interp.payload)
+
+
+class _ProbeShyIllinois(IllinoisProtocol):
+    """Illinois whose ``react`` rejects an observation no reachable
+    state produces: all three valid states held by other caches at once.
+    Only IR lowering probes every present-set, so only lowering fails."""
+
+    name = "illinois-probe-shy"
+
+    def react(self, state, op, ctx):
+        if len(ctx.present) == len(self.valid_states()):
+            raise RuntimeError("unreachable observation")
+        return super().react(state, op, ctx)
+
+
+def test_verify_falls_back_to_the_interpreter_when_lowering_fails():
+    spec = _ProbeShyIllinois()
+    with pytest.raises(KernelUnsupportedError, match="lowering"):
+        compile_protocol(spec)
+    report = verify(spec)  # default options: the kernel backend
+    reference = verify(IllinoisProtocol(), options=RunOptions(backend="interp"))
+    assert report.ok and reference.ok
+    assert report.result.stats.visits == reference.result.stats.visits
+    assert {s.pretty() for s in report.result.essential} == {
+        s.pretty() for s in reference.result.essential
+    }
 
 
 def test_campaign_request_backend_round_trip(tmp_path):

@@ -1,7 +1,7 @@
 """``RunOptions``: one validated bundle behind every verification surface.
 
 One table drives the cache-key contract (every field but ``preflight``
-changes the key; two keys are pinned byte for byte), the canonical
+and ``backend`` changes the key; two keys are pinned byte for byte), the canonical
 ``to_dict``/``from_dict`` round trip, and the CLI: the ``batch``,
 ``verify`` and ``submit`` parsers must build the same options from the
 same flags.
@@ -25,7 +25,7 @@ NON_DEFAULT: dict[str, tuple[object, list[str]]] = {
     "augmented": (False, ["--structural"]),
     "pruning": ("duplicates", ["--no-pruning"]),
     "mode": ("liveness", ["--mode", "liveness"]),
-    "backend": ("kernel", ["--backend", "kernel"]),
+    "backend": ("interp", ["--backend", "interp"]),
     "preflight": ("annotate", ["--preflight", "annotate"]),
     "max_visits": (7, ["--max-visits", "7"]),
     "deadline": (2.5, ["--deadline", "2.5"]),
@@ -33,16 +33,18 @@ NON_DEFAULT: dict[str, tuple[object, list[str]]] = {
     "max_rss_mb": (64.0, ["--max-rss-mb", "64"]),
 }
 
-#: ``job_key`` values recorded before ``RunOptions`` existed (engine
-#: version "4"); refactors must keep existing cache entries reachable.
+#: ``job_key`` values pinned byte for byte; refactors must keep existing
+#: cache entries reachable.  Re-recorded under engine version "5", when
+#: ``backend`` left the key: the old keys hashed the backend in, so every
+#: entry moved (the second entry's interp backend no longer matters).
 PINNED_KEYS = [
     (
         RunOptions(),
-        "4414712689c40b09e69a4acc95ed523bd5a61138af42c4e4672a657a0cc32645",
+        "0e942d6b7ad8dc44722786136266252e0ec15260c04beff0a92da740a021fab4",
     ),
     (
-        RunOptions(mode="liveness", backend="kernel", deadline=2.0),
-        "2ff3b7e845ac819b11753a79743bb3a0df778e3a60ce0d45b408b956036c0b20",
+        RunOptions(mode="liveness", backend="interp", deadline=2.0),
+        "b16ba115651e3b69ba1332e693d9b71dc42e0915b77b761cc3b58d1cdc1c3b29",
     ),
 ]
 
@@ -58,17 +60,20 @@ def test_table_covers_every_field():
 
 
 def test_every_field_but_preflight_changes_the_cache_key():
+    # ``backend`` is exempt too: both backends produce the same payload.
     base = _key(RunOptions())
     for field in dataclasses.fields(RunOptions):
         value, _ = NON_DEFAULT[field.name]
         changed = _key(RunOptions(**{field.name: value}))
-        if field.name == "preflight":
-            assert changed == base, "preflight must not split the cache"
+        if field.name in ("preflight", "backend"):
+            assert changed == base, f"{field.name} must not split the cache"
         else:
             assert changed != base, f"{field.name} must be part of the key"
 
 
-@pytest.mark.parametrize("options, key", PINNED_KEYS)
+@pytest.mark.parametrize(
+    "options, key", PINNED_KEYS, ids=["defaults", "liveness-deadline"]
+)
 def test_pinned_cache_keys(options, key):
     assert _key(options) == key
 
