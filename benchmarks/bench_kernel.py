@@ -10,7 +10,7 @@ is auditable across PRs (same ``bench``/``protocol``/``n`` key,
 different ``backend``).
 
 Parity is asserted inline (the full gate lives in
-:mod:`repro.testkit.kerneldiff`): identical essential sets, identical
+:mod:`repro.testkit.diff`): identical essential sets, identical
 unique-state counts, identical visit counts.  The headline target is a
 >= 10x speedup on strict enumeration at n=7 over the recorded
 interpreter baseline.

@@ -24,6 +24,8 @@ Subcommands cover the full workflow a protocol designer would use:
 * ``repro fuzz --seed 42`` -- differential fuzzing: generated
   protocols through both engines, disagreements shrunk and persisted
   to the regression corpus (``--replay`` re-verifies the corpus);
+* ``repro diff`` -- the differential gate: IR, kernel, liveness and
+  Theorem 1 checks over every spec source, exit 1 on any finding;
 * ``repro serve --port 8642`` -- the campaign service: a long-running
   asyncio HTTP front end on the batch engine with priority lanes,
   per-tenant budgets, SSE event streams and the shared result cache;
@@ -358,6 +360,23 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.journal:
         print(f"journal written to {args.journal}")
     return EXIT_OK if report.ok else EXIT_VIOLATION
+
+
+def _cmd_diff(args: argparse.Namespace) -> int:
+    from .testkit.diff import CHECKS, SOURCES, run_diff
+
+    reports = run_diff()
+    for report in reports:
+        if report.findings or report.skipped:
+            print(report.describe())
+    failed = sum(1 for r in reports if not r.ok)
+    skipped = sum(1 for r in reports if r.skipped)
+    print(
+        f"{len(reports)} specs from {len(SOURCES)} sources x "
+        f"{len(CHECKS)} checks ({', '.join(CHECKS)}): "
+        f"{skipped} with skipped checks, {failed} with findings"
+    )
+    return EXIT_OK if failed == 0 else EXIT_VIOLATION
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1318,6 +1337,20 @@ def build_parser() -> argparse.ArgumentParser:
         "draws starvable protocols)",
     )
 
+    sub.add_parser(
+        "diff",
+        help="the differential gate: every check over every spec source",
+        description="Run every differential check (IR round-trip and flow "
+        "over-approximation, kernel/interpreter parity, witnessed liveness "
+        "verdicts, the Theorem 1 oracle) over every spec source (zoo, "
+        "builtin DSL specs, mutants, starvation mutants, the tests/corpus "
+        "regression corpus, seeded generated specs).  Prints every spec "
+        "with a finding or a skipped check, then one summary line; exits "
+        "1 on any finding.  Takes no options.",
+        epilog=_EXIT_STATUS_DOC,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+
     p = sub.add_parser(
         "serve",
         help="run the verification-as-a-service campaign server",
@@ -1507,6 +1540,7 @@ _HANDLERS = {
     "fragility": _cmd_fragility,
     "sweep": _cmd_sweep,
     "fuzz": _cmd_fuzz,
+    "diff": _cmd_diff,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "watch": _cmd_watch,

@@ -24,7 +24,8 @@ packed integer form once and then explores on plain ``int`` tuples:
 :func:`explore` and :func:`enumerate_space` mirror the interpreter's
 control flow step for step, so verdicts, violation kinds, witness
 shapes, essential-state sets and visit counts are identical -- the
-testkit's :mod:`~repro.testkit.kerneldiff` gate enforces exactly that.
+differential gate's ``kernel`` check (:mod:`repro.testkit.diff`)
+enforces exactly that.
 The kernel is the default backend; the interpreter stays the readable
 reference it is checked against.  See ``docs/KERNEL.md``.
 """

@@ -602,7 +602,7 @@ def check_stall_cycle(ctx: LintContext) -> Iterator[Diagnostic]:
     This remains a *static over-approximation* of the dynamic
     starvation analysis (:mod:`repro.liveness`, ``--mode liveness``):
     no statically reachable stall implies dynamically live (enforced
-    by :mod:`repro.testkit.livediff`), but a flagged stall may still
+    by :mod:`repro.testkit.diff`), but a flagged stall may still
     be resolvable at run time -- which is why this rule warns while
     the liveness analysis verdicts.  See docs/LIVENESS.md.
     """

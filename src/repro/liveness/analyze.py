@@ -83,6 +83,8 @@ class _Facts:
             tuple[tuple[_Edge, ...], set[tuple[str, Op]], set[tuple[str, Op]]],
         ] = {}
         self._posed: dict[tuple[CompositeState, str, Op], tuple[bool, bool]] = {}
+        #: Successor -> its essential home (a linear containment scan).
+        self._homes: dict[CompositeState, CompositeState] = {}
 
     # ------------------------------------------------------------------
     def _scan(
@@ -108,7 +110,10 @@ class _Facts:
             )
             label = str(event.label)
             for target in event.targets:
-                home = essential_home(target, self.essential, self.pruning)
+                home = self._homes.get(target)
+                if home is None:
+                    home = essential_home(target, self.essential, self.pruning)
+                    self._homes[target] = home
                 key = (label, home, moves)
                 if key not in edges:
                     edges[key] = _Edge(label, home, moves)

@@ -27,24 +27,12 @@ perturbations of them; this subsystem removes the human from the loop:
   seeded, budgeted campaign whose symbolic half is dispatched through
   the engine batch runner (guard budgets, journal, result cache) and
   whose findings land in the corpus, auto-shrunk;
-* :mod:`repro.testkit.irdiff` -- the guarded-action IR differential
-  harness: lowering a spec to :mod:`repro.ir` and lifting it back must
-  preserve the expansion exactly, and the flow analysis
-  (:mod:`repro.lint.flow`) must never be contradicted by the symbolic
-  verifier (it is an over-approximation, so exercised transitions must
-  be flow-completing and guaranteed-populated states flow-reachable);
-* :mod:`repro.testkit.kerneldiff` -- the compiled-kernel parity gate:
-  :mod:`repro.kernel` must be observably identical to the interpreter
-  (verdicts, violation kinds, essential sets, concrete state spaces)
-  over the zoo, the builtin DSL specs, the pinned corpus and freshly
-  generated specifications; budget-exhausted comparisons degrade to
-  skipped instead of failing;
-* :mod:`repro.testkit.livediff` -- the liveness differential gate:
-  every ``NOT LIVE`` verdict from :mod:`repro.liveness` must carry a
-  lasso that re-executes through the reaction semantics, a spec with
-  no statically reachable stall (rule PL008) must be dynamically
-  live, and every seeded starvation mutant must be caught; runs over
-  the zoo, the corpus and generated stalling specifications.
+* :mod:`repro.testkit.diff` -- the differential gate: one table of
+  spec sources (zoo, builtins, mutants, starvation mutants, the pinned
+  corpus, generated and generated-stalling specs) times one table of
+  checks (IR round-trip and flow over-approximation, kernel/interpreter
+  parity, witnessed liveness verdicts, the Theorem 1 oracle), each spec
+  expanded once and shared by every check; ``repro diff`` runs it all.
 
 Related verification efforts (the GAL model of a coherence protocol,
 Meunier et al.; the CXL.cache formalisation, Tan et al.) found their
@@ -56,26 +44,9 @@ one.  See ``docs/TESTING.md``.
 
 from .campaign import CampaignConfig, CampaignReport, run_campaign
 from .corpus import Corpus, CorpusEntry, ReplayReport
+from .diff import Case, DiffReport, Finding, diff_spec, run_diff
 from .generate import GeneratorConfig, RuleModel, SpecGenerator, SpecModel
-from .irdiff import IRDiffFinding, IRDiffReport, diff_all, diff_spec
-from .kerneldiff import (
-    KernelDiffFinding,
-    KernelDiffReport,
-    kernel_diff_all,
-    kernel_diff_corpus,
-    kernel_diff_generated,
-    kernel_diff_spec,
-)
-from .livediff import (
-    LiveDiffFinding,
-    LiveDiffReport,
-    live_diff_all,
-    live_diff_corpus,
-    live_diff_generated,
-    live_diff_spec,
-)
 from .oracle import (
-    Disagreement,
     OracleBudget,
     OracleReport,
     SymbolicView,
@@ -87,16 +58,12 @@ from .shrink import ShrinkResult, shrink
 __all__ = [
     "CampaignConfig",
     "CampaignReport",
+    "Case",
     "Corpus",
     "CorpusEntry",
-    "Disagreement",
+    "DiffReport",
+    "Finding",
     "GeneratorConfig",
-    "IRDiffFinding",
-    "IRDiffReport",
-    "KernelDiffFinding",
-    "KernelDiffReport",
-    "LiveDiffFinding",
-    "LiveDiffReport",
     "OracleBudget",
     "OracleReport",
     "ReplayReport",
@@ -105,17 +72,9 @@ __all__ = [
     "SpecGenerator",
     "SpecModel",
     "SymbolicView",
-    "diff_all",
     "diff_spec",
-    "kernel_diff_all",
-    "kernel_diff_corpus",
-    "kernel_diff_generated",
-    "kernel_diff_spec",
-    "live_diff_all",
-    "live_diff_corpus",
-    "live_diff_generated",
-    "live_diff_spec",
     "run_campaign",
+    "run_diff",
     "run_oracle",
     "shrink",
     "symbolic_view",

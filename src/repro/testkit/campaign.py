@@ -30,8 +30,15 @@ from ..engine.cache import ResultCache
 from ..engine.job import JobStatus, VerificationJob
 from ..engine.journal import RunJournal
 from .corpus import Corpus
+from .diff import Case, Context, Skip, run_check
 from .generate import GeneratorConfig, SpecGenerator
-from .oracle import OracleBudget, OracleReport, SymbolicView, run_oracle, symbolic_view
+from .oracle import (
+    OracleBudget,
+    OracleReport,
+    SymbolicView,
+    run_oracle,
+    symbolic_view,
+)
 from .shrink import shrink
 
 __all__ = ["CampaignConfig", "CampaignReport", "run_campaign"]
@@ -50,11 +57,9 @@ class CampaignConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     #: Run options for the symbolic side; its visit and deadline
     #: budgets come from ``budget``.  ``mode="liveness"`` additionally
-    #: runs the starvation analysis on every generated spec, checks the
-    #: static/dynamic agreement (a spec with no statically reachable
-    #: stall must be dynamically live) and re-executes every emitted
-    #: lasso through the reaction semantics; a broken invariant is a
-    #: campaign finding.
+    #: runs the differential gate's ``liveness`` check
+    #: (:mod:`repro.testkit.diff`) on every generated spec the batch
+    #: verified; a broken invariant is a campaign finding.
     options: RunOptions = RunOptions()
     #: Worker processes for the symbolic batch (1 = serial in-process).
     workers: int = 1
@@ -161,77 +166,34 @@ def _spec_record(
 
 
 def _liveness_findings(
-    spec: Any, name: str, digest: str, config: CampaignConfig
+    spec: Any, name: str, digest: str
 ) -> tuple[bool | None, list[dict[str, Any]]]:
-    """Liveness verdict plus any broken harness invariants for *spec*.
+    """Liveness verdict plus the gate's ``liveness`` findings for *spec*.
 
-    Re-runs verification in-process (generated specs are tiny) so the
-    lassos exist as objects, then checks:
-
-    * every emitted lasso re-executes through the reaction semantics
-      (``liveness-lasso-replay`` finding otherwise);
-    * a spec with no statically reachable stall is dynamically live
-      (``liveness-static-contradiction`` otherwise) -- the sound
-      direction of the PL008 static approximation, see docs/LIVENESS.md.
+    Runs :data:`repro.testkit.diff.CHECKS` ``["liveness"]`` in-process
+    (generated specs are tiny) -- lasso replay, the static/dynamic
+    agreement of PL008 (see docs/LIVENESS.md) and the rest -- and
+    reports each broken invariant under a ``liveness-`` kind.
     """
-    from ..core.verifier import verify
-    from ..liveness import replay_lasso
-
-    report = verify(
-        spec,
-        # The campaign deadline bounds the batch run, not this re-check.
-        options=replace(config.symbolic_options(), deadline=None),
-        validate_spec=False,
-    )
-    liveness = report.result.liveness
-    assert liveness is not None
-    if not liveness.checked:
-        return None, []
-    findings: list[dict[str, Any]] = []
-
-    def _finding(kind: str, detail: str) -> dict[str, Any]:
-        return {
+    ctx = Context(Case("fuzz", spec))
+    broken, _ = run_check("liveness", ctx)
+    try:
+        live: bool | None = ctx.liveness.live
+    except Skip:
+        live = None
+    return live, [
+        {
             "name": name,
-            "kind": kind,
-            "detail": detail,
+            "kind": f"liveness-{finding.kind}",
+            "detail": finding.detail,
             "n": None,
             "digest": digest,
             "minimized_digest": digest,
             "shrink_steps": 0,
             "shrink_attempts": 0,
         }
-
-    for lasso in liveness.lassos:
-        ok, reason = replay_lasso(report.result, lasso)
-        if not ok:
-            findings.append(
-                _finding(
-                    "liveness-lasso-replay",
-                    f"{lasso.signature}: {reason}",
-                )
-            )
-    if not liveness.live and not _static_can_stall(spec):
-        findings.append(
-            _finding(
-                "liveness-static-contradiction",
-                "no statically reachable stall, yet "
-                f"{len(liveness.violations)} starvable requests",
-            )
-        )
-    return liveness.live, findings
-
-
-def _static_can_stall(spec: Any) -> bool:
-    """Whether the flow analysis reaches any stalling transition."""
-    from ..ir import lower
-    from ..lint.flow import FlowAnalysis
-
-    try:
-        program = lower(spec)
-    except Exception:  # pragma: no cover - non-lowerable ad-hoc spec
-        return True  # cannot prove stall-freedom: no contradiction
-    flow = FlowAnalysis(program)
-    return bool(flow.stalls)
+        for finding in broken
+    ]
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -279,9 +241,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             JobStatus.VERIFIED,
             JobStatus.LIVENESS_VIOLATION,
         ):
-            live, broken = _liveness_findings(
-                spec, model.name, digest, config
-            )
+            live, broken = _liveness_findings(spec, model.name, digest)
             report.findings.extend(broken)
         report.specs.append(_spec_record(model.name, digest, oracle, live))
         if oracle.outcome != "disagree":

@@ -1,0 +1,561 @@
+"""The differential gate: every check over every spec source.
+
+Each engine added since the paper -- the guarded-action IR, the
+compiled kernel, the liveness analysis -- stays faithful to Figure 4
+and Theorem 1 only because something pits it against a reference.
+This module is that something, written once: a table of spec
+*sources*, a table of *checks*, and :func:`run_diff`, which runs every
+check over every case of every source.
+
+Sources (:data:`SOURCES`) yield :class:`Case` objects that carry their
+own expectation:
+
+=================== ==================================================
+source              specifications
+=================== ==================================================
+``zoo``             the registry protocols
+``builtin``         the builtin DSL specifications
+``mutant``          every injected-bug (safety) variant of the zoo
+``liveness-mutant`` every seeded starvation mutant -- expected not live
+``corpus``          the pinned regression corpus (``liveness-*``
+                    entries expected not live)
+``generated``       seeded draws of :class:`~.generate.SpecGenerator`
+``generated-stall`` seeded draws with stalling transitions
+=================== ==================================================
+
+Checks (:data:`CHECKS`) yield :class:`Finding` objects:
+
+``ir``
+    Lowering to :mod:`repro.ir` and lifting back preserves the
+    expansion (``roundtrip``: violation kinds, essential set), the IR
+    survives ``to_dict``/``from_dict`` (``serialization``), and the
+    flow over-approximation (:mod:`repro.lint.flow`) covers every
+    exercised transition and guaranteed-populated state (``flow``).
+``kernel``
+    The compiled kernel is observably the interpreter (``explore``:
+    violation kinds and witnesses, essential set, visit and expansion
+    counts, verdict; ``enumerate``: concrete state spaces for small
+    ``n``; ``liveness``: byte-identical liveness documents).
+``liveness``
+    Every lasso re-executes through the reaction semantics
+    (``lasso-replay``), violations and lassos pair up
+    (``witness-mismatch``), re-analysis is byte-identical
+    (``determinism``), a spec with no statically reachable stall is
+    live (``static-contradiction``), and an expected starver is caught
+    (``mutant-live``).
+``theorem1``
+    The differential oracle (:func:`.oracle.run_oracle`): the symbolic
+    verdict agrees with exhaustive enumeration (``completeness``,
+    ``coverage``, ``soundness``).
+
+Each case gets one :class:`Context` whose interpreter expansion,
+kernel expansion, IR lowering and flow analysis are built at most once
+and shared by every check.  ``ir`` and ``kernel`` read the interpreter
+reference; ``liveness`` and ``theorem1`` read the default backend's
+expansion (the kernel, or the interpreter for a spec the kernel cannot
+lower -- the same fallback :func:`repro.verify` makes).
+
+One skip rule: a check that cannot reach a verdict is *skipped*, never
+failed.  A partial or over-budget expansion skips with ``budget
+exhausted``; a spec that cannot be lowered skips the IR-dependent
+checks (``ir``, ``kernel`` and the static half of ``liveness``) with
+``unsupported: ...`` while the interpreter-only checks still run.  A
+source that yields no specifications is itself a finding.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Iterator
+
+from ..core.essential import ExpansionLimitError, ExpansionResult, explore
+from ..core.operators import Rep
+from ..core.protocol import ProtocolSpec
+from ..enumeration.exhaustive import Equivalence, enumerate_space
+from ..ir import IRError, ProtocolIR, lower
+from ..kernel import KernelUnsupportedError, compile_protocol
+from ..kernel import enumerate_space as kernel_enumerate
+from ..kernel import explore as kernel_explore
+from ..lint.flow import FlowAnalysis
+from ..liveness import analyze_liveness, replay_lasso
+from ..protocols.dsl import builtin_spec_names, load_builtin
+from ..protocols.mutations import liveness_mutants_for, mutants_for
+from ..protocols.registry import all_protocols
+from .generate import GeneratorConfig, SpecGenerator
+
+__all__ = [
+    "CHECKS",
+    "SOURCES",
+    "Case",
+    "Context",
+    "DiffReport",
+    "Finding",
+    "Skip",
+    "diff_spec",
+    "run_check",
+    "run_diff",
+]
+
+#: Run the expansions with context variables (Definition 4).
+AUGMENTED = True
+#: Hard visit limit of every expansion; exceeding it skips the case.
+MAX_VISITS = 1_000_000
+#: Cache counts of the kernel's enumeration comparison (both
+#: equivalences at each).
+ENUMERATE_NS = (1, 2)
+#: Where the ``corpus`` source reads the pinned regression corpus.
+CORPUS_ROOT = "tests/corpus"
+#: Seed, size and stall density of the two generated sources.
+GENERATED_SEED = 2026
+GENERATED_COUNT = 10
+P_STALL = 0.5
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One broken claim: a check's (or the oracle's) counterexample."""
+
+    kind: str
+    spec: str
+    detail: str
+    #: The cache count the claim broke at, when there is one.
+    n: int | None = None
+
+    def __str__(self) -> str:
+        where = f" (n={self.n})" if self.n is not None else ""
+        return f"[{self.kind}] {self.spec}{where}: {self.detail}"
+
+
+@dataclass(frozen=True)
+class Case:
+    """One specification from one source, with what it must satisfy."""
+
+    source: str
+    spec: ProtocolSpec
+    #: A seeded starver: a live verdict is a missed bug.
+    expect_not_live: bool = False
+
+
+class Skip(Exception):
+    """A check cannot reach a verdict on this case (budget, lowering)."""
+
+
+def _once(build: Callable[["Context"], object]) -> property:
+    """A lazily built :class:`Context` field; a :class:`Skip` is
+    remembered like a value, so a failed build is never retried."""
+    slot = f"_{build.__name__}"
+
+    def get(self: "Context"):
+        if slot not in self.__dict__:
+            try:
+                self.__dict__[slot] = build(self)
+            except Skip as exc:
+                self.__dict__[slot] = exc
+        value = self.__dict__[slot]
+        if isinstance(value, Skip):
+            raise Skip(*value.args)
+        return value
+
+    return property(get, doc=build.__doc__)
+
+
+def _expand(run, spec: ProtocolSpec, **extra) -> ExpansionResult:
+    """One complete expansion of *spec*; an incomplete one is a skip."""
+    try:
+        result = run(spec, augmented=AUGMENTED, max_visits=MAX_VISITS, **extra)
+    except ExpansionLimitError:
+        raise Skip("budget exhausted") from None
+    if result.partial:
+        raise Skip("budget exhausted")
+    return result
+
+
+class Context:
+    """Everything the checks share about one case, built on demand."""
+
+    def __init__(self, case: Case) -> None:
+        self.case = case
+        self.spec = case.spec
+        self.name = case.spec.name or "<spec>"
+
+    @_once
+    def interp(self) -> ExpansionResult:
+        """The interpreter's expansion: the reference."""
+        return _expand(explore, self.spec)
+
+    @_once
+    def ir(self) -> ProtocolIR:
+        """The spec lowered to the guarded-action IR."""
+        try:
+            return lower(self.spec)
+        except IRError as exc:
+            raise Skip(f"unsupported: {exc}") from None
+
+    @_once
+    def flow(self) -> FlowAnalysis:
+        """The abstract-reachability fixpoint over :attr:`ir`."""
+        return FlowAnalysis(self.ir)
+
+    @_once
+    def compiled(self):
+        """The kernel's tables, compiled from :attr:`ir`."""
+        try:
+            return compile_protocol(self.ir)
+        except KernelUnsupportedError as exc:
+            raise Skip(f"unsupported: {exc}") from None
+
+    @_once
+    def kernel(self) -> ExpansionResult:
+        """The compiled kernel's expansion."""
+        return _expand(kernel_explore, self.spec, compiled=self.compiled)
+
+    @_once
+    def expansion(self) -> ExpansionResult:
+        """The default backend's expansion -- what users run."""
+        try:
+            self.compiled
+        except Skip:
+            return self.interp
+        return self.kernel
+
+    @_once
+    def liveness(self):
+        """The starvation analysis of :attr:`expansion`."""
+        report = analyze_liveness(self.expansion)
+        if not report.checked:
+            raise Skip(f"unchecked ({report.reason})")
+        return report
+
+
+# ----------------------------------------------------------------------
+# Checks
+# ----------------------------------------------------------------------
+def _kinds(result) -> dict[str, int]:
+    """Violation counts by kind."""
+    return dict(sorted(Counter(v.kind.value for v in result.violations).items()))
+
+
+def _essential(result: ExpansionResult) -> list[str]:
+    return [state.pretty() for state in result.essential]
+
+
+def _witnesses(result: ExpansionResult) -> list[tuple[str, str]]:
+    return [(v.kind.value, v.state.pretty()) for v in result.violations]
+
+
+def _difference(what: str, ours, theirs, sides: tuple[str, str]) -> str | None:
+    """How two multisets differ (``None`` when they agree)."""
+    a, b = Counter(ours), Counter(theirs)
+    if a == b:
+        return None
+    only_a, only_b = sorted((a - b).elements()), sorted((b - a).elements())
+    return (
+        f"{what} differ: {len(only_a)} {sides[0]}-only {only_a[:3]}, "
+        f"{len(only_b)} {sides[1]}-only {only_b[:3]}"
+    )
+
+
+def _check_ir(ctx: Context) -> Iterator[Finding]:
+    ir = ctx.ir
+    replica = ProtocolIR.from_dict(ir.to_dict())
+    if replica.fingerprint() != ir.fingerprint():
+        yield Finding(
+            "serialization",
+            ctx.name,
+            "to_dict/from_dict round-trip changed the fingerprint "
+            f"({ir.fingerprint()[:12]} -> {replica.fingerprint()[:12]})",
+        )
+
+    base = ctx.interp
+    lifted = _expand(explore, ir.to_protocol())
+    if _kinds(base) != _kinds(lifted):
+        yield Finding(
+            "roundtrip",
+            ctx.name,
+            f"violation kinds differ: {_kinds(base)} vs {_kinds(lifted)} "
+            "after IR round-trip",
+        )
+    sides = ("original", "round-tripped")
+    essential = _difference(
+        "essential sets", _essential(base), _essential(lifted), sides
+    )
+    if essential:
+        yield Finding("roundtrip", ctx.name, essential)
+
+    # The flow fixpoint over-approximates, so the expansion can never
+    # contradict it.  Every exercised initiator transition completes in
+    # some reachable context, so its cell must be flow-completing -- a
+    # cell whose rules all stall is exempt: the expansion records the
+    # refused attempt (the self-loop liveness feeds on), but nothing
+    # completes there.
+    flow = ctx.flow
+    exercised = {(t.label.initiator, t.label.op.value) for t in base.transitions}
+    for state, op in sorted(exercised):
+        cell = (ir.state_id(state), ir.op_id(op))
+        rules = [t for t in ir.transitions if (t.state, t.op) == cell]
+        if rules and all(t.action.stalled for t in rules):
+            continue
+        if cell not in flow.completes:
+            yield Finding(
+                "flow",
+                ctx.name,
+                f"expansion exercises ({state}, {op}) but the flow "
+                "analysis never completes that cell",
+            )
+    # Every state the essential set guarantees populated (a `1` or `+`
+    # class) is concretely reachable, so it must be flow-reachable.
+    guaranteed = {
+        label.symbol
+        for state in base.essential
+        for label, rep in state.classes
+        if rep in (Rep.ONE, Rep.PLUS) and label.symbol != ir.states[ir.invalid]
+    }
+    for symbol in sorted(guaranteed):
+        if ir.state_id(symbol) not in flow.reachable_states:
+            yield Finding(
+                "flow",
+                ctx.name,
+                f"essential states guarantee a {symbol} copy but the "
+                "flow analysis never reaches it",
+            )
+
+
+def _check_kernel(ctx: Context) -> Iterator[Finding]:
+    base, kern = ctx.interp, ctx.kernel
+    compared = [
+        ("violation kinds", _kinds(base), _kinds(kern)),
+        ("visit counts", base.stats.visits, kern.stats.visits),
+        ("expansion counts", base.stats.expanded, kern.stats.expanded),
+        ("verdicts", base.ok, kern.ok),
+    ]
+    for what, ours, theirs in compared:
+        if ours != theirs:
+            yield Finding(
+                "explore",
+                ctx.name,
+                f"{what} differ: {ours} (interp) vs {theirs} (kernel)",
+            )
+    sides = ("interpreter", "kernel")
+    for what, collect in [
+        ("violation witnesses", _witnesses),
+        ("essential sets", _essential),
+    ]:
+        detail = _difference(what, collect(base), collect(kern), sides)
+        if detail:
+            yield Finding("explore", ctx.name, detail)
+
+    # Liveness is a pure function of the expansion graph (and the
+    # kernel's expansion is the default one, analyzed in the context).
+    base_doc = json.dumps(analyze_liveness(base).to_dict(), sort_keys=True)
+    kern_doc = json.dumps(ctx.liveness.to_dict(), sort_keys=True)
+    if base_doc != kern_doc:
+        yield Finding(
+            "liveness",
+            ctx.name,
+            "liveness documents differ between interpreter and kernel "
+            "expansions",
+        )
+
+    for n in ENUMERATE_NS:
+        for equivalence in (Equivalence.STRICT, Equivalence.COUNTING):
+            eb = enumerate_space(ctx.spec, n, equivalence=equivalence)
+            ek = kernel_enumerate(
+                ctx.spec, n, equivalence=equivalence, compiled=ctx.compiled
+            )
+            if eb.partial or ek.partial:
+                raise Skip("budget exhausted")
+            where = f"at {equivalence.value}"
+            if _kinds(eb) != _kinds(ek):
+                yield Finding(
+                    "enumerate",
+                    ctx.name,
+                    f"violation kinds differ {where}: {_kinds(eb)} "
+                    f"(interp) vs {_kinds(ek)} (kernel)",
+                    n,
+                )
+            base_states = frozenset(s.pretty() for s in eb.states)
+            kern_states = frozenset(s.pretty() for s in ek.states)
+            if base_states != kern_states:
+                yield Finding(
+                    "enumerate",
+                    ctx.name,
+                    f"state spaces differ {where}: {len(base_states)} "
+                    f"(interp) vs {len(kern_states)} (kernel) states",
+                    n,
+                )
+
+
+def _check_liveness(ctx: Context) -> Iterator[Finding]:
+    result, report = ctx.expansion, ctx.liveness
+    for lasso in report.lassos:
+        ok, reason = replay_lasso(result, lasso)
+        if not ok:
+            yield Finding("lasso-replay", ctx.name, f"{lasso.signature}: {reason}")
+
+    if len(report.violations) != len(report.lassos):
+        yield Finding(
+            "witness-mismatch",
+            ctx.name,
+            f"{len(report.violations)} violations but "
+            f"{len(report.lassos)} lassos",
+        )
+    else:
+        for violation, lasso in zip(report.violations, report.lassos):
+            if violation.kind is not lasso.kind:
+                yield Finding(
+                    "witness-mismatch",
+                    ctx.name,
+                    f"violation {violation.kind.value} paired with "
+                    f"{lasso.kind.value} lasso ({lasso.signature})",
+                )
+
+    first = json.dumps(report.to_dict(), sort_keys=True)
+    second = json.dumps(analyze_liveness(result).to_dict(), sort_keys=True)
+    if first != second:
+        yield Finding(
+            "determinism", ctx.name, "re-analysis produced a different document"
+        )
+
+    if ctx.case.expect_not_live and report.live:
+        yield Finding(
+            "mutant-live", ctx.name, "seeded starvation mutant analyzed as live"
+        )
+
+    # The static half (last: it needs the IR).  Only the sound
+    # direction holds -- a reachable stall the rest of the system can
+    # always resolve is still live; see docs/LIVENESS.md.
+    if not report.live and not ctx.flow.stalls:
+        yield Finding(
+            "static-contradiction",
+            ctx.name,
+            "no statically reachable stall, yet "
+            f"{len(report.violations)} starvable requests",
+        )
+
+
+def _check_theorem1(ctx: Context) -> Iterator[Finding]:
+    from .oracle import run_oracle  # local: the oracle imports Finding
+
+    report = run_oracle(ctx.spec, symbolic=ctx.expansion, augmented=AUGMENTED)
+    if report.outcome == "skipped":
+        raise Skip(report.skipped)
+    if report.disagreement is not None:
+        yield report.disagreement
+
+
+#: Every check of the gate, by name.
+CHECKS: dict[str, Callable[[Context], Iterator[Finding]]] = {
+    "ir": _check_ir,
+    "kernel": _check_kernel,
+    "liveness": _check_liveness,
+    "theorem1": _check_theorem1,
+}
+
+
+# ----------------------------------------------------------------------
+# Sources
+# ----------------------------------------------------------------------
+def _shipped() -> list[ProtocolSpec]:
+    """The zoo and the builtin DSL specs."""
+    return [*all_protocols(), *(load_builtin(n) for n in builtin_spec_names())]
+
+
+def _corpus() -> list[Case]:
+    from .corpus import Corpus  # local: corpus -> oracle -> this module
+
+    return [
+        Case("corpus", entry.compile(), entry.kind.startswith("liveness-"))
+        for entry in Corpus(CORPUS_ROOT).entries()
+    ]
+
+
+def _generated(source: str, config: GeneratorConfig) -> list[Case]:
+    generator = SpecGenerator(seed=GENERATED_SEED, config=config)
+    return [Case(source, generator.draw_checked()[1]) for _ in range(GENERATED_COUNT)]
+
+
+#: Every spec source of the gate, by name: each builds its cases.
+SOURCES: dict[str, Callable[[], list[Case]]] = {
+    "zoo": lambda: [Case("zoo", spec) for spec in all_protocols()],
+    "builtin": lambda: [
+        Case("builtin", load_builtin(name)) for name in builtin_spec_names()
+    ],
+    "mutant": lambda: [
+        Case("mutant", m) for spec in all_protocols() for m in mutants_for(spec)
+    ],
+    "liveness-mutant": lambda: [
+        Case("liveness-mutant", mutant, expect_not_live=True)
+        for spec in _shipped()
+        for mutant in liveness_mutants_for(spec)
+    ],
+    "corpus": _corpus,
+    "generated": lambda: _generated("generated", GeneratorConfig()),
+    "generated-stall": lambda: _generated(
+        "generated-stall", GeneratorConfig(p_stall=P_STALL)
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# Running the gate
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class DiffReport:
+    """Outcome of the gate on one case (or on one empty source)."""
+
+    source: str
+    spec: str
+    findings: tuple[Finding, ...]
+    #: ``(check, reason)`` for every check that could not conclude.
+    skipped: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        """True iff no claim broke (a skipped check is not a failure)."""
+        return not self.findings
+
+    def describe(self) -> str:
+        """One summary line plus one line per finding."""
+        status = "ok" if self.ok else f"{len(self.findings)} findings"
+        lines = [f"{self.source}/{self.spec}: {status}"]
+        lines.extend(f"  {check} skipped ({why})" for check, why in self.skipped)
+        lines.extend(f"  {finding}" for finding in self.findings)
+        return "\n".join(lines)
+
+
+def run_check(name: str, ctx: Context) -> tuple[list[Finding], str | None]:
+    """The findings of one check, and why it stopped short (if it did)."""
+    found: list[Finding] = []
+    try:
+        for finding in CHECKS[name](ctx):
+            found.append(finding)
+    except Skip as exc:
+        return found, str(exc)
+    return found, None
+
+
+def diff_spec(case: Case) -> DiffReport:
+    """Run every check on one case, sharing one :class:`Context`."""
+    ctx = Context(case)
+    findings: list[Finding] = []
+    skipped: list[tuple[str, str]] = []
+    for name in CHECKS:
+        found, reason = run_check(name, ctx)
+        findings.extend(found)
+        if reason is not None:
+            skipped.append((name, reason))
+    return DiffReport(case.source, ctx.name, tuple(findings), tuple(skipped))
+
+
+def run_diff() -> list[DiffReport]:
+    """Run every check over every case of every source."""
+    reports: list[DiffReport] = []
+    for source, cases in SOURCES.items():
+        found = [diff_spec(case) for case in cases()]
+        if not found:
+            empty = Finding("empty-source", source, "the source yielded no specs")
+            found = [DiffReport(source, "-", (empty,))]
+        reports.extend(found)
+    return reports

@@ -55,17 +55,17 @@ from ..engine.guard import Budget, Guard
 from ..enumeration.crossval import is_instance
 from ..enumeration.exhaustive import Equivalence, enumerate_space
 from ..obs import count as _count
+from .diff import Finding
 
 __all__ = [
     "OracleBudget",
     "SymbolicView",
-    "Disagreement",
     "OracleReport",
     "symbolic_view",
     "run_oracle",
 ]
 
-#: Disagreement kinds (plain strings, JSON-friendly).
+#: Disagreement kinds (the ``kind`` of an oracle :class:`Finding`).
 KINDS = ("completeness", "coverage", "soundness")
 
 
@@ -156,24 +156,6 @@ def symbolic_view(
     )
 
 
-@dataclass(frozen=True)
-class Disagreement:
-    """One engine disagreement -- a candidate theorem falsifier."""
-
-    kind: str  # one of KINDS
-    detail: str
-    n: int | None = None
-
-    def describe(self) -> str:
-        """One-line human-readable rendering."""
-        where = f" (n={self.n})" if self.n is not None else ""
-        return f"{self.kind}{where}: {self.detail}"
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-able rendering."""
-        return {"kind": self.kind, "detail": self.detail, "n": self.n}
-
-
 @dataclass
 class OracleReport:
     """Outcome of one differential comparison."""
@@ -181,7 +163,8 @@ class OracleReport:
     spec_name: str
     #: ``"agree"``, ``"disagree"`` or ``"skipped"`` (inconclusive).
     outcome: str
-    disagreement: Disagreement | None = None
+    #: The candidate theorem falsifier, when the engines disagree.
+    disagreement: Finding | None = None
     #: Why an inconclusive run stopped (``None`` otherwise).
     skipped: str | None = None
     #: Cache counts whose enumeration ran to completion.
@@ -200,8 +183,13 @@ class OracleReport:
     def describe(self) -> str:
         """One-line summary for logs and tables."""
         if self.outcome == "disagree":
-            assert self.disagreement is not None
-            return f"{self.spec_name}: DISAGREE -- {self.disagreement.describe()}"
+            finding = self.disagreement
+            assert finding is not None
+            where = f" (n={finding.n})" if finding.n is not None else ""
+            return (
+                f"{self.spec_name}: DISAGREE -- "
+                f"{finding.kind}{where}: {finding.detail}"
+            )
         if self.outcome == "skipped":
             return f"{self.spec_name}: skipped ({self.skipped})"
         return (
@@ -264,8 +252,9 @@ def run_oracle(
         checked.append(n)
         if view.verified and concrete.violations:
             report.outcome = "disagree"
-            report.disagreement = Disagreement(
+            report.disagreement = Finding(
                 kind="completeness",
+                spec=spec.name,
                 n=n,
                 detail=(
                     f"symbolic expansion verified {spec.name} but the "
@@ -285,8 +274,9 @@ def run_oracle(
         report.covered[n] = len(concrete.states) - len(uncovered)
         if uncovered:
             report.outcome = "disagree"
-            report.disagreement = Disagreement(
+            report.disagreement = Finding(
                 kind="coverage",
+                spec=spec.name,
                 n=n,
                 detail=(
                     f"reachable concrete state {uncovered[0]} is an "
@@ -325,8 +315,9 @@ def run_oracle(
                     report.skipped = "concrete budget exhausted"
                 else:
                     report.outcome = "disagree"
-                    report.disagreement = Disagreement(
+                    report.disagreement = Finding(
                         kind="soundness",
+                        spec=spec.name,
                         n=max(budget.soundness_ns),
                         detail=(
                             f"symbolic rejection of {spec.name} is not "

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.composite import CompositeState, Label, make_state, parse_class_spec
 from repro.core.symbols import DataValue, Op, SharingLevel
+from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.perturb import (
     PERTURBATION_KINDS,
     Perturbation,
@@ -21,6 +22,7 @@ from repro.protocols.registry import get_protocol
 __all__ = [
     "BASE_PROTOCOLS",
     "OPS",
+    "ProbeShyIllinois",
     "build_state",
     "perturbed_protocols",
     "generated_specs",
@@ -74,3 +76,16 @@ def generated_specs(draw):
 
     seed = draw(st.integers(min_value=0, max_value=2**16))
     return SpecGenerator(seed=seed).draw_checked()
+
+
+class ProbeShyIllinois(IllinoisProtocol):
+    """Illinois whose ``react`` rejects an observation no reachable
+    state produces: all three valid states held by other caches at once.
+    Only IR lowering probes every present-set, so only lowering fails."""
+
+    name = "illinois-probe-shy"
+
+    def react(self, state, op, ctx):
+        if len(ctx.present) == len(self.valid_states()):
+            raise RuntimeError("unreachable observation")
+        return super().react(state, op, ctx)

@@ -77,13 +77,15 @@ def test_fuzz_is_bit_deterministic(tmp_path, capsys):
 def test_fuzz_exits_one_on_findings(tmp_path, capsys, monkeypatch):
     # Force the oracle to disagree so the campaign produces a finding.
     from repro.testkit import campaign as campaign_mod
-    from repro.testkit.oracle import Disagreement, OracleReport
+    from repro.testkit import Finding, OracleReport
 
     def lying_oracle(spec, *, budget=None, symbolic=None, augmented=True):
         return OracleReport(
             spec_name=spec.name,
             outcome="disagree",
-            disagreement=Disagreement(kind="coverage", detail="forced", n=2),
+            disagreement=Finding(
+                kind="coverage", spec=spec.name, detail="forced", n=2
+            ),
             symbolic_verified=True,
         )
 

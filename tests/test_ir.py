@@ -28,30 +28,33 @@ from repro.ir import (
 )
 from repro.protocols.dsl import builtin_spec_names, load_builtin, load_protocol
 from repro.protocols.registry import get_protocol, protocol_names
-from repro.testkit.irdiff import diff_spec
+from repro.testkit.diff import Case, Context, run_check
 
 CORPUS = sorted(Path("tests/corpus").glob("*.proto"))
 
 
 # ----------------------------------------------------------------------
-# Round-trip identity (the acceptance criterion)
+# Round-trip identity (the acceptance criterion): the differential
+# gate's ``ir`` check -- round-trip, serialization, flow.
 # ----------------------------------------------------------------------
+def _ir_check(source, spec):
+    found, skipped = run_check("ir", Context(Case(source, spec)))
+    assert not found and skipped is None, (found, skipped)
+
+
 @pytest.mark.parametrize("name", protocol_names())
 def test_registry_protocol_roundtrips(name):
-    report = diff_spec(get_protocol(name))
-    assert report.ok, report.describe()
+    _ir_check("zoo", get_protocol(name))
 
 
 @pytest.mark.parametrize("name", builtin_spec_names())
 def test_builtin_dsl_spec_roundtrips(name):
-    report = diff_spec(load_builtin(name))
-    assert report.ok, report.describe()
+    _ir_check("builtin", load_builtin(name))
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_entry_roundtrips(path):
-    report = diff_spec(load_protocol(path))
-    assert report.ok, report.describe()
+    _ir_check("corpus", load_protocol(path))
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Covers the compilation layer (encoding sanity, hash-consing through
 the intern table, the memoized containment lattice, the per-fingerprint
-compile cache), exact parity with the interpreter over the protocol zoo
-(verdicts, violation kinds, essential sets, visit counts, concrete
-state spaces), budget-guard PARTIAL semantics, and the ``backend``
+compile cache), exact parity with the interpreter (the zoo through the
+differential gate's ``kernel`` check, Illinois enumeration order),
+budget-guard PARTIAL semantics, and the ``backend``
 run option end to end: the kernel default, ``verify()`` and its
 fallback to the interpreter, ``VerificationJob`` metadata, the
 backend-blind cache key and the serve-layer ``CampaignRequest``.
@@ -40,6 +40,8 @@ from repro.kernel import explore as kernel_explore
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.mutations import mutants_for
 from repro.protocols.registry import all_protocols, get_protocol
+from repro.testkit.diff import Case, Context, run_check
+from tests.helpers import ProbeShyIllinois
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +138,10 @@ def test_initial_cells_requires_a_cache():
 
 @pytest.mark.parametrize("spec", all_protocols(), ids=lambda s: s.name)
 def test_explore_parity_zoo(spec):
-    base = explore(spec)
-    kern = kernel_explore(spec)
-    assert {s.pretty() for s in base.essential} == {
-        s.pretty() for s in kern.essential
-    }
-    assert sorted(v.kind for v in base.violations) == sorted(
-        v.kind for v in kern.violations
-    )
-    assert base.stats.visits == kern.stats.visits
-    assert base.stats.expanded == kern.stats.expanded
-    assert base.ok == kern.ok
+    # Verdicts, violation witnesses, essential sets, visit and expansion
+    # counts, liveness documents and small-n state spaces: the
+    # differential gate's ``kernel`` check compares them all.
+    assert run_check("kernel", Context(Case("zoo", spec))) == ([], None)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -158,21 +153,6 @@ def test_enumerate_parity_illinois(n, equivalence):
     assert base.stats.visits == kern.stats.visits
     assert base.stats.unique_states == kern.stats.unique_states
     assert [s.pretty() for s in base.states] == [s.pretty() for s in kern.states]
-
-
-def test_violation_parity_on_a_mutant():
-    spec = get_protocol("illinois")
-    broken = next(m for m in mutants_for(spec) if not explore(m).ok)
-    base = explore(broken)
-    kern = kernel_explore(broken)
-    assert not kern.ok
-    assert sorted(v.kind for v in base.violations) == sorted(
-        v.kind for v in kern.violations
-    )
-    # Witness shape: same violating states, same kinds, same messages.
-    base_w = sorted((v.kind.value, v.state.pretty()) for v in base.violations)
-    kern_w = sorted((v.kind.value, v.state.pretty()) for v in kern.violations)
-    assert base_w == kern_w
 
 
 def test_guard_partial_semantics_explore():
@@ -276,21 +256,8 @@ def test_cache_entry_is_shared_across_backends(tmp_path):
         assert _without_elapsed(hit.payload) == _without_elapsed(interp.payload)
 
 
-class _ProbeShyIllinois(IllinoisProtocol):
-    """Illinois whose ``react`` rejects an observation no reachable
-    state produces: all three valid states held by other caches at once.
-    Only IR lowering probes every present-set, so only lowering fails."""
-
-    name = "illinois-probe-shy"
-
-    def react(self, state, op, ctx):
-        if len(ctx.present) == len(self.valid_states()):
-            raise RuntimeError("unreachable observation")
-        return super().react(state, op, ctx)
-
-
 def test_verify_falls_back_to_the_interpreter_when_lowering_fails():
-    spec = _ProbeShyIllinois()
+    spec = ProbeShyIllinois()
     with pytest.raises(KernelUnsupportedError, match="lowering"):
         compile_protocol(spec)
     report = verify(spec)  # default options: the kernel backend

@@ -278,14 +278,14 @@ def test_campaign_persists_shrunk_findings(tmp_path, monkeypatch):
     # Force a disagreement on every comparison: the campaign must
     # shrink it and persist the minimized spec to the corpus.
     from repro.testkit import campaign as campaign_mod
-    from repro.testkit.oracle import Disagreement, OracleReport
+    from repro.testkit import Finding, OracleReport
 
     def lying_oracle(spec, *, budget=None, symbolic=None, augmented=True):
         return OracleReport(
             spec_name=spec.name,
             outcome="disagree",
-            disagreement=Disagreement(
-                kind="coverage", detail="forced by test", n=2
+            disagreement=Finding(
+                kind="coverage", spec=spec.name, detail="forced by test", n=2
             ),
             symbolic_verified=True,
         )
