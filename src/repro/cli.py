@@ -44,20 +44,19 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .analysis.compare import compare_protocols
 from .analysis.reporting import expansion_listing, figure4_table, format_table
-from .core.essential import explore
+from .core.essential import PruningMode, explore
 from .core.graph import to_dot
 from .core.options import RunOptions
 from .analysis.fsm import check_definition_1
 from .core.protocol import ProtocolDefinitionError
 from .core.serialize import result_to_json
-from .core.verifier import verify
+from .core.verifier import engine_for, verify
 from .enumeration.crossval import cross_validate
-from .enumeration.exhaustive import Equivalence, enumerate_space
+from .enumeration.exhaustive import Equivalence
 from .obs import EXPORT_EXTENSIONS, EXPORTERS
 from .protocols.dsl import DslError, load_protocol, parse_protocol
 from .protocols.perturb import criticality_profile
@@ -611,10 +610,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .engine import RunJournal, VerificationJob, run_batch
     from .obs import Collector, render_report, use_collector
 
-    # The interpreter stays the base here: its span tree (expand.step,
-    # witness.check, prune.*) is what a profile explains; --backend
-    # kernel adds the side-by-side comparison.
-    options = RunOptions.from_args(args, base=RunOptions(backend="interp"))
+    options = RunOptions.from_args(args)
     jobs: list[VerificationJob] = []
     names: list[str] = []
     for name in args.protocol:
@@ -651,9 +647,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # Serial, cache-less, in-process: every expansion span lands in
     # this collector instead of a worker's (parallel workers would
     # keep their spans to themselves) and nothing short-circuits the
-    # work being measured.
+    # work being measured.  The batch runs the engine users run (the
+    # kernel); one interpreter pass per job then adds the span tree a
+    # profile explains (expand.step, witness.check, prune.*).
     with use_collector(collector), collector.span("profile", jobs=len(jobs)):
         report = run_batch(jobs, workers=1, cache=None, journal=RunJournal())
+        comparison = _engine_comparison(collector, report.results)
 
     output = args.output or f"profile-{label}{EXPORT_EXTENSIONS[args.format]}"
     with open(output, "w", encoding="utf-8") as fh:
@@ -663,55 +662,62 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    if options.backend == "kernel":
-        print()
-        print(_backend_comparison(jobs))
+    print()
+    print(comparison)
     print()
     print(report.counts_line())
     print(f"{args.format} export written to {output}")
     return report.exit_code
 
 
-def _backend_comparison(jobs: list) -> str:
-    """Interpreter-vs-kernel wall time and visits, side by side.
+def _engine_comparison(collector, results: list) -> str:
+    """Run the interpreter once per batch result; pair the root spans.
 
-    Runs each job's verification once per backend in-process (no cache,
-    no workers) so the two columns measure the same spec under the same
-    options.  Specs the kernel cannot lower show ``n/a`` kernel columns
-    instead of silently timing the interpreter fallback twice.
+    The serial batch records each job's expansion root span
+    (``kernel.expand``, or ``expand`` for a spec that does not lower)
+    before that job's ``engine.job`` span.  The interpreter's
+    ``expand`` root span for the same spec and budgets, recorded here
+    under the same collector, is the other column.
     """
-    from .kernel import KernelUnsupportedError, compile_protocol
-    from .obs import clock
+    from .engine.guard import Guard
 
+    batch_roots: list = []
+    root = None
+    for record in collector.spans:
+        if record.name in ("expand", "kernel.expand") and root is None:
+            root = record
+        elif record.name == "engine.job":
+            batch_roots.append(root)
+            root = None
     rows = []
-    for job in jobs:
-        spec = job.resolve_spec()
-        started = clock.monotonic()
-        interp = verify(
-            spec, options=replace(job.options, backend="interp"), validate_spec=False
-        ).result
-        interp_ms = (clock.monotonic() - started) * 1000.0
-        try:
-            compile_protocol(spec)
-        except KernelUnsupportedError:
-            rows.append(
-                [job.label, f"{interp_ms:.2f}", "n/a", "-", interp.stats.visits, "n/a"]
+    for result, batch in zip(results, batch_roots):
+        if result.payload is None or batch is None:
+            continue  # nothing was expanded: the batch table says why
+        options = result.job.options
+        mark = len(collector.spans)
+        explore(
+            result.job.resolve_spec(),
+            augmented=options.augmented,
+            pruning=PruningMode(options.pruning),
+            guard=Guard(options.budget()),
+        )
+        interp = collector.spans[mark]
+        if batch.name == "expand":  # the spec does not lower
+            kernel_ms, speedup, kernel_visits = "n/a", "-", "n/a"
+        else:
+            kernel_ms = f"{batch.duration * 1000.0:.2f}"
+            speedup = (
+                f"{interp.duration / batch.duration:.1f}x" if batch.duration else "-"
             )
-            continue
-        started = clock.monotonic()
-        kernel = verify(
-            spec, options=replace(job.options, backend="kernel"), validate_spec=False
-        ).result
-        kernel_ms = (clock.monotonic() - started) * 1000.0
-        speedup = interp_ms / kernel_ms if kernel_ms > 0 else float("inf")
+            kernel_visits = batch.attrs["visits"]
         rows.append(
             [
-                job.label,
-                f"{interp_ms:.2f}",
-                f"{kernel_ms:.2f}",
-                f"{speedup:.1f}x",
-                interp.stats.visits,
-                kernel.stats.visits,
+                result.job.label,
+                f"{interp.duration * 1000.0:.2f}",
+                kernel_ms,
+                speedup,
+                interp.attrs["visits"],
+                kernel_visits,
             ]
         )
     return format_table(
@@ -724,7 +730,7 @@ def _backend_comparison(jobs: list) -> str:
             "kernel visits",
         ],
         rows,
-        title="interpreter vs kernel (one in-process run each)",
+        title="interpreter vs kernel (one traced run each)",
     )
 
 
@@ -786,18 +792,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         from .engine.guard import Budget, Guard
 
         guard = Guard(Budget(deadline=options.deadline))
-    enumerate_fn = enumerate_space
-    if options.backend == "kernel":
-        from .kernel import KernelUnsupportedError, compile_protocol
-        from .kernel import enumerate_space as kernel_enumerate
-
-        try:
-            compile_protocol(spec)
-        except KernelUnsupportedError:
-            pass  # fall back to the interpreter, same verdicts
-        else:
-            enumerate_fn = kernel_enumerate
-    result = enumerate_fn(spec, args.n, equivalence=equivalence, guard=guard)
+    result = engine_for(spec, guard).enumerate_space(
+        spec, args.n, equivalence=equivalence, guard=guard
+    )
     if result.partial:
         why = result.exhausted.describe() if result.exhausted else "budget"
         verdict = (
@@ -1150,10 +1147,10 @@ def build_parser() -> argparse.ArgumentParser:
         "expansion, pruning, witness search and engine phases, plus "
         "visit/prune/cache counters.  Prints a text report and writes "
         "the full trace in the chosen export format (chrome-trace "
-        "output loads in Perfetto / chrome://tracing).  Profiles the "
-        "interpreter by default; --backend kernel profiles the kernel "
-        "and additionally prints an interpreter-vs-kernel "
-        "wall-time/visits comparison table.",
+        "output loads in Perfetto / chrome://tracing).  The batch runs "
+        "on the engine users run (the compiled kernel when the spec "
+        "lowers); one traced interpreter run per job follows, and an "
+        "interpreter-vs-kernel wall-time/visits table is printed.",
     )
     p.add_argument(
         "protocol",
@@ -1174,7 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also profile every applicable injected-bug mutant",
     )
-    RunOptions.add_arguments(p, only=("augmented", "backend"))
+    RunOptions.add_arguments(p, only=("augmented",))
     p.add_argument(
         "--format",
         choices=sorted(EXPORTERS),
@@ -1214,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=3, help="number of caches")
     p.add_argument("--counting", action="store_true", help="Definition 5 equivalence")
     p.add_argument("--show-states", action="store_true")
-    RunOptions.add_arguments(p, only=("backend", "deadline"))
+    RunOptions.add_arguments(p, only=("deadline",))
 
     p = sub.add_parser("crossval", help="Theorem 1 cross-validation")
     p.add_argument("protocol", help="protocol name or 'all'")

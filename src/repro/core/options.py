@@ -5,8 +5,8 @@
 ``CampaignRequest``, the fuzz ``CampaignConfig`` and the CLI all take.
 Its canonical dictionary (:meth:`RunOptions.to_dict`) is at once the
 JSON form (journal and cache metadata), the HTTP form (the flat option
-keys of a ``POST /campaigns`` body) and -- minus ``preflight`` and
-``backend`` -- the options' contribution to the result-cache key.
+keys of a ``POST /campaigns`` body) and -- minus ``preflight`` -- the
+options' contribution to the result-cache key.
 :meth:`add_arguments` is the only place the matching CLI flags are
 registered, so a new run option touches this class and nothing else.
 
@@ -25,14 +25,11 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.guard import Budget
 
-__all__ = ["BACKENDS", "MODES", "PREFLIGHTS", "PRUNINGS", "RunOptions"]
+__all__ = ["MODES", "PREFLIGHTS", "PRUNINGS", "RunOptions"]
 
 #: What is checked: the paper's reachability checks, or those plus the
 #: starvation analysis (:mod:`repro.liveness`).
 MODES: tuple[str, ...] = ("safety", "liveness")
-#: Expansion engines: the symbolic interpreter (the readable reference)
-#: or the compiled kernel (the default; identical results).
-BACKENDS: tuple[str, ...] = ("interp", "kernel")
 #: Static-analysis preflight before verification.
 PREFLIGHTS: tuple[str, ...] = ("off", "reject", "annotate")
 #: Pruning rules (the values of :class:`repro.core.essential.PruningMode`).
@@ -46,9 +43,7 @@ class RunOptions:
     ``augmented`` runs the expansion with context variables (``False``
     is the paper's structural mode); ``pruning`` picks Definition 9
     containment or duplicate-only pruning; ``mode`` adds the liveness
-    pass (``"liveness"`` checks safety *and* starvation); ``backend``
-    picks the compiled kernel (default) or the interpreter (identical
-    verdicts);
+    pass (``"liveness"`` checks safety *and* starvation);
     ``preflight`` lints the spec first (``"reject"`` refuses specs with
     error findings, ``"annotate"`` only records them).
 
@@ -56,14 +51,15 @@ class RunOptions:
     ``max_states`` and ``max_rss_mb`` are cooperative budgets -- an
     exhausted budget yields a *partial* result, never an exception.
 
-    Every field except ``preflight`` and ``backend`` is part of the
-    result-cache key: neither changes a verification payload.
+    Every field except ``preflight`` is part of the result-cache key:
+    a preflight never changes a verification payload.  Which engine
+    expands the spec is not an option at all: see
+    :func:`repro.core.verifier.engine_for`.
     """
 
     augmented: bool = True
     pruning: str = "containment"
     mode: str = "safety"
-    backend: str = "kernel"
     preflight: str = "off"
     max_visits: int = 1_000_000
     deadline: float | None = None
@@ -81,7 +77,6 @@ class RunOptions:
         for name, choices in (
             ("pruning", PRUNINGS),
             ("mode", MODES),
-            ("backend", BACKENDS),
             ("preflight", PREFLIGHTS),
         ):
             value = getattr(self, name)
@@ -203,15 +198,6 @@ _FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
             "help": "what to check: 'safety' (reachability, default) or "
             "'liveness' (safety plus starvation, with lasso "
             "counterexamples; see docs/LIVENESS.md)",
-        },
-    ),
-    "backend": (
-        ("--backend",),
-        {
-            "choices": BACKENDS,
-            "help": "expansion engine: 'kernel' (compiled kernel, default) "
-            "or 'interp' (symbolic interpreter, the readable reference); "
-            "identical verdicts, so not part of the cache key",
         },
     ),
     "preflight": (

@@ -11,7 +11,7 @@ protocol is broken -- counterexample paths from the initial state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .errors import Violation, Witness
 from .essential import ExpansionResult, PruningMode, explore
@@ -24,7 +24,42 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..lint.model import LintReport
     from ..liveness.model import LivenessReport
 
-__all__ = ["VerificationReport", "verify"]
+__all__ = ["Engine", "VerificationReport", "engine_for", "verify"]
+
+
+class Engine(NamedTuple):
+    """One implementation of the paper's two searches."""
+
+    #: The Figure 3 symbolic expansion (``explore``'s signature).
+    explore: Callable[..., ExpansionResult]
+    #: The Figure 2 explicit enumeration (``enumerate_space``'s signature).
+    enumerate_space: Callable[..., Any]
+
+
+def engine_for(spec: ProtocolSpec, guard: "Guard | None" = None) -> Engine:
+    """The engine that runs ``spec``: the kernel if it lowers, else the
+    interpreter.
+
+    The compiled kernel (:mod:`repro.kernel`) produces the same
+    verdicts, violations, witnesses, essential sets and visit counts as
+    the interpreter, only faster, so it is used whenever ``spec`` lowers
+    to the IR.  A spec that does not lower runs on the interpreter --
+    as does one whose lowering ``guard`` cut short, which then returns
+    the interpreter's partial result under the already-tripped guard.
+    Call :func:`repro.core.explore` or
+    :func:`repro.enumeration.enumerate_space` directly for the
+    interpreter itself (see ``docs/KERNEL.md``).
+    """
+    # Imported lazily: the kernel and the enumerator live above core.
+    from .. import kernel
+
+    try:
+        kernel.compile_protocol(spec, guard)
+    except kernel.KernelUnsupportedError:
+        from ..enumeration import enumerate_space
+
+        return Engine(explore, enumerate_space)
+    return Engine(kernel.explore, kernel.enumerate_space)
 
 
 @dataclass
@@ -162,12 +197,6 @@ def verify(
       ``"reject"`` raises :class:`~repro.lint.model.LintError` when an
       error-severity rule fires, ``"annotate"`` only attaches the
       findings to the report's ``lint`` field;
-    * ``backend="kernel"`` (the default) expands with the compiled
-      kernel (:mod:`repro.kernel`), which produces identical verdicts,
-      violations, witnesses and essential sets; ``backend="interp"``
-      runs the interpreter, the readable reference.  A spec the kernel
-      cannot compile (no IR lowering) silently falls back to the
-      interpreter; see ``docs/KERNEL.md``;
     * ``mode="liveness"`` additionally runs the starvation analysis
       (:mod:`repro.liveness`) over the completed expansion and attaches
       its verdict -- including lasso-shaped counterexamples -- to
@@ -179,6 +208,7 @@ def verify(
       *partial* report (``report.partial``) instead of raising.
 
     An explicit ``guard`` owns every budget, ``max_visits`` included.
+    The expansion runs on the engine :func:`engine_for` picks.
     """
     if isinstance(protocol, str):
         # Imported lazily: the registry lives above the core package.
@@ -204,19 +234,7 @@ def verify(
         from ..engine.guard import Guard
 
         guard = Guard(options.budget())
-    expand = explore
-    if options.backend == "kernel":
-        # Imported lazily: the kernel lives above the core package.
-        from ..kernel import KernelUnsupportedError, compile_protocol
-        from ..kernel import explore as kernel_explore
-
-        try:
-            compile_protocol(spec)
-        except KernelUnsupportedError:
-            expand = explore  # fall back to the interpreter
-        else:
-            expand = kernel_explore
-    result = expand(
+    result = engine_for(spec, guard).explore(
         spec,
         augmented=options.augmented,
         pruning=PruningMode(options.pruning),
@@ -226,7 +244,7 @@ def verify(
     )
     if options.mode == "liveness":
         # Imported lazily: the liveness pass lives above the core
-        # package.  It is backend-agnostic -- it consumes the decoded
+        # package.  It is engine-agnostic -- it consumes the decoded
         # ExpansionResult, so interpreter and kernel runs get the same
         # verdict by construction.
         from ..liveness import analyze_liveness

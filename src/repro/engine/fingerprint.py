@@ -35,10 +35,10 @@ __all__ = [
 #: shape, so stale cache entries are never replayed.
 #: "2": budgets joined the job key and payloads may carry a
 #: ``partial`` section.
-#: "3": the expansion backend joined the job key.
+#: "3": the choice of expansion engine joined the job key.
 #: "4": the verification mode joined the job key and liveness-mode
 #: payloads carry a ``liveness`` section.
-#: "5": the backend left the job key (both backends' payloads are equal).
+#: "5": the engine choice left the job key (both engines' payloads are equal).
 ENGINE_VERSION = "5"
 
 
@@ -59,15 +59,16 @@ def job_key(fingerprint: str, job: VerificationJob) -> str:
 
     The spec is represented by its fingerprint, so e.g. a registry job
     and a DSL job for behaviourally identical specs share an entry.
-    Every run option participates except ``preflight`` and ``backend``,
-    which never change a payload (the kernel and the interpreter
-    produce identical ones, so one verdict is cached once whichever
-    backend produced it).  The resource budgets participate because an
-    exhausted budget produces a *partial* payload: a partial result may
-    only be replayed for a job that requested the very same budgets.
+    Every run option participates except ``preflight``, which never
+    changes a payload.  The engine that expanded the spec is not an
+    option (the kernel and the interpreter produce identical payloads,
+    so one verdict is cached once whichever engine produced it).  The
+    resource budgets participate because an exhausted budget produces a
+    *partial* payload: a partial result may only be replayed for a job
+    that requested the very same budgets.
     """
     options = job.options.to_dict()
-    del options["preflight"], options["backend"]
+    del options["preflight"]
     return hashlib.sha256(
         canonical_json(
             {"engine": ENGINE_VERSION, "fingerprint": fingerprint, **options}

@@ -85,7 +85,7 @@ class VerificationJob:
     anyway.  The budgets run under a cooperative
     :class:`~repro.engine.guard.Guard`: an exhausted budget yields a
     structured ``partial`` result instead of an error.  Every option
-    but ``preflight`` and ``backend`` is part of the cache key (see
+    but ``preflight`` is part of the cache key (see
     :func:`repro.engine.fingerprint.job_key`).
     """
 

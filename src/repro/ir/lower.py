@@ -26,7 +26,7 @@ same :meth:`ProtocolIR.fingerprint`.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..core.errors import ForbidMultiple, ForbidState, ForbidTogether
 from ..core.protocol import ProtocolSpec
@@ -34,6 +34,9 @@ from ..core.reactions import INITIATOR, Ctx, Outcome
 from ..core.symbols import CountCase, Op
 from ..protocols.dsl import DslProtocol
 from .model import SELF, IRAction, IRError, IRGuard, IRTransition, ProtocolIR
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.guard import Guard
 
 __all__ = ["lower", "lower_dsl", "lower_spec"]
 
@@ -311,12 +314,17 @@ def _synthesized_restrictions(
     return tuple(restrictions)
 
 
-def lower_spec(spec: ProtocolSpec) -> ProtocolIR:
+def lower_spec(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
     """Recover a :class:`ProtocolIR` from an opaque protocol by probing.
 
     Exact for every specification in the paper's model: ``react`` is a
     pure function of ``(state, op, present-set)``, and the powerset of
     valid states enumerates every distinguishable present-set.
+
+    ``guard`` (a :class:`~repro.engine.guard.Guard`) is polled before
+    every probe: a ``react`` can be arbitrarily slow, so a deadline or
+    a soft-cancel must be able to stop lowering too.  A tripped guard
+    raises :class:`IRError`; the guard stays tripped for the caller.
     """
     state_id, op_id, fields = _header(spec)
     valid = spec.valid_states()
@@ -332,6 +340,11 @@ def lower_spec(spec: ProtocolSpec) -> ProtocolIR:
                 continue
             table: dict[frozenset[int], tuple] = {}
             for subset in subsets:
+                exhausted = guard.check() if guard is not None else None
+                if exhausted is not None:
+                    raise IRError(
+                        f"{spec.name}: lowering stopped: {exhausted.describe()}"
+                    )
                 try:
                     outcome = spec.react(state, op, _probe_ctx(subset))
                 except Exception as exc:
@@ -343,12 +356,12 @@ def lower_spec(spec: ProtocolSpec) -> ProtocolIR:
                 table[frozenset(state_id[s] for s in subset)] = _signature(
                     outcome, state_id
                 )
-            for guard, signature in _synthesize_cell(table, valid_ids):
+            for when, signature in _synthesize_cell(table, valid_ids):
                 transitions.append(
                     IRTransition(
                         state=state_id[state],
                         op=op_id[op.value],
-                        guard=guard,
+                        guard=when,
                         action=_action_from_signature(signature),
                         origin=None,
                     )
@@ -360,9 +373,10 @@ def lower_spec(spec: ProtocolSpec) -> ProtocolIR:
     )
 
 
-def lower(spec: ProtocolSpec) -> ProtocolIR:
+def lower(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
     """Lower any protocol: direct translation for DSL specs, exact
-    probing for everything else."""
+    probing (polling ``guard``, see :func:`lower_spec`) for everything
+    else."""
     if isinstance(spec, DslProtocol):
         return lower_dsl(spec)
-    return lower_spec(spec)
+    return lower_spec(spec, guard)

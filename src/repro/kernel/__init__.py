@@ -18,7 +18,7 @@ packed integer form once and then explores on plain ``int`` tuples:
   :class:`~repro.core.composite.CompositeState` happens at most once
   per distinct state;
 * the containment lattice (Definition 9) is memoized per interned
-  state pair (two bitmask rows per state), making essential-set
+  state pair (one byte row per state), making essential-set
   membership a memo lookup plus a small frontier scan.
 
 :func:`explore` and :func:`enumerate_space` mirror the interpreter's
@@ -26,11 +26,11 @@ control flow step for step, so verdicts, violation kinds, witness
 shapes, essential-state sets and visit counts are identical -- the
 differential gate's ``kernel`` check (:mod:`repro.testkit.diff`)
 enforces exactly that.
-The kernel is the default backend; the interpreter stays the readable
-reference it is checked against.  See ``docs/KERNEL.md``.
+:func:`repro.core.verifier.engine_for` runs every spec that lowers on
+the kernel; the interpreter stays the readable reference it is checked
+against.  See ``docs/KERNEL.md``.
 """
 
-from ..core.options import BACKENDS
 from .compile import (
     CompiledProtocol,
     KernelUnsupportedError,
@@ -40,7 +40,6 @@ from .essential import explore
 from .exhaustive import enumerate_space
 
 __all__ = [
-    "BACKENDS",
     "CompiledProtocol",
     "KernelUnsupportedError",
     "compile_protocol",

@@ -1281,13 +1281,15 @@ _BY_FP: "OrderedDict[str, CompiledProtocol]" = OrderedDict()
 _BY_FP_LIMIT = 8
 
 
-def compile_protocol(spec) -> CompiledProtocol:
+def compile_protocol(spec, guard=None) -> CompiledProtocol:
     """Compile a spec (or raw :class:`ProtocolIR`) with caching.
 
     Lookup order: per-object weak cache, then the fingerprint-keyed LRU
     (so re-lowering an identical spec reuses all memo layers).  Raises
     :class:`KernelUnsupportedError` when the spec cannot be lowered to
-    IR; callers treat that as "use the interpreter".
+    IR -- including when ``guard`` (polled once per lowering probe)
+    trips first; nothing is cached then.  Callers treat that as "use
+    the interpreter" (:func:`repro.core.verifier.engine_for`).
     """
     try:
         cached = _BY_SPEC.get(spec)
@@ -1303,7 +1305,7 @@ def compile_protocol(spec) -> CompiledProtocol:
         from ..ir.lower import lower
 
         try:
-            ir = lower(spec)
+            ir = lower(spec, guard)
         except IRError as exc:
             raise KernelUnsupportedError(
                 f"{spec.name}: cannot lower to IR: {exc}"

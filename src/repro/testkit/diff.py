@@ -51,9 +51,9 @@ Checks (:data:`CHECKS`) yield :class:`Finding` objects:
 Each case gets one :class:`Context` whose interpreter expansion,
 kernel expansion, IR lowering and flow analysis are built at most once
 and shared by every check.  ``ir`` and ``kernel`` read the interpreter
-reference; ``liveness`` and ``theorem1`` read the default backend's
-expansion (the kernel, or the interpreter for a spec the kernel cannot
-lower -- the same fallback :func:`repro.verify` makes).
+reference; ``liveness`` and ``theorem1`` read the expansion users get
+(the kernel, or the interpreter for a spec the kernel cannot lower --
+the same choice :func:`repro.core.verifier.engine_for` makes).
 
 One skip rule: a check that cannot reach a verdict is *skipped*, never
 failed.  A partial or over-budget expansion skips with ``budget
@@ -213,7 +213,7 @@ class Context:
 
     @_once
     def expansion(self) -> ExpansionResult:
-        """The default backend's expansion -- what users run."""
+        """The expansion users get: the kernel's, if the spec lowers."""
         try:
             self.compiled
         except Skip:

@@ -187,10 +187,7 @@ class TestServiceChaosRoundTrip:
 class TestGracefulDrain:
     def test_drain_checkpoints_and_restart_resumes(self, tmp_path, chaos):
         # Slow cooperative jobs keep the campaign in flight long enough
-        # to drain it mid-run deterministically.  The slow fault sleeps
-        # in every react() call, so the campaign is pinned to the
-        # interpreter, whose react() calls all happen under the guard
-        # (kernel lowering probes every present-set first).
+        # to drain it mid-run deterministically.
         protocols = ["msi", "illinois", "moesi", "berkeley"]
         chaos(FaultPlan({i: Fault("slow", delay=0.05) for i in range(4)}))
         cache = ResultCache(tmp_path / "cache")
@@ -198,9 +195,7 @@ class TestGracefulDrain:
             tmp_path / "state", cache=cache, job_workers=2, drain_grace=10.0
         )
         with ServerThread(app) as server:
-            accepted = client.submit(
-                server.base_url, {"protocols": protocols, "backend": "interp"}
-            )
+            accepted = client.submit(server.base_url, {"protocols": protocols})
             cid = accepted["id"]
             journal_path = app.store.journal_path(cid)
             ready = client.get_json(server.base_url, "/healthz")
@@ -384,10 +379,8 @@ class TestAdmissionControl:
     def test_overload_is_429_with_retry_after(self, tmp_path, chaos):
         # One slow campaign occupies the single worker, one more fills
         # the bounded lane; the third submission must be refused -- and
-        # never persisted.  Pinned to the interpreter, as in the drain
-        # test: the slow fault's timing follows its react() calls.
+        # never persisted.
         chaos(FaultPlan({0: Fault("slow", delay=0.05)}))
-        interp = {"backend": "interp"}
         app = ServeApp(
             tmp_path / "state",
             workers=1,
@@ -395,23 +388,17 @@ class TestAdmissionControl:
             admission=AdmissionPolicy(max_lane_depth=1, retry_after=0.25),
         )
         with ServerThread(app) as server:
-            running = client.submit(
-                server.base_url, {"protocols": ["msi"], **interp}
-            )
+            running = client.submit(server.base_url, {"protocols": ["msi"]})
             _wait_for(
                 lambda: client.get_json(
                     server.base_url, f"/campaigns/{running['id']}"
                 )["state"]
                 != "queued"
             )
-            queued = client.submit(
-                server.base_url, {"protocols": ["illinois"], **interp}
-            )
+            queued = client.submit(server.base_url, {"protocols": ["illinois"]})
             with pytest.raises(client.ServiceError) as excinfo:
                 client.submit(
-                    server.base_url,
-                    {"protocols": ["moesi"], **interp},
-                    max_retries=0,
+                    server.base_url, {"protocols": ["moesi"]}, max_retries=0
                 )
             assert excinfo.value.status == 429
             assert excinfo.value.retry_after == 0.25

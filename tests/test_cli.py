@@ -182,6 +182,20 @@ class TestProfileCommand:
         assert any(s["name"] == "expand" for s in snapshot["spans"])
         assert "expand" in report.read_text(encoding="utf-8")
 
+    def test_plain_profile_traces_both_engines(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["profile", "illinois"]) == 0
+        text = capsys.readouterr().out
+        data = json.loads((tmp_path / "profile-illinois.trace.json").read_text())
+        names = {e["name"] for e in data["traceEvents"] if e["ph"] == "X"}
+        assert {"kernel.expand", "expand.step"} <= names
+        table = text[text.index("interpreter vs kernel") :].splitlines()
+        [row] = [line for line in table if line.startswith("illinois ")]
+        cells = [cell.strip() for cell in row.split("|")]
+        assert cells[4] == cells[5] == "23"  # interp visits == kernel visits
+
     def test_profile_without_targets_is_usage_error(self, capsys):
         assert main(["profile"]) == 2
         assert "nothing to profile" in capsys.readouterr().err

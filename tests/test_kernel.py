@@ -4,39 +4,33 @@ Covers the compilation layer (encoding sanity, hash-consing through
 the intern table, the memoized containment lattice, the per-fingerprint
 compile cache), exact parity with the interpreter (the zoo through the
 differential gate's ``kernel`` check, Illinois enumeration order),
-budget-guard PARTIAL semantics, and the ``backend``
-run option end to end: the kernel default, ``verify()`` and its
-fallback to the interpreter, ``VerificationJob`` metadata, the
-backend-blind cache key and the serve-layer ``CampaignRequest``.
+budget-guard PARTIAL semantics, and the engine choice end to end:
+``verify()`` runs the kernel when a spec lowers and the interpreter
+otherwise, a guard stops lowering, both engines render the same cache
+payload, and the serve-layer ``CampaignRequest`` carries no engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import threading
 
 import pytest
 
 from repro.core.essential import explore
 from repro.core.options import RunOptions
+from repro.core.serialize import result_to_dict
 from repro.core.verifier import verify
-from repro.engine import (
-    ResultCache,
-    VerificationJob,
-    job_key,
-    run_batch,
-    spec_fingerprint,
-)
 from repro.engine.guard import Budget, Guard
 from repro.enumeration.exhaustive import Equivalence, enumerate_space
 from repro.ir import lower
 from repro.kernel import (
-    BACKENDS,
     CompiledProtocol,
     KernelUnsupportedError,
     compile_protocol,
 )
 from repro.kernel import enumerate_space as kernel_enumerate
 from repro.kernel import explore as kernel_explore
+from repro.obs import Collector, use_collector
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.mutations import mutants_for
 from repro.protocols.registry import all_protocols, get_protocol
@@ -47,10 +41,6 @@ from tests.helpers import ProbeShyIllinois
 # ---------------------------------------------------------------------------
 # compilation: encoding, intern table, containment memo, compile cache
 # ---------------------------------------------------------------------------
-
-
-def test_backends_constant():
-    assert BACKENDS == ("interp", "kernel")
 
 
 def test_compile_protocol_caches_per_spec_instance():
@@ -176,45 +166,32 @@ def test_guard_partial_semantics_enumerate():
 
 
 # ---------------------------------------------------------------------------
-# the backend knob
+# the engine choice: engine_for() inside verify()
 # ---------------------------------------------------------------------------
 
 
+def _root_spans(spec) -> list[str]:
+    collector = Collector("engine")
+    with use_collector(collector):
+        verify(spec)
+    return [s.name for s in collector.spans if s.name in ("expand", "kernel.expand")]
+
+
 def test_default_backend_is_the_kernel():
-    assert RunOptions().backend == "kernel"
+    # A spec that lowers runs on the kernel; one that does not, on the
+    # interpreter -- no option involved.
+    assert _root_spans(IllinoisProtocol()) == ["kernel.expand"]
+    assert _root_spans(ProbeShyIllinois()) == ["expand"]
 
 
 def test_verify_backend_kernel_matches_interp():
     spec = IllinoisProtocol()
-    interp = verify(spec, options=RunOptions(backend="interp")).result
-    kern = verify(spec, options=RunOptions(backend="kernel")).result
+    interp = explore(spec)
+    kern = verify(spec).result
     assert interp.ok and kern.ok
     assert {s.pretty() for s in interp.essential} == {
         s.pretty() for s in kern.essential
     }
-
-
-def test_verify_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="backend"):
-        verify(IllinoisProtocol(), options=RunOptions(backend="jit"))
-
-
-def test_job_validates_backend():
-    with pytest.raises(ValueError, match="backend"):
-        VerificationJob(protocol="illinois", options=RunOptions(backend="jit"))
-    job = VerificationJob(protocol="illinois", options=RunOptions(backend="kernel"))
-    assert job.to_meta()["backend"] == "kernel"
-
-
-def test_job_key_ignores_backend():
-    # Both backends produce the same payload, so one verdict is cached
-    # once, whichever backend produced it.
-    fp = spec_fingerprint(IllinoisProtocol())
-    interp_job = VerificationJob(
-        protocol="illinois", options=RunOptions(backend="interp")
-    )
-    kernel_job = VerificationJob(protocol="illinois")
-    assert job_key(fp, interp_job) == job_key(fp, kernel_job)
 
 
 def _without_elapsed(payload):
@@ -227,58 +204,79 @@ def test_warm_kernel_reports_the_interpreters_scenarios(name):
     # The successor memo stores each state's scenario count with its
     # entries, so a second run in one process (warm compile cache)
     # reports what a cold run -- and the interpreter -- does.
-    expected = verify(name, options=RunOptions(backend="interp")).result
+    expected = explore(get_protocol(name))
     for _ in range(2):
         kern = verify(name).result
         assert kern.stats.scenarios == expected.stats.scenarios > 0
         assert kern.stats.visits == expected.stats.visits
 
 
-def test_cache_entry_is_shared_across_backends(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
-    # One verified protocol and one violating mutant.
-    mutant = mutants_for(get_protocol("msi"))[0].mutation.key
-    jobs = [
-        VerificationJob(protocol="illinois"),
-        VerificationJob(protocol="msi", mutant=mutant),
-    ]
-    filled = run_batch(jobs, cache=cache)
-    assert not any(r.cached for r in filled.results)
-    interp_jobs = [
-        replace(job, options=replace(job.options, backend="interp")) for job in jobs
-    ]
-    replayed = run_batch(interp_jobs, cache=cache)
-    assert all(r.cached for r in replayed.results)
-    assert cache.hits == len(jobs)
-    fresh = run_batch(interp_jobs, cache=None)
-    for kern, hit, interp in zip(filled.results, replayed.results, fresh.results):
-        assert hit.payload == kern.payload
-        assert _without_elapsed(hit.payload) == _without_elapsed(interp.payload)
+def test_cache_entry_is_shared_across_backends():
+    # The cache key leaves the engine out because both engines render
+    # the same payload: the zoo plus one violating mutant (witnesses).
+    mutant = mutants_for(get_protocol("msi"))[0]
+    for spec in [*all_protocols(), mutant]:
+        kern = result_to_dict(verify(spec, validate_spec=False).result)
+        interp = result_to_dict(explore(spec))
+        assert _without_elapsed(kern) == _without_elapsed(interp), spec.name
 
 
 def test_verify_falls_back_to_the_interpreter_when_lowering_fails():
     spec = ProbeShyIllinois()
     with pytest.raises(KernelUnsupportedError, match="lowering"):
         compile_protocol(spec)
-    report = verify(spec)  # default options: the kernel backend
-    reference = verify(IllinoisProtocol(), options=RunOptions(backend="interp"))
+    report = verify(spec)
+    reference = explore(IllinoisProtocol())
     assert report.ok and reference.ok
-    assert report.result.stats.visits == reference.result.stats.visits
+    assert report.result.stats.visits == reference.stats.visits
     assert {s.pretty() for s in report.result.essential} == {
-        s.pretty() for s in reference.result.essential
+        s.pretty() for s in reference.essential
     }
+
+
+class CancelledWhileLowering(IllinoisProtocol):
+    """Illinois that raises a cancel flag from inside its fifth ``react``
+    call -- while IR lowering is still probing present-sets."""
+
+    name = "illinois-cancelled-while-lowering"
+
+    def __init__(self, flag: threading.Event) -> None:
+        super().__init__()
+        self.flag = flag
+        self.calls = 0
+
+    def react(self, state, op, ctx):
+        self.calls += 1
+        if self.calls == 5:
+            self.flag.set()
+        return super().react(state, op, ctx)
+
+
+def test_guard_stops_lowering_with_a_partial_result():
+    full = CancelledWhileLowering(threading.Event())
+    lower(full)  # how many react() calls one whole lowering makes
+    flag = threading.Event()
+    spec = CancelledWhileLowering(flag)
+    report = verify(spec, validate_spec=False, guard=Guard(cancel=flag))
+    # The same structured PARTIAL the interpreter returns under the
+    # sticky guard -- not an error, and not a finished lowering.
+    assert report.partial and not report.result.violations
+    assert report.result.exhausted.reason == "cancelled"
+    assert spec.calls < full.calls / 4
+    # Nothing of the cut-short lowering was cached: unguarded, the same
+    # object lowers in full and verifies on the kernel.
+    flag.clear()
+    assert _root_spans(spec) == ["kernel.expand"]
+    assert verify(spec).result.stats.visits == explore(IllinoisProtocol()).stats.visits
 
 
 def test_campaign_request_backend_round_trip(tmp_path):
     from repro.serve.model import CampaignRequest
 
-    request = CampaignRequest(
-        protocols=("illinois",), options=RunOptions(backend="kernel")
-    )
-    assert request.to_dict()["backend"] == "kernel"
+    request = CampaignRequest(protocols=("illinois",))
+    assert "backend" not in request.to_dict()
     replica = CampaignRequest.from_dict(request.to_dict())
-    assert replica.options.backend == "kernel"
-    jobs = replica.jobs(tmp_path)
-    assert jobs and all(job.options.backend == "kernel" for job in jobs)
+    assert replica.options == RunOptions()
+    assert replica.jobs(tmp_path)
     with pytest.raises(ValueError, match="backend"):
-        CampaignRequest.from_dict({"protocols": ["illinois"], "backend": 7})
+        CampaignRequest.from_dict({"protocols": ["illinois"], "backend": "interp"})

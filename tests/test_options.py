@@ -1,16 +1,18 @@
 """``RunOptions``: one validated bundle behind every verification surface.
 
 One table drives the cache-key contract (every field but ``preflight``
-and ``backend`` changes the key; two keys are pinned byte for byte), the canonical
+changes the key; two keys are pinned byte for byte), the canonical
 ``to_dict``/``from_dict`` round trip, and the CLI: the ``batch``,
 ``verify`` and ``submit`` parsers must build the same options from the
-same flags.
+same flags.  A second table shows that the engine is not an option:
+every surface refuses a ``backend``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from functools import partial
 
 import pytest
 
@@ -19,13 +21,13 @@ from repro.core.essential import PruningMode
 from repro.core.options import PRUNINGS, RunOptions
 from repro.engine import VerificationJob, job_key, spec_fingerprint
 from repro.protocols.registry import get_protocol
+from repro.serve import ServeApp, ServerThread, client
 
 #: A non-default value for every field, with the flags that select it.
 NON_DEFAULT: dict[str, tuple[object, list[str]]] = {
     "augmented": (False, ["--structural"]),
     "pruning": ("duplicates", ["--no-pruning"]),
     "mode": ("liveness", ["--mode", "liveness"]),
-    "backend": ("interp", ["--backend", "interp"]),
     "preflight": ("annotate", ["--preflight", "annotate"]),
     "max_visits": (7, ["--max-visits", "7"]),
     "deadline": (2.5, ["--deadline", "2.5"]),
@@ -33,17 +35,15 @@ NON_DEFAULT: dict[str, tuple[object, list[str]]] = {
     "max_rss_mb": (64.0, ["--max-rss-mb", "64"]),
 }
 
-#: ``job_key`` values pinned byte for byte; refactors must keep existing
-#: cache entries reachable.  Re-recorded under engine version "5", when
-#: ``backend`` left the key: the old keys hashed the backend in, so every
-#: entry moved (the second entry's interp backend no longer matters).
+#: ``job_key`` values pinned byte for byte (engine version "5");
+#: refactors must keep existing cache entries reachable.
 PINNED_KEYS = [
     (
         RunOptions(),
         "0e942d6b7ad8dc44722786136266252e0ec15260c04beff0a92da740a021fab4",
     ),
     (
-        RunOptions(mode="liveness", backend="interp", deadline=2.0),
+        RunOptions(mode="liveness", deadline=2.0),
         "b16ba115651e3b69ba1332e693d9b71dc42e0915b77b761cc3b58d1cdc1c3b29",
     ),
 ]
@@ -60,12 +60,11 @@ def test_table_covers_every_field():
 
 
 def test_every_field_but_preflight_changes_the_cache_key():
-    # ``backend`` is exempt too: both backends produce the same payload.
     base = _key(RunOptions())
     for field in dataclasses.fields(RunOptions):
         value, _ = NON_DEFAULT[field.name]
         changed = _key(RunOptions(**{field.name: value}))
-        if field.name in ("preflight", "backend"):
+        if field.name == "preflight":
             assert changed == base, f"{field.name} must not split the cache"
         else:
             assert changed != base, f"{field.name} must be part of the key"
@@ -109,3 +108,41 @@ def test_bare_preflight_flag_means_reject():
 def test_cli_rejects_bad_deadline(value, capsys):
     assert main(["batch", "--protocols", "msi", "--no-cache", "--deadline", value]) == 2
     assert "deadline" in capsys.readouterr().err
+
+
+def _cli_refuses(head: list[str], tmp_path, capsys) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main([*head, "--backend", "interp"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --backend interp" in capsys.readouterr().err
+
+
+def _from_dict_refuses(tmp_path, capsys) -> None:
+    with pytest.raises(ValueError, match="unknown run options"):
+        RunOptions.from_dict({"backend": "interp"})
+
+
+def _http_refuses(tmp_path, capsys) -> None:
+    with ServerThread(ServeApp(tmp_path / "state")) as server:
+        with pytest.raises(client.ServiceError) as excinfo:
+            client.submit(server.base_url, {"protocols": ["msi"], "backend": "interp"})
+    assert excinfo.value.status == 400 and "backend" in str(excinfo.value)
+    assert list((tmp_path / "state" / "campaigns").iterdir()) == []
+
+
+#: Every surface that once took an engine choice, and the code that
+#: already refuses unknown input there (argparse, the unknown-key checks).
+BACKEND_REFUSALS = {
+    "verify": partial(_cli_refuses, ["verify", "msi"]),
+    "batch": partial(_cli_refuses, ["batch", "--protocols", "msi"]),
+    "submit": partial(_cli_refuses, ["submit", "http://x:1"]),
+    "profile": partial(_cli_refuses, ["profile", "msi"]),
+    "enumerate": partial(_cli_refuses, ["enumerate", "msi"]),
+    "from_dict": _from_dict_refuses,
+    "http": _http_refuses,
+}
+
+
+@pytest.mark.parametrize("surface", list(BACKEND_REFUSALS))
+def test_backend_is_refused(surface, tmp_path, capsys):
+    BACKEND_REFUSALS[surface](tmp_path, capsys)
