@@ -1,8 +1,12 @@
-"""Analysis and reporting: complexity model, protocol comparison, tables."""
+"""Analysis and reporting: complexity model, protocol comparison, tables.
+
+The traffic-sweep names (:mod:`repro.analysis.sweeps`) run the simulator
+and are imported on first access, so the batch engine's use of
+:mod:`repro.analysis.reporting` does not load the simulator.
+"""
 
 from .compare import ComparisonReport, DiagramShape, compare_protocols, diagram_shape
 from .fsm import LocalFsm, check_definition_1, local_fsm
-from .sweeps import TrafficPoint, metric_series, sweep_table, traffic_sweep
 from .complexity import (
     GrowthFit,
     fit_exponential_growth,
@@ -37,3 +41,13 @@ __all__ = [
     "traffic_sweep",
     "visit_lower_bound",
 ]
+
+_SWEEP_NAMES = ("TrafficPoint", "metric_series", "sweep_table", "traffic_sweep")
+
+
+def __getattr__(name: str):
+    if name in _SWEEP_NAMES:
+        from . import sweeps
+
+        return getattr(sweeps, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

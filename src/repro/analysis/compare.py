@@ -6,7 +6,7 @@ that comparison concrete:
 
 * per-protocol *shape* statistics (essential states, edges, operation
   mix);
-* unlabeled-graph isomorphism between two diagrams (networkx);
+* unlabeled-graph isomorphism between two diagrams;
 * an edge-signature diff that lists which global behaviours one
   protocol has and the other lacks, abstracted away from the
   protocol-specific state names.
@@ -17,8 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
-
+from ..core.digraph import adjacency, is_isomorphic
 from ..core.essential import ExpansionResult
 from ..core.graph import build_graph
 
@@ -48,15 +47,15 @@ class DiagramShape:
 def diagram_shape(result: ExpansionResult) -> DiagramShape:
     """Compute the shape statistics of a protocol's global diagram."""
     graph = build_graph(result)
-    ops = Counter(data["op"] for _, _, data in graph.edges(data=True))
-    self_loops = sum(1 for u, v in graph.edges() if u == v)
-    degrees = sorted(
-        (graph.out_degree(node), graph.in_degree(node)) for node in graph.nodes()
-    )
+    ops = Counter(data["op"] for _, _, data in graph.edges)
+    self_loops = sum(1 for u, v, _ in graph.edges if u == v)
+    out_degree = Counter(u for u, _, _ in graph.edges)
+    in_degree = Counter(v for _, v, _ in graph.edges)
+    degrees = sorted((out_degree[node], in_degree[node]) for node in graph.nodes)
     return DiagramShape(
         protocol=result.spec.name,
-        n_states=graph.number_of_nodes(),
-        n_edges=graph.number_of_edges(),
+        n_states=len(graph.nodes),
+        n_edges=len(graph.edges),
         n_self_loops=self_loops,
         ops_histogram=tuple(sorted(ops.items())),
         degree_sequence=tuple(degrees),
@@ -117,9 +116,12 @@ def compare_protocols(
     result_a: ExpansionResult, result_b: ExpansionResult
 ) -> ComparisonReport:
     """Compare the global transition diagrams of two protocols."""
-    graph_a = nx.DiGraph(build_graph(result_a))
-    graph_b = nx.DiGraph(build_graph(result_b))
-    iso = nx.is_isomorphic(graph_a, graph_b)
+    graph_a = build_graph(result_a)
+    graph_b = build_graph(result_b)
+    iso = is_isomorphic(
+        adjacency(graph_a.nodes, graph_a.edges),
+        adjacency(graph_b.nodes, graph_b.edges),
+    )
     sig_a = _edge_signatures(result_a)
     sig_b = _edge_signatures(result_b)
     return ComparisonReport(

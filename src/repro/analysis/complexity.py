@@ -11,10 +11,9 @@ to confirm the measured blow-up really is exponential in ``n``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "max_states",
@@ -68,17 +67,22 @@ def fit_exponential_growth(ns: Sequence[int], counts: Sequence[int]) -> GrowthFi
     """
     if len(ns) != len(counts) or len(ns) < 2:
         raise ValueError("need at least two (n, count) pairs")
+    if len(set(ns)) < 2:
+        raise ValueError("need at least two distinct n")
     if any(c <= 0 for c in counts):
         raise ValueError("counts must be positive for a log fit")
-    x = np.asarray(ns, dtype=float)
-    y = np.log(np.asarray(counts, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    xs = list(ns)
+    ys = [math.log(c) for c in counts]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    intercept = mean_y - slope * mean_x
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - mean_y) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return GrowthFit(
-        base=float(np.exp(slope)),
-        prefactor=float(np.exp(intercept)),
+        base=math.exp(slope),
+        prefactor=math.exp(intercept),
         r_squared=r_squared,
     )

@@ -6,7 +6,8 @@ least one path leading to all other states".  This module derives the
 local FSM from a protocol specification — an edge ``q -> q'`` exists if
 some operation in some context moves the initiator from ``q`` to
 ``q'``, or some bus transaction makes an observer in ``q`` react into
-``q'`` — and checks the requirement with networkx.
+``q'`` — and checks the requirement with Tarjan's strongly connected
+components (:mod:`repro.core.digraph`).
 
 It also reports *dead states* (declared but unreachable from the
 invalid state) which usually indicate a transcription error in a
@@ -18,8 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
-
+from ..core.digraph import (
+    descendants,
+    is_strongly_connected,
+    strongly_connected_components,
+)
 from ..core.protocol import ProtocolSpec
 from ..core.reactions import Ctx
 from ..core.symbols import CountCase
@@ -29,29 +33,28 @@ __all__ = ["LocalFsm", "local_fsm", "check_definition_1"]
 
 @dataclass
 class LocalFsm:
-    """The derived per-cache FSM of one protocol."""
+    """The derived per-cache FSM of one protocol.
+
+    ``graph`` is an adjacency dict: state -> successor state -> the
+    reasons (operation labels) that realize the edge.
+    """
 
     spec: ProtocolSpec
-    graph: "nx.DiGraph"
+    graph: dict[str, dict[str, set[str]]]
 
     @property
     def strongly_connected(self) -> bool:
         """Definition 1's requirement on the cache FSM."""
-        return nx.is_strongly_connected(self.graph)
+        return is_strongly_connected(self.graph)
 
     def dead_states(self) -> frozenset[str]:
         """Declared states unreachable from the invalid state."""
-        reachable = nx.descendants(self.graph, self.spec.invalid) | {
-            self.spec.invalid
-        }
+        reachable = descendants(self.graph, self.spec.invalid) | {self.spec.invalid}
         return frozenset(set(self.spec.states) - reachable)
 
     def edge_reasons(self, source: str, target: str) -> tuple[str, ...]:
         """Why the edge exists (operation labels that realize it)."""
-        data = self.graph.get_edge_data(source, target)
-        if data is None:
-            return ()
-        return tuple(sorted(data.get("reasons", ())))
+        return tuple(sorted(self.graph.get(source, {}).get(target, ())))
 
 
 def _sample_contexts(spec: ProtocolSpec) -> list[Ctx]:
@@ -72,14 +75,11 @@ def local_fsm(spec: ProtocolSpec) -> LocalFsm:
     Initiator edges are labelled ``<op>``; observer (coincident) edges
     are labelled ``snoop:<op>_<initiator-state>``.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(spec.states)
+    graph: dict[str, dict[str, set[str]]] = {state: {} for state in spec.states}
 
     def add_edge(source: str, target: str, reason: str) -> None:
-        if graph.has_edge(source, target):
-            graph[source][target]["reasons"].add(reason)
-        else:
-            graph.add_edge(source, target, reasons={reason})
+        graph.setdefault(source, {}).setdefault(target, set()).add(reason)
+        graph.setdefault(target, {})
 
     for state, op in itertools.product(spec.states, spec.operations):
         if not spec.applicable(state, op):
@@ -113,9 +113,7 @@ def check_definition_1(spec: ProtocolSpec) -> list[str]:
             f"states unreachable from {spec.invalid}: {', '.join(sorted(dead))}"
         )
     if not fsm.strongly_connected:
-        components = [
-            sorted(c) for c in nx.strongly_connected_components(fsm.graph)
-        ]
+        components = [sorted(c) for c in strongly_connected_components(fsm.graph)]
         if len(components) > 1:
             problems.append(
                 "cache FSM is not strongly connected; components: "

@@ -46,34 +46,36 @@ import signal
 import sys
 from typing import Sequence
 
-from .analysis.compare import compare_protocols
 from .analysis.reporting import expansion_listing, figure4_table, format_table
 from .core.essential import PruningMode, explore
 from .core.graph import to_dot
 from .core.options import RunOptions
-from .analysis.fsm import check_definition_1
 from .core.protocol import ProtocolDefinitionError
 from .core.serialize import result_to_json
 from .core.verifier import engine_for, verify
-from .enumeration.crossval import cross_validate
-from .enumeration.exhaustive import Equivalence
 from .obs import EXPORT_EXTENSIONS, EXPORTERS
 from .protocols.dsl import DslError, load_protocol, parse_protocol
-from .protocols.perturb import criticality_profile
 from .protocols.mutations import (
     LIVENESS_MUTATIONS,
     MUTATIONS,
     get_mutant,
     mutants_for,
 )
+from .protocols.registry import all_protocols, protocol_names, resolve_specs
+
+# Modules that serve a single subcommand (the simulator, enumeration,
+# perturbation, comparison and FSM analyses, the service and testkit)
+# are imported inside that subcommand's ``_cmd_*`` function, so that
+# ``repro batch`` and ``repro verify`` do not pay for them at start-up.
 
 #: --mutant accepts keys from both catalogs (safety bugs and the
 #: safety-clean starvation bugs only liveness modes reject).
 _MUTANT_CHOICES = sorted({**MUTATIONS, **LIVENESS_MUTATIONS})
-from .protocols.registry import all_protocols, protocol_names, resolve_specs
-from .simulator.system import System
-from .simulator.traceio import load_trace, save_trace
-from .simulator.workloads import WORKLOADS, make_workload
+
+#: ``--workload`` choices: the keys of
+#: :data:`repro.simulator.workloads.WORKLOADS`, spelled out so building
+#: the parser does not import the simulator (a test keeps them equal).
+_WORKLOAD_CHOICES = ("hot-block", "migratory", "producer-consumer", "uniform")
 
 __all__ = [
     "main",
@@ -134,6 +136,8 @@ exit status:
 # Subcommand implementations
 # ----------------------------------------------------------------------
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .simulator.workloads import WORKLOADS
+
     rows = []
     for spec in all_protocols():
         rows.append(
@@ -784,6 +788,8 @@ def _cmd_mutants(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration.exhaustive import Equivalence
+
     [spec] = resolve_specs(args.protocol)
     options = RunOptions.from_args(args)
     equivalence = Equivalence.COUNTING if args.counting else Equivalence.STRICT
@@ -819,6 +825,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossval(args: argparse.Namespace) -> int:
+    from .enumeration.crossval import cross_validate
+
     status = EXIT_OK
     for spec in resolve_specs(args.protocol):
         result = cross_validate(spec, ns=tuple(range(1, args.max_n + 1)))
@@ -829,6 +837,10 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator.system import System
+    from .simulator.traceio import load_trace, save_trace
+    from .simulator.workloads import make_workload
+
     [spec] = resolve_specs(args.protocol)
     if args.mutant:
         spec = get_mutant(spec, args.mutant)
@@ -853,6 +865,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis.compare import compare_protocols
+
     [spec_a] = resolve_specs(args.a)
     [spec_b] = resolve_specs(args.b)
     result_a = explore(spec_a)
@@ -877,6 +891,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fragility(args: argparse.Namespace) -> int:
+    from .protocols.perturb import criticality_profile
+
     for spec in resolve_specs(args.protocol):
         report = criticality_profile(spec, picks=args.picks, jobs=args.jobs)
         print(
@@ -895,6 +911,8 @@ def _cmd_fragility(args: argparse.Namespace) -> int:
 
 
 def _cmd_fsm(args: argparse.Namespace) -> int:
+    from .analysis.fsm import check_definition_1
+
     status = EXIT_OK
     for spec in resolve_specs(args.protocol):
         problems = check_definition_1(spec)
@@ -1219,7 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the executable multiprocessor")
     p.add_argument("protocol")
-    p.add_argument("-w", "--workload", choices=sorted(WORKLOADS), default="hot-block")
+    p.add_argument("-w", "--workload", choices=_WORKLOAD_CHOICES, default="hot-block")
     p.add_argument("-p", "--processors", type=int, default=4)
     p.add_argument("-l", "--length", type=int, default=10000)
     p.add_argument("--sets", type=int, default=8)
@@ -1512,7 +1530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="traffic sweep across machine sizes")
     p.add_argument("protocol", help="protocol name or 'all'")
-    p.add_argument("-w", "--workload", choices=sorted(WORKLOADS), default="hot-block")
+    p.add_argument("-w", "--workload", choices=_WORKLOAD_CHOICES, default="hot-block")
     p.add_argument("-p", "--processors", type=int, nargs="+", default=[2, 4, 8])
     p.add_argument("-l", "--length", type=int, default=8000)
     p.add_argument("--seed", type=int, default=0)

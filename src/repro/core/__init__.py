@@ -27,7 +27,7 @@ from .essential import (
     explore,
 )
 from .expansion import SymbolicExpander, SymbolicTransition, TransitionLabel
-from .graph import ascii_diagram, build_graph, to_dot
+from .graph import GlobalGraph, ascii_diagram, build_graph, to_dot
 from .operators import Rep, aggregate, leq, remove_one
 from .protocol import ProtocolDefinitionError, ProtocolSpec
 from .serialize import result_to_dict, result_to_json, state_from_dict, state_to_dict
@@ -54,6 +54,7 @@ __all__ = [
     "ErrorKind",
     "ExpansionLimitError",
     "ExpansionResult",
+    "GlobalGraph",
     "ExpansionStats",
     "ForbidMultiple",
     "ForbidState",

@@ -1,50 +1,70 @@
 """Global transition diagrams (paper Figure 4).
 
 Builds the protocol's global FSM over the essential composite states as
-a :mod:`networkx` multigraph, renders it as DOT (for graphviz) and as a
-deterministic ASCII adjacency listing for terminals and tests.
+plain data (:class:`GlobalGraph`), renders it as DOT (for graphviz) and
+as a deterministic ASCII adjacency listing for terminals and tests.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from dataclasses import dataclass
+from typing import Any
 
 from .essential import ExpansionResult
 
-__all__ = ["build_graph", "to_dot", "ascii_diagram"]
+__all__ = ["GlobalGraph", "build_graph", "to_dot", "ascii_diagram"]
 
 
-def build_graph(result: ExpansionResult) -> "nx.MultiDiGraph":
-    """The global transition diagram as a networkx multigraph.
+@dataclass(frozen=True)
+class GlobalGraph:
+    """The global transition diagram of one protocol.
 
-    Nodes are essential states (keyed by their pretty rendering, with
-    the :class:`~repro.core.composite.CompositeState` attached as the
-    ``state`` attribute and annotations as node attributes); edges carry
-    the transition label (e.g. ``W_shared``).
+    ``nodes`` maps each essential state's pretty rendering to its
+    attributes (the :class:`~repro.core.composite.CompositeState` as
+    ``state``, plus ``structure``, ``sharing``, ``mdata`` and
+    ``initial``).  ``edges`` lists every transition as ``(source,
+    target, attributes)`` with ``label``, ``op`` and ``initiator``;
+    parallel edges between one pair of states are kept.
     """
-    graph = nx.MultiDiGraph(
+
+    protocol: str
+    augmented: bool
+    initial: str
+    nodes: dict[str, dict[str, Any]]
+    edges: list[tuple[str, str, dict[str, Any]]]
+
+
+def build_graph(result: ExpansionResult) -> GlobalGraph:
+    """The global transition diagram of *result* as a :class:`GlobalGraph`."""
+    nodes = {
+        state.pretty(): {
+            "state": state,
+            "structure": state.pretty(annotations=False),
+            "sharing": state.sharing.value if state.sharing is not None else None,
+            "mdata": state.mdata.value if state.mdata is not None else None,
+            "initial": state == result.initial,
+        }
+        for state in result.essential
+    }
+    edges = [
+        (
+            transition.source.pretty(),
+            transition.target.pretty(),
+            {
+                "label": str(transition.label),
+                "op": transition.label.op.value,
+                "initiator": transition.label.initiator,
+            },
+        )
+        for transition in result.transitions
+    ]
+    return GlobalGraph(
         protocol=result.spec.name,
         augmented=result.augmented,
         initial=result.initial.pretty(),
+        nodes=nodes,
+        edges=edges,
     )
-    for state in result.essential:
-        graph.add_node(
-            state.pretty(),
-            state=state,
-            structure=state.pretty(annotations=False),
-            sharing=state.sharing.value if state.sharing is not None else None,
-            mdata=state.mdata.value if state.mdata is not None else None,
-            initial=(state == result.initial),
-        )
-    for transition in result.transitions:
-        graph.add_edge(
-            transition.source.pretty(),
-            transition.target.pretty(),
-            label=str(transition.label),
-            op=transition.label.op.value,
-            initiator=transition.label.initiator,
-        )
-    return graph
 
 
 def to_dot(result: ExpansionResult) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.analysis.compare import compare_protocols, diagram_shape
@@ -53,6 +55,8 @@ class TestComplexityFormulas:
             fit_exponential_growth([1], [5])
         with pytest.raises(ValueError):
             fit_exponential_growth([1, 2], [5, 0])
+        with pytest.raises(ValueError, match="two distinct n"):
+            fit_exponential_growth([3, 3], [5, 7])
 
 
 class TestFormatTable:
@@ -128,3 +132,17 @@ class TestCompare:
             explored_augmented["msi"], explored_augmented["synapse"]
         )
         assert report.a.n_states == report.b.n_states == 3
+
+    def test_isomorphic_pairs_over_the_zoo(
+        self, explored_structural, explored_augmented
+    ):
+        """Of the 45 zoo pairs, only MSI and Synapse share a diagram shape."""
+        for results in (explored_structural, explored_augmented):
+            pairs = list(itertools.combinations(sorted(results), 2))
+            assert len(pairs) == 45
+            isomorphic = [
+                (a, b)
+                for a, b in pairs
+                if compare_protocols(results[a], results[b]).isomorphic
+            ]
+            assert isomorphic == [("msi", "synapse")]

@@ -17,22 +17,55 @@ from repro.core.serialize import (
 )
 from repro.core.symbols import DataValue, Op, SharingLevel
 from repro.protocols.illinois import IllinoisProtocol
-from repro.protocols.mutations import get_mutant
+from repro.protocols.mutations import get_mutant, mutants_for
+from repro.protocols.registry import all_protocols
 from tests.helpers import build_state
+
+_SPLIT = "cache FSM is not strongly connected; components: "
+
+#: Every zoo protocol or mutant that Definition 1 rejects, with its
+#: findings byte for byte (component order included).  The other 45 of
+#: the 51 specs are compliant.
+DEFINITION_1_FINDINGS = {
+    "berkeley+forget-supplier-demotion": [
+        "states unreachable from Invalid: Shared-Dirty",
+        _SPLIT + "{Dirty, Invalid, Valid}; {Shared-Dirty}",
+    ],
+    "illinois+ignore-sharing-line": [
+        "states unreachable from Invalid: Shared",
+        _SPLIT + "{Dirty, Invalid, V-Ex}; {Shared}",
+    ],
+    "mesif+forget-supplier-demotion": [
+        "states unreachable from Invalid: Shared",
+        _SPLIT + "{Exclusive, Forward, Invalid, Modified}; {Shared}",
+    ],
+    "mesif+ignore-sharing-line": [
+        "states unreachable from Invalid: Forward, Shared",
+        _SPLIT + "{Exclusive, Invalid, Modified}; {Shared}; {Forward}",
+    ],
+    "moesi+forget-supplier-demotion": [
+        "states unreachable from Invalid: Owned",
+        _SPLIT + "{Exclusive, Invalid, Modified, Shared}; {Owned}",
+    ],
+    "moesi+ignore-sharing-line": [
+        "states unreachable from Invalid: Owned, Shared",
+        _SPLIT + "{Exclusive, Invalid, Modified}; {Shared}; {Owned}",
+    ],
+}
 
 
 class TestLocalFsm:
     def test_illinois_fsm_edges(self):
         fsm = local_fsm(IllinoisProtocol())
         # Initiator edges of Figure 1.
-        assert fsm.graph.has_edge("Invalid", "V-Ex")
-        assert fsm.graph.has_edge("Invalid", "Shared")
-        assert fsm.graph.has_edge("Invalid", "Dirty")
-        assert fsm.graph.has_edge("V-Ex", "Dirty")
-        assert fsm.graph.has_edge("Shared", "Dirty")
-        assert fsm.graph.has_edge("Dirty", "Invalid")
+        assert "V-Ex" in fsm.graph["Invalid"]
+        assert "Shared" in fsm.graph["Invalid"]
+        assert "Dirty" in fsm.graph["Invalid"]
+        assert "Dirty" in fsm.graph["V-Ex"]
+        assert "Dirty" in fsm.graph["Shared"]
+        assert "Invalid" in fsm.graph["Dirty"]
         # Coincident (snooped) edge: a dirty supplier demotes to Shared.
-        assert fsm.graph.has_edge("Dirty", "Shared")
+        assert "Shared" in fsm.graph["Dirty"]
 
     def test_edge_reasons(self):
         fsm = local_fsm(IllinoisProtocol())
@@ -79,6 +112,20 @@ class TestLocalFsm:
 
         problems = check_definition_1(Trapdoor())
         assert any("not strongly connected" in p for p in problems)
+
+    def test_definition_1_findings_over_zoo_and_mutants(self):
+        specs = [
+            spec
+            for protocol in all_protocols()
+            for spec in (protocol, *mutants_for(protocol))
+        ]
+        assert len(specs) == 51
+        findings = {}
+        for spec in specs:
+            problems = check_definition_1(spec)
+            if problems:
+                findings[spec.name] = problems
+        assert findings == DEFINITION_1_FINDINGS
 
 
 class TestStateSerialization:

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _WORKLOAD_CHOICES, build_parser, main
 from repro.core.options import RunOptions
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -17,6 +25,53 @@ class TestParser:
         args = build_parser().parse_args(["verify", "illinois"])
         assert args.protocol == "illinois"
         assert RunOptions.from_args(args) == RunOptions()
+
+    def test_workload_choices_match_the_simulator(self):
+        from repro.simulator.workloads import WORKLOADS
+
+        assert _WORKLOAD_CHOICES == tuple(sorted(WORKLOADS))
+
+
+class TestColdImport:
+    """``import repro.cli`` loads only what ``repro batch`` needs."""
+
+    #: Modules only other subcommands need.
+    DEFERRED = (
+        "repro.simulator",
+        "repro.analysis.sweeps",
+        "repro.serve",
+        "repro.testkit",
+    )
+
+    def test_import_loads_only_stdlib_and_batch_modules(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        probe = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import repro.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        loaded = json.loads(out)
+        assert "repro.cli" in loaded
+        third_party = {
+            name.partition(".")[0]
+            for name in loaded
+            if name.partition(".")[0] not in sys.stdlib_module_names
+        }
+        # multiprocessing aliases the main module as ``__mp_main__``.
+        assert third_party - {"repro", "__mp_main__"} == set()
+        assert [m for m in self.DEFERRED if m in loaded] == []
 
 
 class TestListCommand:

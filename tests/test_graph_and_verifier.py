@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
+from repro.core.digraph import adjacency, is_strongly_connected
 from repro.core.essential import PruningMode
 from repro.core.graph import ascii_diagram, build_graph, to_dot
 from repro.core.options import RunOptions
@@ -16,26 +16,28 @@ from repro.protocols.mutations import get_mutant
 class TestBuildGraph:
     def test_nodes_are_essential_states(self, illinois_result):
         graph = build_graph(illinois_result)
-        assert graph.number_of_nodes() == len(illinois_result.essential)
+        assert len(graph.nodes) == len(illinois_result.essential)
+        assert len(graph.edges) == len(illinois_result.transitions)
 
     def test_edges_carry_labels(self, illinois_result):
         graph = build_graph(illinois_result)
-        labels = {d["label"] for _, _, d in graph.edges(data=True)}
+        labels = {d["label"] for _, _, d in graph.edges}
         assert "W_invalid" in labels
         assert "Z_dirty" in labels
 
     def test_initial_marked(self, illinois_result):
         graph = build_graph(illinois_result)
-        initial = [n for n, d in graph.nodes(data=True) if d["initial"]]
-        assert initial == [illinois_result.initial.pretty()]
+        initial = [n for n, d in graph.nodes.items() if d["initial"]]
+        assert initial == [illinois_result.initial.pretty()] == [graph.initial]
+        assert graph.protocol == "illinois"
 
     def test_graph_is_strongly_connected(self, illinois_result):
-        graph = nx.DiGraph(build_graph(illinois_result))
-        assert nx.is_strongly_connected(graph)
+        graph = build_graph(illinois_result)
+        assert is_strongly_connected(adjacency(graph.nodes, graph.edges))
 
     def test_node_attributes(self, illinois_result):
         graph = build_graph(illinois_result)
-        for _, data in graph.nodes(data=True):
+        for data in graph.nodes.values():
             assert "sharing" in data
             assert "mdata" in data
             assert data["state"] in illinois_result.essential
