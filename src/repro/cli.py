@@ -52,7 +52,7 @@ from .core.graph import to_dot
 from .core.options import RunOptions
 from .core.protocol import ProtocolDefinitionError
 from .core.serialize import result_to_json
-from .core.verifier import engine_for, verify
+from .core.verifier import verify
 from .obs import EXPORT_EXTENSIONS, EXPORTERS
 from .protocols.dsl import DslError, load_protocol, parse_protocol
 from .protocols.mutations import (
@@ -677,8 +677,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _engine_comparison(collector, results: list) -> str:
     """Run the interpreter once per batch result; pair the root spans.
 
-    The serial batch records each job's expansion root span
-    (``kernel.expand``, or ``expand`` for a spec that does not lower)
+    The serial batch records each job's ``kernel.expand`` root span
     before that job's ``engine.job`` span.  The interpreter's
     ``expand`` root span for the same spec and budgets, recorded here
     under the same collector, is the other column.
@@ -688,7 +687,7 @@ def _engine_comparison(collector, results: list) -> str:
     batch_roots: list = []
     root = None
     for record in collector.spans:
-        if record.name in ("expand", "kernel.expand") and root is None:
+        if record.name == "kernel.expand" and root is None:
             root = record
         elif record.name == "engine.job":
             batch_roots.append(root)
@@ -706,22 +705,14 @@ def _engine_comparison(collector, results: list) -> str:
             guard=Guard(options.budget()),
         )
         interp = collector.spans[mark]
-        if batch.name == "expand":  # the spec does not lower
-            kernel_ms, speedup, kernel_visits = "n/a", "-", "n/a"
-        else:
-            kernel_ms = f"{batch.duration * 1000.0:.2f}"
-            speedup = (
-                f"{interp.duration / batch.duration:.1f}x" if batch.duration else "-"
-            )
-            kernel_visits = batch.attrs["visits"]
         rows.append(
             [
                 result.job.label,
                 f"{interp.duration * 1000.0:.2f}",
-                kernel_ms,
-                speedup,
+                f"{batch.duration * 1000.0:.2f}",
+                f"{interp.duration / batch.duration:.1f}x" if batch.duration else "-",
                 interp.attrs["visits"],
-                kernel_visits,
+                batch.attrs["visits"],
             ]
         )
     return format_table(
@@ -789,6 +780,7 @@ def _cmd_mutants(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     from .enumeration.exhaustive import Equivalence
+    from .kernel import enumerate_space
 
     [spec] = resolve_specs(args.protocol)
     options = RunOptions.from_args(args)
@@ -798,9 +790,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         from .engine.guard import Budget, Guard
 
         guard = Guard(Budget(deadline=options.deadline))
-    result = engine_for(spec, guard).enumerate_space(
-        spec, args.n, equivalence=equivalence, guard=guard
-    )
+    result = enumerate_space(spec, args.n, equivalence=equivalence, guard=guard)
     if result.partial:
         why = result.exhausted.describe() if result.exhausted else "budget"
         verdict = (
@@ -1166,9 +1156,9 @@ def build_parser() -> argparse.ArgumentParser:
         "visit/prune/cache counters.  Prints a text report and writes "
         "the full trace in the chosen export format (chrome-trace "
         "output loads in Perfetto / chrome://tracing).  The batch runs "
-        "on the engine users run (the compiled kernel when the spec "
-        "lowers); one traced interpreter run per job follows, and an "
-        "interpreter-vs-kernel wall-time/visits table is printed.",
+        "on the engine users run (the compiled kernel); one traced "
+        "interpreter run per job follows, and an interpreter-vs-kernel "
+        "wall-time/visits table is printed.",
     )
     p.add_argument(
         "protocol",

@@ -53,8 +53,8 @@ class RunOptions:
 
     Every field except ``preflight`` is part of the result-cache key:
     a preflight never changes a verification payload.  Which engine
-    expands the spec is not an option at all: see
-    :func:`repro.core.verifier.engine_for`.
+    expands the spec is not an option at all: every spec runs on the
+    compiled kernel (:func:`repro.core.verifier.verify`).
     """
 
     augmented: bool = True

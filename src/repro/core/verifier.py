@@ -11,10 +11,12 @@ protocol is broken -- counterexample paths from the initial state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import Violation, Witness
-from .essential import ExpansionResult, PruningMode, explore
+
+# ``explore`` stays importable here: profiling harnesses wrap it by name.
+from .essential import ExpansionResult, PruningMode, explore  # noqa: F401
 from .graph import ascii_diagram
 from .options import RunOptions
 from .protocol import ProtocolSpec
@@ -24,42 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..lint.model import LintReport
     from ..liveness.model import LivenessReport
 
-__all__ = ["Engine", "VerificationReport", "engine_for", "verify"]
-
-
-class Engine(NamedTuple):
-    """One implementation of the paper's two searches."""
-
-    #: The Figure 3 symbolic expansion (``explore``'s signature).
-    explore: Callable[..., ExpansionResult]
-    #: The Figure 2 explicit enumeration (``enumerate_space``'s signature).
-    enumerate_space: Callable[..., Any]
-
-
-def engine_for(spec: ProtocolSpec, guard: "Guard | None" = None) -> Engine:
-    """The engine that runs ``spec``: the kernel if it lowers, else the
-    interpreter.
-
-    The compiled kernel (:mod:`repro.kernel`) produces the same
-    verdicts, violations, witnesses, essential sets and visit counts as
-    the interpreter, only faster, so it is used whenever ``spec`` lowers
-    to the IR.  A spec that does not lower runs on the interpreter --
-    as does one whose lowering ``guard`` cut short, which then returns
-    the interpreter's partial result under the already-tripped guard.
-    Call :func:`repro.core.explore` or
-    :func:`repro.enumeration.enumerate_space` directly for the
-    interpreter itself (see ``docs/KERNEL.md``).
-    """
-    # Imported lazily: the kernel and the enumerator live above core.
-    from .. import kernel
-
-    try:
-        kernel.compile_protocol(spec, guard)
-    except kernel.KernelUnsupportedError:
-        from ..enumeration import enumerate_space
-
-        return Engine(explore, enumerate_space)
-    return Engine(kernel.explore, kernel.enumerate_space)
+__all__ = ["VerificationReport", "verify"]
 
 
 @dataclass
@@ -208,7 +175,8 @@ def verify(
       *partial* report (``report.partial``) instead of raising.
 
     An explicit ``guard`` owns every budget, ``max_visits`` included.
-    The expansion runs on the engine :func:`engine_for` picks.
+    The expansion runs on the compiled kernel (:mod:`repro.kernel`),
+    which reports what the interpreter (:func:`explore`) does.
     """
     if isinstance(protocol, str):
         # Imported lazily: the registry lives above the core package.
@@ -234,7 +202,10 @@ def verify(
         from ..engine.guard import Guard
 
         guard = Guard(options.budget())
-    result = engine_for(spec, guard).explore(
+    # Imported lazily: the kernel lives above the core package.
+    from .. import kernel
+
+    result = kernel.explore(
         spec,
         augmented=options.augmented,
         pruning=PruningMode(options.pruning),

@@ -17,6 +17,8 @@ Two entry points, one dispatcher:
   table back into readable guards (``any``/``none``/``has``/``!has``
   conjunctions), falling back to the exact full conjunction for a
   single present-set — which always exists, so synthesis terminates.
+  A ``react`` that raises is one more outcome: the cell records a
+  ``raises`` entry, and reaching that context is an error downstream.
 
 Both lowerings are deterministic: the same specification produces the
 same transition order, the same synthesized guards and therefore the
@@ -204,9 +206,11 @@ def _signature(
     )
 
 
-def _action_from_signature(sig: tuple) -> IRAction:
+def _action_from_signature(sig: tuple, state: int) -> IRAction:
     if sig[0] == "stall":
         return IRAction(next_state=sig[1], stalled=True)
+    if sig[0] == "raises":
+        return IRAction(next_state=state, raises=sig[1])
     _, next_state, load, writeback, write_through, observers = sig
     return IRAction(
         next_state=next_state,
@@ -321,6 +325,10 @@ def lower_spec(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
     pure function of ``(state, op, present-set)``, and the powerset of
     valid states enumerates every distinguishable present-set.
 
+    A probe that raises is recorded as a ``raises`` entry (exception
+    type and message), not propagated: a ``react`` may reject a
+    present-set no reachable state produces.
+
     ``guard`` (a :class:`~repro.engine.guard.Guard`) is polled before
     every probe: a ``react`` can be arbitrarily slow, so a deadline or
     a soft-cancel must be able to stop lowering too.  A tripped guard
@@ -347,22 +355,20 @@ def lower_spec(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
                     )
                 try:
                     outcome = spec.react(state, op, _probe_ctx(subset))
-                except Exception as exc:
-                    raise IRError(
-                        f"{spec.name}: react({state}, {op.value}, "
-                        f"present={sorted(subset)}) failed during "
-                        f"lowering: {exc}"
-                    ) from exc
-                table[frozenset(state_id[s] for s in subset)] = _signature(
-                    outcome, state_id
-                )
+                except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                    signature: tuple = ("raises", f"{type(exc).__name__}: {exc}")
+                else:
+                    signature = _signature(outcome, state_id)
+                table[frozenset(state_id[s] for s in subset)] = signature
             for when, signature in _synthesize_cell(table, valid_ids):
                 transitions.append(
                     IRTransition(
                         state=state_id[state],
                         op=op_id[op.value],
                         guard=when,
-                        action=_action_from_signature(signature),
+                        action=_action_from_signature(
+                            signature, state_id[state]
+                        ),
                         origin=None,
                     )
                 )

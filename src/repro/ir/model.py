@@ -8,13 +8,13 @@ a flat, integer-interned list of guarded transitions
 where a *guard* is a conjunction of atomic context conditions (the
 same atoms the DSL exposes: ``any`` / ``none`` / ``has(S)`` /
 ``!has(S)``) and an *action* is the complete system reaction (next
-state, data source, write-back, observer moves, or a stall).  This is
-the "guarded action language" shape Meunier et al. used to model a
-coherence protocol for mechanical analysis, specialised to the
-paper's per-cache FSM model (Definition 1): because specifications
-only ever observe the rest of the system through the present-set
-(``ctx.has`` / ``ctx.any_copy``), a finite decision list of guarded
-transitions describes a protocol *exactly*.
+state, data source, write-back, observer moves), a stall, or the
+exception the reaction raises.  This is the "guarded action language"
+shape Meunier et al. used to model a coherence protocol for mechanical
+analysis, specialised to the paper's per-cache FSM model (Definition
+1): because specifications only ever observe the rest of the system
+through the present-set (``ctx.has`` / ``ctx.any_copy``), a finite
+decision list of guarded transitions describes a protocol *exactly*.
 
 Design points:
 
@@ -181,7 +181,9 @@ class IRAction:
     supplies the data, mirroring the DSL's ``cache:A|B`` fallback
     chains.  ``writeback`` is a state id, :data:`SELF`, or ``None``.
     ``observers`` are ``(observer_id, next_id, updated)`` triples,
-    sorted by observer id; observers not listed stay put.
+    sorted by observer id; observers not listed stay put.  ``raises``
+    is set (``"RuntimeError: ..."``) when the reaction itself raises in
+    this context: the entry has no effect, and reaching it is an error.
     """
 
     next_state: int
@@ -190,6 +192,7 @@ class IRAction:
     write_through: bool = False
     observers: tuple[tuple[int, int, bool], ...] = ()
     stalled: bool = False
+    raises: str | None = None
 
 
 @dataclass(frozen=True)
@@ -294,7 +297,11 @@ class ProtocolIR:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        """Canonical JSON-able rendering (the fingerprint input)."""
+        """Canonical JSON-able rendering (the fingerprint input).
+
+        An action's ``raises`` key is written only when set, so an IR
+        without raise entries renders (and hashes) as it always has.
+        """
         return {
             "schema": IR_SCHEMA,
             "name": self.name,
@@ -326,6 +333,11 @@ class ProtocolIR:
                         "write_through": t.action.write_through,
                         "observers": [list(o) for o in t.action.observers],
                         "stalled": t.action.stalled,
+                        **(
+                            {"raises": t.action.raises}
+                            if t.action.raises is not None
+                            else {}
+                        ),
                     },
                     "origin": t.origin,
                 }
@@ -360,6 +372,7 @@ class ProtocolIR:
                             for o in t["action"]["observers"]
                         ),
                         stalled=t["action"]["stalled"],
+                        raises=t["action"].get("raises"),
                     ),
                     origin=t.get("origin"),
                 )
@@ -426,7 +439,8 @@ class IRProtocol(ProtocolSpec):
     same materialization semantics as the DSL: declared observers are
     reported whether or not the context holds them, cache-load
     candidate chains resolve to the first *present* candidate, and a
-    context matched by no transition is a definition error.
+    context matched by no transition -- or by a ``raises`` entry -- is
+    a definition error.
     """
 
     def __init__(self, ir: ProtocolIR) -> None:
@@ -465,6 +479,11 @@ class IRProtocol(ProtocolSpec):
     def _materialize(self, t: IRTransition, ctx: Ctx) -> Outcome:
         ir = self.ir
         a = t.action
+        if a.raises is not None:
+            raise ProtocolDefinitionError(
+                f"{self.name}: react({ir.states[t.state]}, {ir.ops[t.op]}, "
+                f"present={sorted(ctx.present)}) raised {a.raises}"
+            )
         next_state = ir.states[a.next_state]
         if a.stalled:
             return Outcome(next_state, stalled=True)

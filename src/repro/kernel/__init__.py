@@ -26,22 +26,17 @@ control flow step for step, so verdicts, violation kinds, witness
 shapes, essential-state sets and visit counts are identical -- the
 differential gate's ``kernel`` check (:mod:`repro.testkit.diff`)
 enforces exactly that.
-:func:`repro.core.verifier.engine_for` runs every spec that lowers on
-the kernel; the interpreter stays the readable reference it is checked
-against.  See ``docs/KERNEL.md``.
+Lowering is total, so every spec runs on the kernel; the interpreter
+stays the readable reference it is checked against.  See
+``docs/KERNEL.md``.
 """
 
-from .compile import (
-    CompiledProtocol,
-    KernelUnsupportedError,
-    compile_protocol,
-)
+from .compile import CompiledProtocol, compile_protocol
 from .essential import explore
 from .exhaustive import enumerate_space
 
 __all__ = [
     "CompiledProtocol",
-    "KernelUnsupportedError",
     "compile_protocol",
     "explore",
     "enumerate_space",

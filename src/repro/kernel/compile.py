@@ -48,14 +48,8 @@ from ..ir.model import SELF, IRError, ProtocolIR
 
 __all__ = [
     "CompiledProtocol",
-    "KernelUnsupportedError",
     "compile_protocol",
 ]
-
-
-class KernelUnsupportedError(Exception):
-    """The specification cannot be compiled; callers fall back to the
-    interpreter (see ``docs/KERNEL.md`` for the conditions)."""
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +286,7 @@ class CompiledProtocol:
                 sym_patterns.append(("state", self._rank[entry[1]], msg))
                 conc_patterns.append(("state", entry[1], msg))
             else:
-                raise KernelUnsupportedError(
+                raise IRError(
                     f"{self.name}: unknown error pattern kind {kind!r}"
                 )
         self._sym_patterns = tuple(sym_patterns)
@@ -327,7 +321,7 @@ class CompiledProtocol:
         # Concrete-side memo layers.
         self._delta: dict[int, tuple] = {}
         self._oc_tables: dict[tuple, tuple[int, ...] | None] = {}
-        #: (delta-key, wb-choices, load-choices) -> (variants, oc).
+        #: (delta-key, wb-choices, load-choices) -> (variants, oc, error).
         self._gvar: dict[tuple, tuple] = {}
         #: (cell, mask, md) -> ((delta-key, entry), ...) over the
         #: cell's applicable ops -- one lookup per actor in the
@@ -569,10 +563,10 @@ class CompiledProtocol:
     def _resolve(self, sid: int, opid: int, mask: int) -> tuple:
         """First-match-wins guard evaluation, fully materialized.
 
-        Errors are stored as lazy ``(2, exc_class, message)`` entries
-        and raised by the caller, so a poisoned (state, op, context)
-        triple raises at the same exploration step as the interpreter,
-        every time it is reached.
+        Errors (a ``raises`` entry too) are stored as lazy ``(2,
+        exc_class, message)`` entries and raised by the caller, so a
+        poisoned (state, op, context) triple raises at the same
+        exploration step as the interpreter, every time it is reached.
         """
         states = self._states
         for any_flag, none_flag, has_mask, nothas_mask, action in self._rules[
@@ -586,6 +580,14 @@ class CompiledProtocol:
                 continue
             if nothas_mask & mask:
                 continue
+            if action.raises is not None:
+                present = sorted(states[s] for s in range(self._S) if mask >> s & 1)
+                return (
+                    2,
+                    ProtocolDefinitionError,
+                    f"{self.name}: react({states[sid]}, {self._ops[opid]}, "
+                    f"present={present}) raised {action.raises}",
+                )
             if action.stalled:
                 return (1,)
             load_kind = 0
@@ -1075,29 +1077,6 @@ class CompiledProtocol:
             )
         return tuple(out)
 
-    def general_variants(
-        self, state: tuple[int, ...], actor: int, n: int, dkey: int, entry: tuple
-    ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...] | None]:
-        """Variants of a tag-4 delta: ``((actor-cell', mdata'), ...)``
-        plus the shared observer map.
-
-        Beyond the delta key, the only free inputs are the ordered
-        distinct data values the other caches hold in the write-back /
-        load symbols, so variants memoize per ``(delta-key, wb-choices,
-        load-choices)``.  Combos that raise are never cached: the same
-        exception re-raises deterministically on every call.
-        """
-        wbt = self._dcode_seq(state, n, actor, entry[6]) if entry[5] == 2 else ()
-        ldt = self._dcode_seq(state, n, actor, entry[4]) if entry[3] == 2 else ()
-        vkey = (dkey, wbt, ldt)
-        cached = self._gvar.get(vkey)
-        if cached is None:
-            cached = self._compute_variants(
-                entry, state[actor] & 3, state[n], wbt, ldt
-            )
-            self._gvar[vkey] = cached
-        return cached
-
     def _compute_variants(
         self,
         entry: tuple,
@@ -1105,7 +1084,14 @@ class CompiledProtocol:
         md: int,
         wbt: tuple[int, ...],
         ldt: tuple[int, ...],
-    ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...] | None]:
+    ) -> tuple:
+        """``((actor-cell', mdata'), ...)``, the observer map and a
+        deferred data error of a tag-4 delta.
+
+        A data error of the first variant raises here; one of a later
+        variant is returned, for the caller to raise after its
+        observer-copy check -- the interpreter's order.
+        """
         (
             _tag, next_sid, becomes_invalid, load_kind, _load_sid,
             wb_kind, _wb_sid, write_through, store, oc,
@@ -1130,13 +1116,12 @@ class CompiledProtocol:
         # (cell', mdata') pairs give equal targets (the observer map is
         # shared), so pair-level dedup is target-level dedup.
         variants: list[tuple[int, int]] = []
+        error = None
         for wb_value in wb_values:
-            if wb_value == -1:
-                mdata1 = md
-            elif wb_value == 2:
-                raise ValueError("cannot write back a copy that holds no data")
-            else:
-                mdata1 = wb_value
+            if wb_value == 2:
+                error = "cannot write back a copy that holds no data"
+                break
+            mdata1 = md if wb_value == -1 else wb_value
             for lk, load_data in load_specs:
                 if lk == 1:
                     load_value = mdata1
@@ -1151,16 +1136,19 @@ class CompiledProtocol:
                     if store:
                         new_d = 1
                     elif value == 2:
-                        raise ValueError(
-                            "initiator ends in a valid state without data"
-                        )
+                        error = "initiator ends in a valid state without data"
+                        break
                     else:
                         new_d = value
                 mdata2 = (1 if write_through else 3) if store else mdata1
                 pair = (next_sid * 4 + new_d, mdata2)
                 if pair not in variants:
                     variants.append(pair)
-        return tuple(variants), oc
+            if error is not None:
+                break
+        if error is not None and not variants:
+            raise ValueError(error)
+        return tuple(variants), oc, error
 
     def apply_general(
         self, state: tuple[int, ...], actor: int, entry: tuple
@@ -1168,11 +1156,11 @@ class CompiledProtocol:
         """Apply a tag-4 delta: one result per distinct data choice."""
         n = len(state) - 1
         cell = state[actor]
-        # The enumerate hot loop inlines this; keep a straightforward
-        # uncached fallback for direct callers.
+        # The enumerate hot loop inlines this (memoized); this is the
+        # straightforward uncached form, with the same raise order.
         wbt = self._dcode_seq(state, n, actor, entry[6]) if entry[5] == 2 else ()
         ldt = self._dcode_seq(state, n, actor, entry[4]) if entry[3] == 2 else ()
-        variants, oc = self._compute_variants(
+        variants, oc, error = self._compute_variants(
             entry, cell & 3, state[n], wbt, ldt
         )
         mapped = None if oc is None else [oc[c] for c in state]
@@ -1184,6 +1172,8 @@ class CompiledProtocol:
             if mapped is not None and min(cells) < 0:
                 raise ValueError("a valid observer copy cannot hold nodata")
             results.append(tuple(cells))
+        if error is not None:
+            raise ValueError(error)
         return results
 
     def concrete_violations_packed(
@@ -1286,10 +1276,9 @@ def compile_protocol(spec, guard=None) -> CompiledProtocol:
 
     Lookup order: per-object weak cache, then the fingerprint-keyed LRU
     (so re-lowering an identical spec reuses all memo layers).  Raises
-    :class:`KernelUnsupportedError` when the spec cannot be lowered to
-    IR -- including when ``guard`` (polled once per lowering probe)
-    trips first; nothing is cached then.  Callers treat that as "use
-    the interpreter" (:func:`repro.core.verifier.engine_for`).
+    :class:`~repro.ir.model.IRError` when ``guard`` (polled once per
+    lowering probe) trips first -- nothing is cached then -- or when
+    the IR is malformed.
     """
     try:
         cached = _BY_SPEC.get(spec)
@@ -1304,12 +1293,7 @@ def compile_protocol(spec, guard=None) -> CompiledProtocol:
     else:
         from ..ir.lower import lower
 
-        try:
-            ir = lower(spec, guard)
-        except IRError as exc:
-            raise KernelUnsupportedError(
-                f"{spec.name}: cannot lower to IR: {exc}"
-            ) from exc
+        ir = lower(spec, guard)
     fingerprint = ir.fingerprint()
     compiled = _BY_FP.get(fingerprint)
     if compiled is None:

@@ -23,8 +23,9 @@ from ..core.essential import (
     PruningMode,
     TraceEntry,
 )
-from ..core.expansion import SymbolicTransition
+from ..core.expansion import SymbolicExpander, SymbolicTransition
 from ..core.protocol import ProtocolSpec
+from ..ir.model import IRError
 from ..obs import active as _active_collector
 from ..obs import clock
 from .compile import CompiledProtocol, compile_protocol
@@ -52,9 +53,22 @@ def explore(
 
     ``compiled`` short-circuits compilation when the caller already
     holds the :class:`CompiledProtocol` (the differential gate and the
-    benchmarks do, to control memo warmth).
+    benchmarks do, to control memo warmth).  Otherwise the spec is
+    lowered under ``guard``; a guard that trips there yields a PARTIAL
+    whose only frontier state is the initial one.
     """
-    cp = compiled if compiled is not None else compile_protocol(spec)
+    try:
+        cp = compiled if compiled is not None else compile_protocol(spec, guard)
+    except IRError:
+        if guard is None or guard.exhausted is None:
+            raise
+        initial = SymbolicExpander(spec, augmented=augmented).initial_state()
+        return ExpansionResult(
+            spec=spec, augmented=augmented, pruning=pruning, initial=initial,
+            essential=(), transitions=(), stats=ExpansionStats(),
+            violations=(), witnesses=(), partial=True,
+            exhausted=guard.exhausted, frontier=(initial,),
+        )
     stats = ExpansionStats()
     started = clock.monotonic()
 

@@ -22,6 +22,8 @@ from ..enumeration.exhaustive import (
     EnumerationStats,
     Equivalence,
 )
+from ..enumeration.product import initial_concrete
+from ..ir.model import IRError
 from ..obs import active as _active_collector
 from ..obs import clock
 from .compile import CompiledProtocol, compile_protocol
@@ -49,8 +51,21 @@ def enumerate_space(
     Same contract as the interpreter's
     :func:`~repro.enumeration.exhaustive.enumerate_space`; ``compiled``
     short-circuits compilation for callers that already hold one.
+    Otherwise the spec is lowered under ``guard``; a guard that trips
+    there yields a PARTIAL whose only frontier state is the initial one.
     """
-    cp = compiled if compiled is not None else compile_protocol(spec)
+    try:
+        cp = compiled if compiled is not None else compile_protocol(spec, guard)
+    except IRError:
+        if guard is None or guard.exhausted is None:
+            raise
+        init = initial_concrete(spec, n)
+        return EnumerationResult(
+            spec=spec, n=n, equivalence=equivalence,
+            stats=EnumerationStats(unique_states=1), states=(init,),
+            violations=(), partial=True, exhausted=guard.exhausted,
+            frontier=(init,),
+        )
     stats = EnumerationStats()
     started = clock.monotonic()
 
@@ -237,7 +252,7 @@ def enumerate_space(
                             cached = gvar[vkey] = compute_variants(
                                 entry, cell & 3, mdata, wbt, ldt
                             )
-                        variants, oc = cached
+                        variants, oc, error = cached
                         if oc is None:
                             mapped = None
                         else:
@@ -255,6 +270,10 @@ def enumerate_space(
                                 raise ValueError(
                                     "a valid observer copy cannot hold nodata"
                                 )
+                        if error is not None:
+                            # A later variant's data error: the
+                            # interpreter meets it after the check above.
+                            raise ValueError(error)
                         targets = []
                         for ncell, md2 in variants:
                             cells = (

@@ -182,9 +182,10 @@ class LintContext:
     def ir(self):
         """The spec lowered to :class:`~repro.ir.ProtocolIR`, or ``None``.
 
-        ``None`` means lowering failed (e.g. a registry ``react`` that
-        raises on some probed context); flow-sensitive rules degrade
-        gracefully to their syntactic fallbacks in that case.
+        ``None`` means lowering failed (e.g. a DSL rule guarding on an
+        undeclared state; a ``react`` that raises lowers to ``raises``
+        entries instead); flow-sensitive rules degrade gracefully to
+        their syntactic fallbacks in that case.
         """
         if self._ir is _UNSET:
             from ..ir import lower  # local: avoid import cycles

@@ -86,7 +86,8 @@ class FlowAnalysis:
         reachable context.
     ``completes`` / ``stalls``
         Cells that complete (non-stall) / stall in at least one
-        reachable context.
+        reachable context.  A selected ``raises`` entry does neither:
+        the step has no successor configuration.
     ``holes``
         ``(state, op, present)`` reachable contexts matched by no
         transition (the flow-sensitive counterpart of PL003).
@@ -166,6 +167,9 @@ class FlowAnalysis:
                             (present, index)
                         )
                         self.selected.add(index)
+                        if t.action.raises is not None:
+                            # The reaction raises: no successor.
+                            continue
                         if t.action.stalled:
                             # A stall leaves the system unchanged.
                             self.stalls.add(cell)

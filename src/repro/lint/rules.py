@@ -885,7 +885,7 @@ def check_permission_race(ctx: LintContext) -> Iterator[Diagnostic]:
             key=lambda pair: (sorted(pair[0]), pair[1]),
         ):
             t = ir.transitions[index]
-            if t.action.stalled:
+            if t.action.stalled or t.action.raises is not None:
                 continue
             reactions = {obs: (nxt, upd) for obs, nxt, upd in t.action.observers}
             for other in sorted(present):

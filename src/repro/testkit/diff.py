@@ -51,16 +51,13 @@ Checks (:data:`CHECKS`) yield :class:`Finding` objects:
 Each case gets one :class:`Context` whose interpreter expansion,
 kernel expansion, IR lowering and flow analysis are built at most once
 and shared by every check.  ``ir`` and ``kernel`` read the interpreter
-reference; ``liveness`` and ``theorem1`` read the expansion users get
-(the kernel, or the interpreter for a spec the kernel cannot lower --
-the same choice :func:`repro.core.verifier.engine_for` makes).
+reference; ``liveness`` and ``theorem1`` read the expansion users get:
+the kernel's (lowering is total, so every spec has one).
 
 One skip rule: a check that cannot reach a verdict is *skipped*, never
 failed.  A partial or over-budget expansion skips with ``budget
-exhausted``; a spec that cannot be lowered skips the IR-dependent
-checks (``ir``, ``kernel`` and the static half of ``liveness``) with
-``unsupported: ...`` while the interpreter-only checks still run.  A
-source that yields no specifications is itself a finding.
+exhausted``.  A source that yields no specifications is itself a
+finding.
 """
 
 from __future__ import annotations
@@ -74,8 +71,8 @@ from ..core.essential import ExpansionLimitError, ExpansionResult, explore
 from ..core.operators import Rep
 from ..core.protocol import ProtocolSpec
 from ..enumeration.exhaustive import Equivalence, enumerate_space
-from ..ir import IRError, ProtocolIR, lower
-from ..kernel import KernelUnsupportedError, compile_protocol
+from ..ir import ProtocolIR, lower
+from ..kernel import compile_protocol
 from ..kernel import enumerate_space as kernel_enumerate
 from ..kernel import explore as kernel_explore
 from ..lint.flow import FlowAnalysis
@@ -139,7 +136,7 @@ class Case:
 
 
 class Skip(Exception):
-    """A check cannot reach a verdict on this case (budget, lowering)."""
+    """A check cannot reach a verdict on this case (budget exhausted)."""
 
 
 def _once(build: Callable[["Context"], object]) -> property:
@@ -188,10 +185,7 @@ class Context:
     @_once
     def ir(self) -> ProtocolIR:
         """The spec lowered to the guarded-action IR."""
-        try:
-            return lower(self.spec)
-        except IRError as exc:
-            raise Skip(f"unsupported: {exc}") from None
+        return lower(self.spec)
 
     @_once
     def flow(self) -> FlowAnalysis:
@@ -201,29 +195,17 @@ class Context:
     @_once
     def compiled(self):
         """The kernel's tables, compiled from :attr:`ir`."""
-        try:
-            return compile_protocol(self.ir)
-        except KernelUnsupportedError as exc:
-            raise Skip(f"unsupported: {exc}") from None
+        return compile_protocol(self.ir)
 
     @_once
     def kernel(self) -> ExpansionResult:
-        """The compiled kernel's expansion."""
+        """The compiled kernel's expansion: the one users get."""
         return _expand(kernel_explore, self.spec, compiled=self.compiled)
 
     @_once
-    def expansion(self) -> ExpansionResult:
-        """The expansion users get: the kernel's, if the spec lowers."""
-        try:
-            self.compiled
-        except Skip:
-            return self.interp
-        return self.kernel
-
-    @_once
     def liveness(self):
-        """The starvation analysis of :attr:`expansion`."""
-        report = analyze_liveness(self.expansion)
+        """The starvation analysis of :attr:`kernel`."""
+        report = analyze_liveness(self.kernel)
         if not report.checked:
             raise Skip(f"unchecked ({report.reason})")
         return report
@@ -287,15 +269,17 @@ def _check_ir(ctx: Context) -> Iterator[Finding]:
     # The flow fixpoint over-approximates, so the expansion can never
     # contradict it.  Every exercised initiator transition completes in
     # some reachable context, so its cell must be flow-completing -- a
-    # cell whose rules all stall is exempt: the expansion records the
-    # refused attempt (the self-loop liveness feeds on), but nothing
-    # completes there.
+    # cell whose rules all stall or raise is exempt: the expansion
+    # records the refused attempt (the self-loop liveness feeds on),
+    # and a raising rule never completes.
     flow = ctx.flow
     exercised = {(t.label.initiator, t.label.op.value) for t in base.transitions}
     for state, op in sorted(exercised):
         cell = (ir.state_id(state), ir.op_id(op))
         rules = [t for t in ir.transitions if (t.state, t.op) == cell]
-        if rules and all(t.action.stalled for t in rules):
+        if rules and all(
+            t.action.stalled or t.action.raises is not None for t in rules
+        ):
             continue
         if cell not in flow.completes:
             yield Finding(
@@ -388,7 +372,7 @@ def _check_kernel(ctx: Context) -> Iterator[Finding]:
 
 
 def _check_liveness(ctx: Context) -> Iterator[Finding]:
-    result, report = ctx.expansion, ctx.liveness
+    result, report = ctx.kernel, ctx.liveness
     for lasso in report.lassos:
         ok, reason = replay_lasso(result, lasso)
         if not ok:
@@ -423,7 +407,7 @@ def _check_liveness(ctx: Context) -> Iterator[Finding]:
             "mutant-live", ctx.name, "seeded starvation mutant analyzed as live"
         )
 
-    # The static half (last: it needs the IR).  Only the sound
+    # The static half, over the IR's flow.  Only the sound
     # direction holds -- a reachable stall the rest of the system can
     # always resolve is still live; see docs/LIVENESS.md.
     if not report.live and not ctx.flow.stalls:
@@ -438,7 +422,7 @@ def _check_liveness(ctx: Context) -> Iterator[Finding]:
 def _check_theorem1(ctx: Context) -> Iterator[Finding]:
     from .oracle import run_oracle  # local: the oracle imports Finding
 
-    report = run_oracle(ctx.spec, symbolic=ctx.expansion, augmented=AUGMENTED)
+    report = run_oracle(ctx.spec, symbolic=ctx.kernel, augmented=AUGMENTED)
     if report.outcome == "skipped":
         raise Skip(report.skipped)
     if report.disagreement is not None:

@@ -81,7 +81,8 @@ def generated_specs(draw):
 class ProbeShyIllinois(IllinoisProtocol):
     """Illinois whose ``react`` rejects an observation no reachable
     state produces: all three valid states held by other caches at once.
-    Only IR lowering probes every present-set, so only lowering fails."""
+    Only IR lowering probes every present-set; it records those cells
+    as ``raises`` entries, which expansion never reaches."""
 
     name = "illinois-probe-shy"
 

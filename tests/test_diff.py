@@ -100,26 +100,27 @@ def test_budget_exhaustion_skips_every_check(monkeypatch):
     assert report.skipped == tuple((check, "budget exhausted") for check in CHECKS)
 
 
-def test_unlowerable_spec_skips_only_the_ir_checks():
+def test_probe_shy_spec_runs_every_check():
+    # Its react() raises on an unreachable present-set: lowering records
+    # raise entries, so nothing is skipped and every check holds.
     report = diff_spec(Case("test", ProbeShyIllinois()))
-    assert report.ok, report.describe()
-    skipped = dict(report.skipped)
-    assert set(skipped) == {"ir", "kernel"}
-    assert all(why.startswith("unsupported: ") for why in skipped.values())
-    # The interpreter-only checks ran on the interpreter's expansion.
+    assert report.ok and not report.skipped, report.describe()
     ctx = Context(Case("test", ProbeShyIllinois()))
     assert run_check("liveness", ctx) == ([], None)
-    assert ctx.expansion is ctx.interp and ctx.liveness.live
+    assert ctx.liveness.live
 
 
 def test_static_half_of_liveness_needs_the_ir():
-    # A starver the kernel cannot lower: the dynamic half runs on the
-    # interpreter and catches it, the static half skips, never guesses.
-    starver = liveness_mutants_for(ProbeShyIllinois())[0]
-    ctx = Context(Case("test", starver, expect_not_live=True))
-    found, skipped = run_check("liveness", ctx)
-    assert found == [] and ctx.liveness.live is False
-    assert skipped is not None and skipped.startswith("unsupported: ")
+    # The static half reads the IR's flow, raise entries included: on
+    # the probe-shy spec's starvers it neither skips nor misfires (a
+    # cell whose rules only stall or raise never completes), and the
+    # dynamic half still catches each starver.
+    for starver in liveness_mutants_for(ProbeShyIllinois()):
+        report = diff_spec(Case("test", starver, expect_not_live=True))
+        assert report.ok and not report.skipped, report.describe()
+        ctx = Context(Case("test", starver, expect_not_live=True))
+        assert run_check("liveness", ctx) == ([], None)
+        assert ctx.liveness.live is False and ctx.flow.stalls
 
 
 def test_expect_not_live_flags_a_live_spec():

@@ -17,6 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.protocol import ProtocolDefinitionError
+from repro.core.reactions import Ctx
+from repro.core.symbols import CountCase, Op
 from repro.ir import (
     IRError,
     IRGuard,
@@ -29,6 +32,7 @@ from repro.ir import (
 from repro.protocols.dsl import builtin_spec_names, load_builtin, load_protocol
 from repro.protocols.registry import get_protocol, protocol_names
 from repro.testkit.diff import Case, Context, run_check
+from tests.helpers import ProbeShyIllinois
 
 CORPUS = sorted(Path("tests/corpus").glob("*.proto"))
 
@@ -119,6 +123,35 @@ def test_to_dict_from_dict_roundtrip():
     replica = ProtocolIR.from_dict(ir.to_dict())
     assert replica.to_dict() == ir.to_dict()
     assert replica.fingerprint() == ir.fingerprint()
+
+
+def test_raises_entry_round_trips_and_raises_when_reached():
+    ir = lower(ProbeShyIllinois())
+    raising = [t for t in ir.transitions if t.action.raises is not None]
+    assert raising and all(
+        t.action.raises == "RuntimeError: unreachable observation"
+        for t in raising
+    )
+    payload = json.loads(json.dumps(ir.to_dict()))
+    replica = ProtocolIR.from_dict(payload)
+    assert replica == ir
+    assert replica.to_dict() == ir.to_dict()
+    assert replica.fingerprint() == ir.fingerprint()
+    # Only raise entries carry the key: other dumps are unchanged.
+    actions = [t["action"] for t in payload["transitions"]]
+    assert sum("raises" in a for a in actions) == len(raising)
+    assert not any(
+        "raises" in t["action"]
+        for t in lower(get_protocol("illinois")).to_dict()["transitions"]
+    )
+    # Lifted back, the entry is a definition error where it is selected.
+    t = raising[0]
+    spec = ir.to_protocol()
+    ctx = Ctx(present=frozenset(spec.valid_states()), copies=CountCase.MANY)
+    with pytest.raises(
+        ProtocolDefinitionError, match="raised RuntimeError: unreachable"
+    ):
+        spec.react(ir.states[t.state], Op(ir.ops[t.op]), ctx)
 
 
 def test_to_dict_survives_json():

@@ -4,10 +4,11 @@ Covers the compilation layer (encoding sanity, hash-consing through
 the intern table, the memoized containment lattice, the per-fingerprint
 compile cache), exact parity with the interpreter (the zoo through the
 differential gate's ``kernel`` check, Illinois enumeration order),
-budget-guard PARTIAL semantics, and the engine choice end to end:
-``verify()`` runs the kernel when a spec lowers and the interpreter
-otherwise, a guard stops lowering, both engines render the same cache
-payload, and the serve-layer ``CampaignRequest`` carries no engine.
+budget-guard PARTIAL semantics, and the one engine end to end:
+``verify()`` runs the kernel on every spec -- one whose ``react``
+raises on some present-set included -- a guard stops lowering with a
+PARTIAL, both engines render the same cache payload, and the
+serve-layer ``CampaignRequest`` carries no engine.
 """
 
 from __future__ import annotations
@@ -18,16 +19,20 @@ import pytest
 
 from repro.core.essential import explore
 from repro.core.options import RunOptions
+from repro.core.protocol import ProtocolDefinitionError
 from repro.core.serialize import result_to_dict
+from repro.core.symbols import DataValue, Op
 from repro.core.verifier import verify
 from repro.engine.guard import Budget, Guard
 from repro.enumeration.exhaustive import Equivalence, enumerate_space
-from repro.ir import lower
-from repro.kernel import (
-    CompiledProtocol,
-    KernelUnsupportedError,
-    compile_protocol,
+from repro.enumeration.product import (
+    ConcreteState,
+    _apply,
+    _ctx_for,
+    initial_concrete,
 )
+from repro.ir import lower
+from repro.kernel import CompiledProtocol, compile_protocol
 from repro.kernel import enumerate_space as kernel_enumerate
 from repro.kernel import explore as kernel_explore
 from repro.obs import Collector, use_collector
@@ -145,6 +150,37 @@ def test_enumerate_parity_illinois(n, equivalence):
     assert [s.pretty() for s in base.states] == [s.pretty() for s in kern.states]
 
 
+def test_data_errors_raise_in_the_interpreters_order():
+    # An Illinois read miss beside two Dirty copies, one fresh and one
+    # holding nodata (a hand-built, unreachable state).  The first data
+    # variant (write-back and load of the fresh copy) is clean, so the
+    # interpreter next meets the nodata observer copy -- before the
+    # later variants' write-back and initiator errors.
+    spec = IllinoisProtocol()
+    state = ConcreteState(
+        ("Invalid", "Dirty", "Dirty"),
+        (DataValue.NODATA, DataValue.FRESH, DataValue.NODATA),
+        DataValue.OBSOLETE,
+    )
+    outcome = spec.react("Invalid", Op.READ, _ctx_for(spec, state, 0))
+    with pytest.raises(ValueError) as interp:
+        _apply(spec, state, 0, Op.READ, outcome)
+
+    cp = compile_protocol(spec)
+    ir = cp.ir
+    dcode = {None: 0, DataValue.FRESH: 1, DataValue.NODATA: 2, DataValue.OBSOLETE: 3}
+    packed = tuple(
+        ir.state_id(s) * 4 + dcode[d] for s, d in zip(state.states, state.cdata)
+    ) + (dcode[state.mdata],)
+    mask = 1 << ir.state_id("Dirty")
+    entry = cp.delta(packed[0], ir.op_id(Op.READ), mask, packed[-1])
+    assert entry[0] == 4  # the general path, with data choices
+    with pytest.raises(ValueError) as kern:
+        cp.apply_general(packed, 0, entry)
+    assert str(kern.value) == str(interp.value)
+    assert "observer copy" in str(interp.value)
+
+
 def test_guard_partial_semantics_explore():
     spec = IllinoisProtocol()
     result = kernel_explore(spec, guard=Guard(Budget(max_visits=5)))
@@ -166,7 +202,7 @@ def test_guard_partial_semantics_enumerate():
 
 
 # ---------------------------------------------------------------------------
-# the engine choice: engine_for() inside verify()
+# one engine: verify() runs the kernel
 # ---------------------------------------------------------------------------
 
 
@@ -178,10 +214,10 @@ def _root_spans(spec) -> list[str]:
 
 
 def test_default_backend_is_the_kernel():
-    # A spec that lowers runs on the kernel; one that does not, on the
-    # interpreter -- no option involved.
+    # Every spec runs on the kernel -- one whose react() raises on an
+    # unreachable present-set too -- with no option involved.
     assert _root_spans(IllinoisProtocol()) == ["kernel.expand"]
-    assert _root_spans(ProbeShyIllinois()) == ["expand"]
+    assert _root_spans(ProbeShyIllinois()) == ["kernel.expand"]
 
 
 def test_verify_backend_kernel_matches_interp():
@@ -221,17 +257,49 @@ def test_cache_entry_is_shared_across_backends():
         assert _without_elapsed(kern) == _without_elapsed(interp), spec.name
 
 
-def test_verify_falls_back_to_the_interpreter_when_lowering_fails():
+def test_verify_runs_a_probe_shy_spec_on_the_kernel():
+    # The unreachable observation lowers to raise entries, never
+    # reached: the kernel reports exactly what the interpreter does
+    # (Figure 4's 23 visits), and enumerates the same spaces.
     spec = ProbeShyIllinois()
-    with pytest.raises(KernelUnsupportedError, match="lowering"):
-        compile_protocol(spec)
+    raising = [t for t in compile_protocol(spec).ir.transitions if t.action.raises]
+    assert len(raising) == 11
     report = verify(spec)
-    reference = explore(IllinoisProtocol())
-    assert report.ok and reference.ok
-    assert report.result.stats.visits == reference.stats.visits
-    assert {s.pretty() for s in report.result.essential} == {
-        s.pretty() for s in reference.essential
-    }
+    reference = explore(spec)
+    assert report.ok and report.result.stats.visits == 23
+    assert _without_elapsed(result_to_dict(report.result)) == _without_elapsed(
+        result_to_dict(reference)
+    )
+    for n in (1, 2, 3):
+        kern, base = kernel_enumerate(spec, n), enumerate_space(spec, n)
+        assert [s.pretty() for s in kern.states] == [s.pretty() for s in base.states]
+        assert kern.stats.visits == base.stats.visits
+
+
+class RaisesOnReachableRead(IllinoisProtocol):
+    """Illinois whose ``react`` raises on a read miss beside a Dirty
+    copy -- a context expansion reaches."""
+
+    name = "illinois-raises-on-dirty-read"
+
+    def react(self, state, op, ctx):
+        if op is Op.READ and state == "Invalid" and ctx.has("Dirty"):
+            raise RuntimeError("boom")
+        return super().react(state, op, ctx)
+
+
+def test_a_reachable_raise_raises_on_both_engines():
+    spec = RaisesOnReachableRead()
+    with pytest.raises(RuntimeError, match="boom"):
+        explore(spec)
+    with pytest.raises(RuntimeError, match="boom"):
+        enumerate_space(spec, 2)
+    # The kernel raises when expansion reaches the raise entry.
+    message = r"react\(Invalid, R, present=\['Dirty'\]\) raised RuntimeError: boom"
+    with pytest.raises(ProtocolDefinitionError, match=message):
+        verify(spec, validate_spec=False)
+    with pytest.raises(ProtocolDefinitionError, match=message):
+        kernel_enumerate(spec, 2)
 
 
 class CancelledWhileLowering(IllinoisProtocol):
@@ -258,16 +326,27 @@ def test_guard_stops_lowering_with_a_partial_result():
     flag = threading.Event()
     spec = CancelledWhileLowering(flag)
     report = verify(spec, validate_spec=False, guard=Guard(cancel=flag))
-    # The same structured PARTIAL the interpreter returns under the
-    # sticky guard -- not an error, and not a finished lowering.
+    # A structured PARTIAL from the kernel -- not an error, and not a
+    # finished lowering: the initial state is the whole frontier.
     assert report.partial and not report.result.violations
     assert report.result.exhausted.reason == "cancelled"
+    assert not report.result.essential
+    assert report.result.frontier == (report.result.initial,)
     assert spec.calls < full.calls / 4
     # Nothing of the cut-short lowering was cached: unguarded, the same
     # object lowers in full and verifies on the kernel.
     flag.clear()
     assert _root_spans(spec) == ["kernel.expand"]
     assert verify(spec).result.stats.visits == explore(IllinoisProtocol()).stats.visits
+
+
+def test_guard_stops_lowering_before_enumeration():
+    flag = threading.Event()
+    spec = CancelledWhileLowering(flag)
+    result = kernel_enumerate(spec, 3, guard=Guard(cancel=flag))
+    assert result.partial and result.exhausted.reason == "cancelled"
+    assert not result.violations
+    assert result.frontier == (initial_concrete(spec, 3),)
 
 
 def test_campaign_request_backend_round_trip(tmp_path):

@@ -6,7 +6,8 @@ shipped zoo, the regression corpus and hypothesis-generated
 specifications; the flow-powered rule behaviour the probe sample
 cannot deliver (PL002 demotion, the PL008 stall-rule upgrade and its
 strictly-smaller false-positive set); the graceful degradation path
-when lowering fails; the zoo/corpus strict-clean regression; and the
+and a spec whose ``react`` always raises; the zoo/corpus strict-clean
+regression; and the
 ``repro lint --explain`` CLI.
 """
 
@@ -225,9 +226,10 @@ def test_zoo_flow_stall_findings_subset_of_syntactic(spec):
     assert flow_messages <= syntactic_messages
 
 
-def test_flow_analysis_degrades_to_none_on_broken_spec():
-    """A registry spec whose react() raises cannot be lowered; the
-    context must answer None instead of crashing the rule set."""
+def test_flow_analysis_of_a_spec_whose_react_always_raises():
+    """A registry spec whose react() always raises lowers to raise
+    entries only; the flow selects them but never leaves the all-invalid
+    configuration, and the rule set runs without crashing."""
     from repro.core.protocol import ProtocolSpec
 
     class Exploding(ProtocolSpec):
@@ -243,10 +245,16 @@ def test_flow_analysis_degrades_to_none_on_broken_spec():
             raise RuntimeError("boom")
 
     context = LintContext(Exploding())
-    assert context.ir is None
-    assert context.flow is None
-    # The full rule set still runs (degraded, never crashing).
-    lint_spec(Exploding())
+    ir = context.ir
+    assert ir.transitions and all(
+        t.action.raises == "RuntimeError: boom" for t in ir.transitions
+    )
+    flow = context.flow
+    assert flow.reachable_states == {ir.invalid}
+    assert flow.configs == {()}
+    assert flow.selected and not flow.completes and not flow.stalls
+    # The full rule set still runs; the raising react is a PL003 error.
+    assert "PL003" in {d.rule for d in lint_spec(Exploding()).diagnostics}
 
 
 # ----------------------------------------------------------------------
