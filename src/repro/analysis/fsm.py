@@ -25,8 +25,7 @@ from ..core.digraph import (
     strongly_connected_components,
 )
 from ..core.protocol import ProtocolSpec
-from ..core.reactions import Ctx
-from ..core.symbols import CountCase
+from ..core.reactions import observation_contexts
 
 __all__ = ["LocalFsm", "local_fsm", "check_definition_1"]
 
@@ -57,23 +56,13 @@ class LocalFsm:
         return tuple(sorted(self.graph.get(source, {}).get(target, ())))
 
 
-def _sample_contexts(spec: ProtocolSpec) -> list[Ctx]:
-    """Contexts covering every guard a shipped protocol can evaluate."""
-    valid = spec.valid_states()
-    contexts = [Ctx(frozenset(), CountCase.ZERO)]
-    for sym in valid:
-        contexts.append(Ctx(frozenset({sym}), CountCase.ONE))
-        contexts.append(Ctx(frozenset({sym}), CountCase.MANY))
-    for a, b in itertools.combinations(valid, 2):
-        contexts.append(Ctx(frozenset({a, b}), CountCase.MANY))
-    return contexts
-
-
 def local_fsm(spec: ProtocolSpec) -> LocalFsm:
     """Derive the per-cache FSM graph of *spec*.
 
-    Initiator edges are labelled ``<op>``; observer (coincident) edges
-    are labelled ``snoop:<op>_<initiator-state>``.
+    Every present-set is probed; a probe that raises adds no edge (the
+    flow analysis treats a ``raises`` entry the same way).  Initiator
+    edges are labelled ``<op>``; observer (coincident) edges are
+    labelled ``snoop:<op>_<initiator-state>``.
     """
     graph: dict[str, dict[str, set[str]]] = {state: {} for state in spec.states}
 
@@ -81,11 +70,15 @@ def local_fsm(spec: ProtocolSpec) -> LocalFsm:
         graph.setdefault(source, {}).setdefault(target, set()).add(reason)
         graph.setdefault(target, {})
 
+    contexts = observation_contexts(spec.valid_states())
     for state, op in itertools.product(spec.states, spec.operations):
         if not spec.applicable(state, op):
             continue
-        for ctx in _sample_contexts(spec):
-            outcome = spec.react(state, op, ctx)
+        for ctx in contexts:
+            try:
+                outcome = spec.react(state, op, ctx)
+            except Exception:  # noqa: BLE001 - a raising probe adds no edge
+                continue
             if outcome.stalled:
                 continue
             add_edge(state, outcome.next_state, op.value)

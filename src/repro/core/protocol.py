@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Sequence
 
 from .errors import StatePattern
-from .reactions import Ctx, Outcome, INITIATOR
-from .symbols import CountCase, Op
+from .reactions import Ctx, Outcome, INITIATOR, observation_contexts
+from .symbols import Op
 
 __all__ = ["ProtocolSpec", "ProtocolDefinitionError"]
 
@@ -107,10 +106,12 @@ class ProtocolSpec(abc.ABC):
     def validate(self) -> None:
         """Check the specification for internal consistency.
 
-        Exercises :meth:`react` over every (state, operation, context)
-        combination and verifies that all named states exist, that
-        replacement ends in the invalid state, and that observers named
-        in outcomes are valid states.  Raises
+        Exercises :meth:`react` over every (state, operation) pair in
+        every context with at most two present states (the
+        well-formedness domain: a ``react`` may reject a larger
+        present-set no reachable state produces) and verifies that all
+        named states exist, that replacement ends in the invalid state,
+        and that observers named in outcomes are valid states.  Raises
         :class:`ProtocolDefinitionError` on the first problem found.
         """
         if not self.name:
@@ -121,11 +122,15 @@ class ProtocolSpec(abc.ABC):
             )
         if len(set(self.states)) != len(self.states):
             raise ProtocolDefinitionError(f"{self.name}: duplicate state symbols")
-        valid = self.valid_states()
+        contexts = [
+            ctx
+            for ctx in observation_contexts(self.valid_states())
+            if len(ctx.present) <= 2
+        ]
         for state, op in itertools.product(self.states, self.operations):
             if not self.applicable(state, op):
                 continue
-            for ctx in self._sample_contexts(valid):
+            for ctx in contexts:
                 try:
                     outcome = self.react(state, op, ctx)
                 except Exception as exc:  # noqa: BLE001 - reported with context
@@ -133,20 +138,6 @@ class ProtocolSpec(abc.ABC):
                         f"{self.name}: react({state}, {op}, {ctx}) raised {exc!r}"
                     ) from exc
                 self._check_outcome(state, op, ctx, outcome)
-
-    def _sample_contexts(self, valid: Sequence[str]) -> list[Ctx]:
-        """A representative set of contexts for :meth:`validate`.
-
-        The empty context, every singleton valid state and every
-        two-state combination with both ONE and MANY copy counts.
-        """
-        contexts = [Ctx(frozenset(), CountCase.ZERO)]
-        for sym in valid:
-            contexts.append(Ctx(frozenset({sym}), CountCase.ONE))
-            contexts.append(Ctx(frozenset({sym}), CountCase.MANY))
-        for a, b in itertools.combinations(valid, 2):
-            contexts.append(Ctx(frozenset({a, b}), CountCase.MANY))
-        return contexts
 
     def _check_outcome(self, state: str, op: Op, ctx: Ctx, outcome: Outcome) -> None:
         where = f"{self.name}: react({state}, {op.value}, copies={ctx.copies})"

@@ -23,8 +23,9 @@ protocol semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .symbols import CountCase
 
@@ -36,6 +37,7 @@ __all__ = [
     "ObserverReaction",
     "Outcome",
     "Ctx",
+    "observation_contexts",
     "stay",
     "stall",
 ]
@@ -166,3 +168,26 @@ class Ctx:
     def has(self, *symbols: str) -> bool:
         """True iff another cache is in any of the given FSM states."""
         return any(sym in self.present for sym in symbols)
+
+
+def observation_contexts(valid: Sequence[str]) -> tuple[Ctx, ...]:
+    """Every context a cache can observe, given the *valid* states.
+
+    In the paper's model (Definition 1) a cache sees the rest of the
+    system only through the present-set, so the powerset of the valid
+    states enumerates every distinguishable context: the empty set with
+    ZERO copies, then each non-empty subset with MANY copies (``copies``
+    only ever matters through :attr:`Ctx.any_copy`, which the present-set
+    already decides), ordered by size and then by sorted state names.
+    Every prober of ``react`` -- IR lowering, the spec fingerprint,
+    lint, the Definition 1 FSM and :meth:`ProtocolSpec.validate` --
+    reads this one domain.
+    """
+    ordered = sorted(valid)
+    contexts = [Ctx(frozenset(), CountCase.ZERO)]
+    for size in range(1, len(ordered) + 1):
+        contexts.extend(
+            Ctx(frozenset(combo), CountCase.MANY)
+            for combo in combinations(ordered, size)
+        )
+    return tuple(contexts)

@@ -13,14 +13,13 @@ The batch engine (:mod:`repro.engine`) relies on this: golden files,
 spec fingerprints and cache keys are all hashes of this output.
 
 :func:`spec_to_dict` additionally renders a *protocol specification*
-itself into a canonical behavioural table (every reaction over a
-deterministic sample of observation contexts), which is what
+itself into a canonical behavioural table (every reaction in every
+present-set a cache can observe), which is what
 :func:`repro.engine.fingerprint.spec_fingerprint` hashes.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Any
 
@@ -29,8 +28,8 @@ from .errors import Violation, Witness
 from .essential import ExpansionResult
 from .operators import Rep
 from .protocol import ProtocolSpec
-from .reactions import Ctx, Outcome
-from .symbols import CountCase, DataValue, SharingLevel
+from .reactions import Outcome, observation_contexts
+from .symbols import DataValue, SharingLevel
 
 __all__ = [
     "state_to_dict",
@@ -191,43 +190,24 @@ def outcome_to_dict(outcome: Outcome) -> dict[str, Any]:
     }
 
 
-def _sample_contexts(valid: tuple[str, ...]) -> list[Ctx]:
-    """Deterministic sample of observation contexts for *valid* states.
-
-    The empty context, every singleton with ONE and MANY copies, and
-    every two- and three-state combination with MANY copies -- a strict
-    superset of what :meth:`ProtocolSpec.validate` exercises, covering
-    every context shape the symbolic expander can construct for the
-    shipped protocol zoo.
-    """
-    ordered = sorted(valid)
-    contexts = [Ctx(frozenset(), CountCase.ZERO)]
-    for sym in ordered:
-        contexts.append(Ctx(frozenset({sym}), CountCase.ONE))
-        contexts.append(Ctx(frozenset({sym}), CountCase.MANY))
-    for size in (2, 3):
-        for combo in itertools.combinations(ordered, size):
-            contexts.append(Ctx(frozenset(combo), CountCase.MANY))
-    return contexts
-
-
 def spec_to_dict(spec: ProtocolSpec) -> dict[str, Any]:
     """Canonical behavioural rendering of a protocol specification.
 
     Tabulates :meth:`ProtocolSpec.react` over every state, operation
-    and sampled context in a deterministic order, alongside the
-    structural attributes (states, error patterns, characteristic
-    function).  Two specifications with the same rendering behave
-    identically on every scenario the verifier can pose, which is what
-    makes the rendering a sound substrate for content-addressed result
-    caching (see :mod:`repro.engine.fingerprint`).
+    and present-set (:func:`~repro.core.reactions.observation_contexts`)
+    in a deterministic order, alongside the structural attributes
+    (states, error patterns, characteristic function).  Two
+    specifications with the same rendering behave identically on every
+    scenario the verifier can pose, which is what makes the rendering a
+    sound substrate for content-addressed result caching (see
+    :mod:`repro.engine.fingerprint`).
 
     A reaction that raises is recorded (exception type name) rather
     than propagated, so even pathological specifications fingerprint
     deterministically.
     """
     reactions: list[dict[str, Any]] = []
-    contexts = _sample_contexts(spec.valid_states())
+    contexts = observation_contexts(spec.valid_states())
     for state in spec.states:
         for op in spec.operations:
             if not spec.applicable(state, op):

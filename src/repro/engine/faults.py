@@ -14,8 +14,8 @@ Ingredients:
   trip the runner's soft-cancel);
 * :class:`FaultedSpec` -- a delegating protocol wrapper that detonates
   the fault inside ``react`` **only in worker processes**: the parent
-  fingerprints the very same spec (``spec_to_dict`` exercises every
-  reaction) without triggering it;
+  fingerprints the very same spec (``spec_to_dict`` calls ``react`` in
+  every present-set) without triggering it;
 * :func:`inject` -- apply a plan to a job list;
 * :func:`corrupt_cache_entry` / :func:`tear_journal` /
   :func:`corrupt_store_file` -- storage-level faults: a flipped-bit

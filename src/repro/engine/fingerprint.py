@@ -39,7 +39,8 @@ __all__ = [
 #: "4": the verification mode joined the job key and liveness-mode
 #: payloads carry a ``liveness`` section.
 #: "5": the engine choice left the job key (both engines' payloads are equal).
-ENGINE_VERSION = "5"
+#: "6": :func:`spec_to_dict` tabulates every present-set, once each.
+ENGINE_VERSION = "6"
 
 
 def canonical_json(payload: Any) -> str:

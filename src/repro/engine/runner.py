@@ -95,17 +95,10 @@ _TICK = 0.05
 class SerialRunner:
     """Execute jobs sequentially in the calling process.
 
-    Per-job timeouts cannot be enforced without process isolation, so
-    ``timeout`` is accepted for interface parity but ignored; use
-    :class:`ParallelRunner` (even with one worker) when runaway
-    specifications are a concern.
+    It has no timeouts and no retries: both need process isolation to be
+    enforceable, so use :class:`ParallelRunner` (even with one worker)
+    when runaway specifications are a concern.
     """
-
-    def __init__(
-        self, *, timeout: float | None = None, retries: int = 0
-    ) -> None:
-        self.timeout = timeout
-        self.retries = retries
 
     def run(
         self,
@@ -651,7 +644,7 @@ def make_runner(
     serial runner has nothing to back off from or quarantine).
     """
     if workers <= 1 and timeout is None:
-        return SerialRunner(retries=retries)
+        return SerialRunner()
     kwargs: dict[str, Any] = {
         "workers": workers,
         "timeout": timeout,

@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..core.errors import ForbidMultiple, ForbidState, ForbidTogether
 from ..core.protocol import ProtocolSpec
-from ..core.reactions import INITIATOR, Ctx, Outcome
-from ..core.symbols import CountCase, Op
+from ..core.reactions import INITIATOR, Outcome, observation_contexts
+from ..core.symbols import Op
 from ..protocols.dsl import DslProtocol
 from .model import SELF, IRAction, IRError, IRGuard, IRTransition, ProtocolIR
 
@@ -167,11 +167,6 @@ def lower_dsl(dsl: DslProtocol) -> ProtocolIR:
 # ----------------------------------------------------------------------
 # Registry lowering (exact probing + guard synthesis)
 # ----------------------------------------------------------------------
-def _probe_ctx(present: frozenset[str]) -> Ctx:
-    copies = CountCase.MANY if present else CountCase.ZERO
-    return Ctx(present=present, copies=copies)
-
-
 def _signature(
     outcome: Outcome, state_id: dict[str, int]
 ) -> tuple[object, ...]:
@@ -322,8 +317,9 @@ def lower_spec(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
     """Recover a :class:`ProtocolIR` from an opaque protocol by probing.
 
     Exact for every specification in the paper's model: ``react`` is a
-    pure function of ``(state, op, present-set)``, and the powerset of
-    valid states enumerates every distinguishable present-set.
+    pure function of ``(state, op, present-set)``, and
+    :func:`~repro.core.reactions.observation_contexts` enumerates every
+    distinguishable present-set.
 
     A probe that raises is recorded as a ``raises`` entry (exception
     type and message), not propagated: a ``react`` may reject a
@@ -337,9 +333,7 @@ def lower_spec(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
     state_id, op_id, fields = _header(spec)
     valid = spec.valid_states()
     valid_ids = tuple(state_id[s] for s in valid)
-    subsets: list[frozenset[str]] = [frozenset()]
-    for size in range(1, len(valid) + 1):
-        subsets.extend(frozenset(c) for c in combinations(valid, size))
+    contexts = observation_contexts(valid)
 
     transitions: list[IRTransition] = []
     for state in spec.states:
@@ -347,19 +341,19 @@ def lower_spec(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
             if not spec.applicable(state, op):
                 continue
             table: dict[frozenset[int], tuple] = {}
-            for subset in subsets:
+            for ctx in contexts:
                 exhausted = guard.check() if guard is not None else None
                 if exhausted is not None:
                     raise IRError(
                         f"{spec.name}: lowering stopped: {exhausted.describe()}"
                     )
                 try:
-                    outcome = spec.react(state, op, _probe_ctx(subset))
+                    outcome = spec.react(state, op, ctx)
                 except Exception as exc:  # noqa: BLE001 - recorded, not raised
                     signature: tuple = ("raises", f"{type(exc).__name__}: {exc}")
                 else:
                     signature = _signature(outcome, state_id)
-                table[frozenset(state_id[s] for s in subset)] = signature
+                table[frozenset(state_id[s] for s in ctx.present)] = signature
             for when, signature in _synthesize_cell(table, valid_ids):
                 transitions.append(
                     IRTransition(

@@ -5,9 +5,10 @@ and precomputes everything the rules need *without running a symbolic
 expansion*:
 
 * the **probe table** -- for every applicable ``(state, op)`` pair and
-  every observation context in a small deterministic sample, which DSL
-  rule is selected (first-match) or what ``react`` returns.  DSL
-  specifications are probed *statically* (guards are evaluated, but no
+  every present-set (:func:`~repro.core.reactions.observation_contexts`,
+  the domain IR lowering enumerates), which DSL rule is selected
+  (first-match) or what ``react`` returns.  DSL specifications are
+  probed *statically* (guards are evaluated, but no
   :class:`~repro.core.reactions.Outcome` is materialized, so a broken
   ``load cache:`` clause surfaces as a diagnostic instead of an
   exception);
@@ -16,25 +17,21 @@ expansion*:
 * location helpers that produce physical (file/line/column) locations
   for DSL specs and symbolic locations for registry specs.
 
-The context sample is the one :meth:`ProtocolSpec.validate` uses
-(empty, singletons with ONE/MANY, pairs with MANY) extended with one
-targeted context per DSL guard that mentions three or more states, so
-first-match shadowing analysis never mistakes a deep guard for dead
-code.
+Because every present-set is probed, first-match shadowing analysis
+never mistakes a deep guard for dead code.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..core.protocol import ProtocolSpec
-from ..core.reactions import Ctx
-from ..core.symbols import CountCase, Op
+from ..core.reactions import Ctx, observation_contexts
+from ..core.symbols import Op
 from .model import Diagnostic, Location, Severity
 
-__all__ = ["ProbeEntry", "LintContext", "probe_contexts"]
+__all__ = ["ProbeEntry", "LintContext"]
 
 #: Sentinel for "not computed yet" in the lazy IR/flow slots (``None``
 #: is a meaningful cached value: "lowering/analysis failed").
@@ -62,25 +59,6 @@ class ProbeEntry:
     def matched(self) -> bool:
         """True iff some behaviour was found for this cell."""
         return self.next_state is not None
-
-
-def probe_contexts(
-    valid: Sequence[str], extra_supports: Sequence[frozenset[str]] = ()
-) -> list[Ctx]:
-    """The deterministic context sample used by every probe-based rule."""
-    contexts: list[Ctx] = [Ctx(frozenset(), CountCase.ZERO)]
-    for sym in valid:
-        contexts.append(Ctx(frozenset({sym}), CountCase.ONE))
-        contexts.append(Ctx(frozenset({sym}), CountCase.MANY))
-    for a, b in itertools.combinations(valid, 2):
-        contexts.append(Ctx(frozenset({a, b}), CountCase.MANY))
-    seen = {c.present for c in contexts}
-    for support in extra_supports:
-        support = frozenset(s for s in support if s in valid)
-        if len(support) >= 3 and support not in seen:
-            contexts.append(Ctx(support, CountCase.MANY))
-            seen.add(support)
-    return contexts
 
 
 class LintContext:
@@ -112,23 +90,9 @@ class LintContext:
             self._probes = self._build_probes()
         return self._probes
 
-    def _guard_supports(self) -> list[frozenset[str]]:
-        """Per-rule sets of ``has()`` states (to cover deep guards)."""
-        if self.dsl is None:
-            return []
-        supports = []
-        for dsl_rule in self.dsl._rules:
-            has_states = frozenset(
-                state
-                for kind, state in dsl_rule.guard.atoms
-                if kind == "has" and state is not None
-            )
-            supports.append(has_states)
-        return supports
-
     def _build_probes(self) -> list[ProbeEntry]:
         spec = self.spec
-        contexts = probe_contexts(spec.valid_states(), self._guard_supports())
+        contexts = observation_contexts(spec.valid_states())
         entries: list[ProbeEntry] = []
         for state, op in itertools.product(spec.states, spec.operations):
             if not spec.applicable(state, op):
@@ -171,10 +135,6 @@ class LintContext:
             stalled=outcome.stalled,
         )
 
-    def probes_for(self, state: str, op: Op) -> list[ProbeEntry]:
-        """The probe entries of one ``(state, op)`` pair."""
-        return [e for e in self.probes if e.state == state and e.op is op]
-
     # ------------------------------------------------------------------
     # Guarded-action IR and flow analysis
     # ------------------------------------------------------------------
@@ -184,8 +144,7 @@ class LintContext:
 
         ``None`` means lowering failed (e.g. a DSL rule guarding on an
         undeclared state; a ``react`` that raises lowers to ``raises``
-        entries instead); flow-sensitive rules degrade gracefully to
-        their syntactic fallbacks in that case.
+        entries instead); flow-sensitive rules stay silent in that case.
         """
         if self._ir is _UNSET:
             from ..ir import lower  # local: avoid import cycles

@@ -1,12 +1,13 @@
 """Abstract-reachability dataflow engine over the guarded-action IR.
 
-The probe-based lint rules sample contexts; this module *computes*
-them.  An abstract system configuration maps each valid state to a
-saturating count -- ``ONE`` (exactly one cache) or ``MANY`` (two or
-more) -- the same 0/1/many abstraction the paper's symbolic expansion
-uses for composite states.  Starting from the all-invalid
-configuration (every cache holds no copy), the engine explores the
-finite configuration space to a fixpoint:
+The probe-based lint rules read every present-set; this module
+*computes* which of them are reachable.  An abstract system
+configuration maps each valid state to a saturating count -- ``ONE``
+(exactly one cache) or ``MANY`` (two or more) -- the same 0/1/many
+abstraction the paper's symbolic expansion uses for composite states.
+Starting from the all-invalid configuration (every cache holds no
+copy), the engine explores the finite configuration space to a
+fixpoint:
 
 * pick an **initiator** state (any state in the configuration, or the
   invalid state -- there is always an unbounded supply of invalid

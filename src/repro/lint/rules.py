@@ -7,15 +7,14 @@ expanded, view of one specification -- so a statically broken protocol
 is diagnosed without paying for (or crashing) a symbolic verification.
 
 Rule ids are stable: ``PL000`` is reserved for DSL parse errors (emitted
-by the front end in :mod:`repro.lint.api`), ``PL001``--``PL011`` are the
-probe-based checkers, ``PL012``--``PL015`` are flow-sensitive: they
+by the front end in :mod:`repro.lint.api`), ``PL001``--``PL011`` (but
+PL008) read the probe table, which covers every present-set a cache
+can observe; ``PL008`` and ``PL012``--``PL015`` are flow-sensitive: they
 consult the abstract-reachability analysis over the guarded-action IR
-(:mod:`repro.lint.flow`) and degrade gracefully (fall back or stay
-silent) when lowering fails.  The flow analysis also *demotes* false
-positives of the probe-based rules: PL002 skips rules the fixpoint
-proves selectable, and PL008 only warns about stalls that are
-permanent under abstract reachability.  See ``docs/LINT.md`` for the
-full catalog with rationale and examples.
+(:mod:`repro.lint.flow`) and stay silent when lowering fails.  PL008
+only warns about stalls that are permanent under abstract
+reachability.  See ``docs/LINT.md`` for the full catalog with
+rationale and examples.
 """
 
 from __future__ import annotations
@@ -247,27 +246,17 @@ def check_unreachable_state(ctx: LintContext) -> Iterator[Diagnostic]:
 def check_shadowed_guard(ctx: LintContext) -> Iterator[Diagnostic]:
     """A DSL rule that first-match-wins order makes unselectable.
 
-    Guards are evaluated in declaration order; if every context in the
-    probe sample that satisfies a rule's guard is already claimed by an
-    earlier rule of the same ``(state, op)``, the later rule is dead --
-    typically a mis-ordered ``if any`` before an ``if has(...)``.
-    Rules excluded from the alphabet or by ``restrict`` are PL010's
-    business, not this rule's.
-
-    The probe sample under-approximates contexts, so the flow analysis
-    is consulted as a second chance: a rule the abstract-reachability
-    fixpoint proves selectable in some reachable configuration is never
-    flagged, even when every sampled context misses it.
+    Guards are evaluated in declaration order; if every present-set
+    that satisfies a rule's guard is already claimed by an earlier rule
+    of the same ``(state, op)``, the later rule is dead -- typically a
+    mis-ordered ``if any`` before an ``if has(...)``.  The probe table
+    covers every present-set, so a rule it never selects is
+    unselectable in any context.  Rules excluded from the alphabet or
+    by ``restrict`` are PL010's business, not this rule's.
     """
     if ctx.dsl is None:
         return
     selected = {e.rule_index for e in ctx.probes if e.rule_index is not None}
-    flow = ctx.flow
-    if flow is not None:
-        for t_index in flow.selected:
-            origin = flow.ir.transitions[t_index].origin
-            if origin is not None:
-                selected.add(origin)
     for index, dsl_rule in enumerate(ctx.dsl._rules):
         if index in selected:
             continue
@@ -453,7 +442,7 @@ def check_unsatisfiable_supplier(ctx: LintContext) -> Iterator[Diagnostic]:
     """A data clause whose supplier cannot exist when the rule fires.
 
     ``load cache:S`` and ``writeback S`` promise a cache in state ``S``
-    supplies or flushes the block; if the probe sample selects the rule
+    supplies or flushes the block; if the probe table selects the rule
     in a context with no such copy, the promise is broken at runtime
     (a ``DslError`` mid-verification).  The usual culprit is a missing
     ``if has(S)`` guard or mis-ordered rules.
@@ -545,7 +534,7 @@ def check_invalid_observer(ctx: LintContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# PL008 -- stall cycle (flow-routed, with a syntactic fallback)
+# PL008 -- stall cycle (flow-routed)
 # ----------------------------------------------------------------------
 def _stall_location(ctx: LintContext, state: str, op: Op) -> Location:
     """Best location for a stall finding: the first stalling DSL rule."""
@@ -554,34 +543,6 @@ def _stall_location(ctx: LintContext, state: str, op: Op) -> Location:
         if stalling:
             return ctx.rule_location(ctx.dsl._rules.index(stalling[0]))
     return ctx.symbolic(f"react({state}, {op.value})")
-
-
-def syntactic_stall_findings(ctx: LintContext) -> Iterator[Diagnostic]:
-    """The original probe-sample stall heuristic (PL008's fallback).
-
-    Kept as a named function so the flow-routed rule can degrade to it
-    when lowering fails, and so tests can compare the two analyses'
-    false-positive rates directly.
-    """
-    completes: set[tuple[str, Op]] = set()
-    always_stalls: set[tuple[str, Op]] = set()
-    for state, op in {(e.state, e.op) for e in ctx.probes}:
-        entries = ctx.probes_for(state, op)
-        if any(e.matched and not e.stalled for e in entries):
-            completes.add((state, op))
-        elif entries and all(e.stalled for e in entries):
-            always_stalls.add((state, op))
-    for state, op in sorted(always_stalls, key=lambda p: (p[0], p[1].value)):
-        escape = ctx.reachable_from(state)
-        if any((other, op) in completes for other in escape):
-            continue
-        yield ctx.diag(
-            "PL008",
-            Severity.WARNING,
-            f"operation {op.value} always stalls in state {state} and no "
-            "reachable state completes it (possible deadlock)",
-            _stall_location(ctx, state, op),
-        )
 
 
 @rule("PL008", Severity.WARNING, "stall-cycle",
@@ -594,10 +555,10 @@ def check_stall_cycle(ctx: LintContext) -> Iterator[Diagnostic]:
     stalls in every reachable context of the state, and no state the
     cache can flow to (by issuing other operations or by being snooped)
     completes it.  The check runs on the abstract-reachability fixpoint
-    over the guarded-action IR, so a stall that some deeper-than-sampled
-    context resolves is not flagged -- the flow engine strictly demotes
-    the old probe-sample heuristic's false positives.  When lowering
-    fails the probe-sample heuristic still runs as a fallback.
+    over the guarded-action IR, so a stall that some reachable context
+    resolves is not flagged.  When lowering fails the rule stays silent,
+    like PL012--PL015: only malformed specifications fail to lower, and
+    PL004/PL007 report those as errors.
 
     This remains a *static over-approximation* of the dynamic
     starvation analysis (:mod:`repro.liveness`, ``--mode liveness``):
@@ -608,7 +569,6 @@ def check_stall_cycle(ctx: LintContext) -> Iterator[Diagnostic]:
     """
     flow = ctx.flow
     if flow is None:
-        yield from syntactic_stall_findings(ctx)
         return
     ir = flow.ir
     permanent = sorted(
@@ -790,7 +750,7 @@ def check_unreachable_transition(ctx: LintContext) -> Iterator[Diagnostic]:
 def check_subsumed_guard(ctx: LintContext) -> Iterator[Diagnostic]:
     """First-match subsumption proven over reachable contexts.
 
-    PL002 reports a rule no *sampled* context selects; this rule proves
+    PL002 reports a rule no present-set selects; this rule proves
     the stronger flow-sensitive fact: the guard is satisfiable in
     reachable configurations, but an earlier transition of the same
     ``(state, op)`` cell wins every one of them, naming the culprit.

@@ -7,9 +7,12 @@ lives in exactly one place.
 
 from __future__ import annotations
 
+import copy
+
 from hypothesis import strategies as st
 
 from repro.core.composite import CompositeState, Label, make_state, parse_class_spec
+from repro.core.protocol import ProtocolSpec
 from repro.core.symbols import DataValue, Op, SharingLevel
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.perturb import (
@@ -24,6 +27,7 @@ __all__ = [
     "OPS",
     "ProbeShyIllinois",
     "build_state",
+    "shy_when_full",
     "perturbed_protocols",
     "generated_specs",
 ]
@@ -90,3 +94,19 @@ class ProbeShyIllinois(IllinoisProtocol):
         if len(ctx.present) == len(self.valid_states()):
             raise RuntimeError("unreachable observation")
         return super().react(state, op, ctx)
+
+
+def shy_when_full(spec: ProtocolSpec) -> ProtocolSpec:
+    """A copy of *spec*, same name, whose ``react`` raises only when
+    every valid state is held by other caches at once -- it differs
+    from *spec* in that one present-set and nowhere else."""
+
+    class ShyWhenFull(type(spec)):
+        def react(self, state, op, ctx):
+            if len(ctx.present) == len(self.valid_states()):
+                raise RuntimeError("every valid state present")
+            return super().react(state, op, ctx)
+
+    shy = copy.copy(spec)
+    shy.__class__ = ShyWhenFull
+    return shy

@@ -19,7 +19,7 @@ from repro.core.symbols import DataValue, Op, SharingLevel
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.mutations import get_mutant, mutants_for
 from repro.protocols.registry import all_protocols
-from tests.helpers import build_state
+from tests.helpers import ProbeShyIllinois, build_state
 
 _SPLIT = "cache FSM is not strongly connected; components: "
 
@@ -74,6 +74,13 @@ class TestLocalFsm:
             r.startswith("snoop:R") for r in fsm.edge_reasons("Dirty", "Shared")
         )
         assert fsm.edge_reasons("Dirty", "V-Ex") == ()
+
+    def test_a_raising_probe_adds_no_edge(self):
+        # Every present-set is probed, the all-present one raises.
+        assert check_definition_1(ProbeShyIllinois()) == []
+        assert local_fsm(ProbeShyIllinois()).graph == local_fsm(
+            IllinoisProtocol()
+        ).graph
 
     def test_all_protocols_satisfy_definition_1(self, every_protocol):
         for spec in every_protocol:

@@ -33,10 +33,11 @@ from repro.engine import (
     run_batch,
     spec_fingerprint,
 )
-from repro.protocols.dsl import load_builtin
+from repro.protocols.dsl import builtin_spec_names, load_builtin
 from repro.protocols.msi import MsiProtocol
 from repro.protocols.mutations import get_mutant, mutants_for
 from repro.protocols.registry import all_protocols, get_protocol, protocol_names
+from tests.helpers import shy_when_full
 
 EXAMPLES_SPECS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -107,6 +108,30 @@ class TestFingerprint:
         a = json.dumps(spec_to_dict(get_protocol("moesi")), sort_keys=True)
         b = json.dumps(spec_to_dict(get_protocol("moesi")), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize("name", ["dragon", "moesi", "mesif"])
+    def test_every_present_set_is_fingerprinted(self, name):
+        # Four valid states: the wrapper differs only in the one context
+        # where all four are present.
+        spec = get_protocol(name)
+        assert len(spec.valid_states()) == 4
+        assert spec_fingerprint(shy_when_full(spec)) != spec_fingerprint(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [*all_protocols(), *(load_builtin(n) for n in builtin_spec_names())],
+        ids=lambda s: s.name,
+    )
+    def test_spec_dict_tabulates_each_cell_over_every_present_set(self, spec):
+        cells: dict[tuple[str, str], list[frozenset[str]]] = {}
+        for entry in spec_to_dict(spec)["reactions"]:
+            if "ctx" in entry:
+                present = frozenset(entry["ctx"]["present"])
+                cells.setdefault((entry["state"], entry["op"]), []).append(present)
+        assert cells
+        for presents in cells.values():
+            assert len(presents) == len(set(presents))
+            assert len(presents) == 2 ** len(spec.valid_states())
 
     def test_job_key_depends_on_options(self):
         fp = spec_fingerprint(get_protocol("msi"))
@@ -294,6 +319,22 @@ class TestRunBatch:
         for a, b in zip(cold.results, warm.results):
             assert a.status == b.status
             assert a.payload == b.payload
+
+    def test_a_spec_differing_in_one_present_set_is_not_a_cache_hit(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path)
+        original = run_batch(
+            [VerificationJob(protocol="moesi", mutant="drop-invalidation")],
+            cache=cache,
+        )
+        assert original.results[0].status == JobStatus.VIOLATION
+        shy = shy_when_full(get_mutant(get_protocol("moesi"), "drop-invalidation"))
+        assert shy.name == "moesi+drop-invalidation"
+        report = run_batch([VerificationJob(spec=shy)], cache=cache)
+        (result,) = report.results
+        assert not result.cached and report.cache_hits == 0
+        assert result.status == JobStatus.ERROR
 
     def test_results_keep_input_order(self):
         jobs = [

@@ -3,12 +3,10 @@
 Covers the abstract-reachability fixpoint engine
 (:mod:`repro.lint.flow`): termination and lattice invariants over the
 shipped zoo, the regression corpus and hypothesis-generated
-specifications; the flow-powered rule behaviour the probe sample
-cannot deliver (PL002 demotion, the PL008 stall-rule upgrade and its
-strictly-smaller false-positive set); the graceful degradation path
-and a spec whose ``react`` always raises; the zoo/corpus strict-clean
-regression; and the
-``repro lint --explain`` CLI.
+specifications; deep guards and stalls that only a three-state
+context resolves (PL002, PL008); the silent degradation path and a
+spec whose ``react`` always raises; the zoo/corpus strict-clean
+regression; and the ``repro lint --explain`` CLI.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.ir import lower
 from repro.lint import RULES, Severity, lint_path, lint_source, lint_spec
 from repro.lint.context import LintContext
 from repro.lint.flow import FlowAnalysis, _merge
-from repro.lint.rules import syntactic_stall_findings
 from repro.protocols.dsl import builtin_spec_names, load_builtin, parse_protocol
 from repro.protocols.registry import all_protocols, get_protocol
 from tests.helpers import generated_specs
@@ -32,8 +29,8 @@ from tests.helpers import generated_specs
 CORPUS = sorted(Path("tests/corpus").glob("*.proto"))
 
 # A spec whose second (I, R) rule is selected only when all three valid
-# states are populated -- a context the probe sample never visits, but
-# one the flow fixpoint reaches (empty -> {A} -> {A,B} -> {A,B,X}).
+# states are populated -- a context the flow fixpoint reaches
+# (empty -> {A} -> {A,B} -> {A,B,X}).
 DEEP = """\
 protocol deep
 states I A B X
@@ -46,9 +43,8 @@ on I W if has(A) -> B load memory
 on I W -> A load memory
 """
 
-# Every sampled (I, L) context stalls, so the probe heuristic reports a
-# deadlock -- but the flow-reachable {A, B, X} context completes L, so
-# the upgraded rule stays silent.
+# (I, L) stalls in every context but {A, B, X}, which the flow fixpoint
+# reaches: L completes there, so the stall is no deadlock.
 STALL_FP = """\
 protocol stall-fp
 operations R W Z L
@@ -165,33 +161,19 @@ def test_merge_is_saturating_and_order_independent(items):
 # ----------------------------------------------------------------------
 # Flow-powered rule behaviour
 # ----------------------------------------------------------------------
-def test_pl002_demoted_by_flow_selection():
-    """The deep rule is invisible to the probe sample but selectable in
-    a flow-reachable configuration: PL002 must stay silent."""
+def test_pl002_silent_on_a_deep_rule():
+    """The deep rule is selected only in the three-state context: the
+    probe table covers every present-set, so it sees the rule too."""
     context = LintContext(parse_protocol(DEEP, default_name="deep"))
     probe_selected = {
         e.rule_index for e in context.probes if e.rule_index is not None
     }
-    # Guard the test's premise: if the probe sample ever grows to cover
-    # the 3-state context, this spec no longer exercises the demotion.
-    assert 1 not in probe_selected
-    flow = context.flow
-    assert flow is not None
-    assert 1 in {flow.ir.transitions[i].origin for i in flow.selected}
+    assert 1 in probe_selected
     report = lint_source(DEEP, name="deep", select=["PL002"])
     assert not report.diagnostics
 
 
-def test_pl008_flow_strictly_fewer_false_positives():
-    """The probe heuristic flags (I, L); the flow fixpoint proves the
-    deep context completes it.  This is the strict demotion the rule
-    upgrade claims."""
-    context = LintContext(parse_protocol(STALL_FP, default_name="stall-fp"))
-    syntactic = list(syntactic_stall_findings(context))
-    assert [d.message for d in syntactic] == [
-        "operation L always stalls in state I and no reachable state "
-        "completes it (possible deadlock)"
-    ]
+def test_pl008_silent_when_a_reachable_context_completes_the_stall():
     report = lint_source(STALL_FP, name="stall-fp", select=["PL008"])
     assert not report.diagnostics
 
@@ -201,29 +183,13 @@ def test_pl008_still_fires_on_real_deadlock():
     assert any(d.rule == "PL008" for d in report.diagnostics)
 
 
-def test_pl008_falls_back_to_probes_when_flow_degrades():
-    context = LintContext(parse_protocol(STALL_FP, default_name="stall-fp"))
+def test_flow_rules_are_silent_when_flow_degrades():
+    context = LintContext(
+        parse_protocol(RULES["PL008"].example, default_name="deadlock")
+    )
     context._flow = None  # simulate a failed lowering
-    findings = list(RULES["PL008"].check(context))
-    assert [d.rule for d in findings] == ["PL008"]
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [*all_protocols(), *(load_builtin(n) for n in builtin_spec_names())],
-    ids=lambda s: s.name,
-)
-def test_zoo_flow_stall_findings_subset_of_syntactic(spec):
-    """On every shipped protocol the upgraded rule's findings are a
-    subset of the old heuristic's (never a new false positive)."""
-    context = LintContext(spec)
-    flow_messages = {
-        d.message for d in RULES["PL008"].check(context)
-    }
-    syntactic_messages = {
-        d.message for d in syntactic_stall_findings(LintContext(spec))
-    }
-    assert flow_messages <= syntactic_messages
+    for rule_id in ("PL008", "PL012", "PL013", "PL014", "PL015"):
+        assert list(RULES[rule_id].check(context)) == [], rule_id
 
 
 def test_flow_analysis_of_a_spec_whose_react_always_raises():

@@ -35,16 +35,17 @@ NON_DEFAULT: dict[str, tuple[object, list[str]]] = {
     "max_rss_mb": (64.0, ["--max-rss-mb", "64"]),
 }
 
-#: ``job_key`` values pinned byte for byte (engine version "5");
-#: refactors must keep existing cache entries reachable.
+#: ``job_key`` values pinned byte for byte (engine version "6": the
+#: spec fingerprint tabulates every present-set once); refactors must
+#: keep existing cache entries reachable.
 PINNED_KEYS = [
     (
         RunOptions(),
-        "0e942d6b7ad8dc44722786136266252e0ec15260c04beff0a92da740a021fab4",
+        "db282d5026601a064f4eecb3702f569cc5bfcf60ae119cb9b080e68ad1b9ec79",
     ),
     (
         RunOptions(mode="liveness", deadline=2.0),
-        "b16ba115651e3b69ba1332e693d9b71dc42e0915b77b761cc3b58d1cdc1c3b29",
+        "be4b1afdb5e28a76f3cd59b420e03e53326da91390677458d1461dbd4a8a3af4",
     ),
 ]
 
