@@ -179,9 +179,10 @@ def observation_contexts(valid: Sequence[str]) -> tuple[Ctx, ...]:
     ZERO copies, then each non-empty subset with MANY copies (``copies``
     only ever matters through :attr:`Ctx.any_copy`, which the present-set
     already decides), ordered by size and then by sorted state names.
-    Every prober of ``react`` -- IR lowering, the spec fingerprint,
-    lint, the Definition 1 FSM and :meth:`ProtocolSpec.validate` --
-    reads this one domain.
+    Every prober of ``react`` -- IR lowering, the spec fingerprint and
+    :meth:`ProtocolSpec.validate` -- reads this one domain, and so does
+    :meth:`repro.ir.ProtocolIR.behaviour`, the table lint and the
+    Definition 1 FSM read.
     """
     ordered = sorted(valid)
     contexts = [Ctx(frozenset(), CountCase.ZERO)]

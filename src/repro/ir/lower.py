@@ -323,7 +323,9 @@ def lower_spec(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
 
     A probe that raises is recorded as a ``raises`` entry (exception
     type and message), not propagated: a ``react`` may reject a
-    present-set no reachable state produces.
+    present-set no reachable state produces.  An outcome that names an
+    undeclared state (next state, supplier, write-back or observer)
+    cannot be interned and raises :class:`IRError` naming the cell.
 
     ``guard`` (a :class:`~repro.engine.guard.Guard`) is polled before
     every probe: a ``react`` can be arbitrarily slow, so a deadline or
@@ -352,7 +354,14 @@ def lower_spec(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
                 except Exception as exc:  # noqa: BLE001 - recorded, not raised
                     signature: tuple = ("raises", f"{type(exc).__name__}: {exc}")
                 else:
-                    signature = _signature(outcome, state_id)
+                    try:
+                        signature = _signature(outcome, state_id)
+                    except KeyError as exc:
+                        raise IRError(
+                            f"{spec.name}: react({state}, {op.value}, "
+                            f"present={sorted(ctx.present)}) names undeclared "
+                            f"state {exc.args[0]!r}"
+                        ) from None
                 table[frozenset(state_id[s] for s in ctx.present)] = signature
             for when, signature in _synthesize_cell(table, valid_ids):
                 transitions.append(

@@ -41,7 +41,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..core.errors import (
     ForbidMultiple,
@@ -57,6 +57,7 @@ from ..core.reactions import (
     ObserverReaction,
     Outcome,
     from_cache,
+    observation_contexts,
 )
 from ..core.symbols import Op
 
@@ -294,6 +295,29 @@ class ProtocolIR:
             if t.guard.holds(present):
                 return t
         return None
+
+    def behaviour(self) -> Iterator[tuple[int, int, Ctx, IRTransition | None]]:
+        """The full behaviour table, cell by cell.
+
+        Yields ``(state, op, ctx, transition)`` for every applicable
+        ``(state, op)`` cell under every observation context
+        (:func:`~repro.core.reactions.observation_contexts`), where
+        ``transition`` is the one first-match selects there (``None``:
+        no transition covers the context).  A cache observes the rest
+        of the system only through the present-set (Definition 1), so
+        this table is everything the protocol can do: lint's probe
+        table and the Definition 1 FSM both read it.
+        """
+        valid = [self.states[i] for i in self.valid_ids()]
+        contexts = [
+            (ctx, frozenset(self._state_ids[s] for s in ctx.present))
+            for ctx in observation_contexts(valid)
+        ]
+        for state in range(len(self.states)):
+            for op in range(len(self.ops)):
+                if self.applicable(state, op):
+                    for ctx, present in contexts:
+                        yield state, op, ctx, self.select(state, op, present)
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

@@ -8,8 +8,9 @@ package is the accompanying checker.  It inspects
 (:func:`~repro.lint.registry.rule`), a diagnostics model with physical
 (DSL line/column) and symbolic locations, three renderers (text, JSON,
 SARIF 2.1.0) and sixteen ``PLxxx`` rules grounded in the paper's FSM
-model -- including the flow-sensitive rules powered by abstract
-reachability over the guarded-action IR (:mod:`repro.lint.flow`).
+model, all read off one lowering to the guarded-action IR -- including
+the flow-sensitive rules powered by abstract reachability over it
+(:mod:`repro.lint.flow`).
 See ``docs/LINT.md`` for the rule catalog and ``docs/IR.md`` for the
 IR format.
 

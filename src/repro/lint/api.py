@@ -38,7 +38,6 @@ def lint_spec(
 ) -> LintReport:
     """Run every selected rule over one specification object."""
     from .. import obs
-    from .context import _UNSET
 
     context = LintContext(spec)
     found: list[Diagnostic] = []
@@ -52,12 +51,12 @@ def lint_spec(
         )
     if reported:
         obs.count("lint.findings", len(reported))
-    if context._flow is not _UNSET:  # a flow-sensitive rule ran
+    if "flow" in vars(context):  # a flow-sensitive rule ran
         obs.observe("lint.flow.elapsed", context.flow_seconds)
-        if context._flow is None:
+        if context.flow is None:
             obs.count("lint.flow.degraded")
         else:
-            obs.count("lint.flow.configs", len(context._flow.configs))
+            obs.count("lint.flow.configs", len(context.flow.configs))
     return LintReport(
         target=target or spec.name or "<spec>",
         artifact=context.artifact,

@@ -7,14 +7,15 @@ expanded, view of one specification -- so a statically broken protocol
 is diagnosed without paying for (or crashing) a symbolic verification.
 
 Rule ids are stable: ``PL000`` is reserved for DSL parse errors (emitted
-by the front end in :mod:`repro.lint.api`), ``PL001``--``PL011`` (but
-PL008) read the probe table, which covers every present-set a cache
-can observe; ``PL008`` and ``PL012``--``PL015`` are flow-sensitive: they
-consult the abstract-reachability analysis over the guarded-action IR
-(:mod:`repro.lint.flow`) and stay silent when lowering fails.  PL008
-only warns about stalls that are permanent under abstract
-reachability.  See ``docs/LINT.md`` for the full catalog with
-rationale and examples.
+by the front end in :mod:`repro.lint.api`); ``PL001`` reads the
+Definition 1 per-cache FSM and ``PL002``--``PL011`` (but PL004's
+metadata checks and PL008) the probe table, both read off the lowered
+guarded-action IR over every present-set a cache can observe;
+``PL008`` and ``PL012``--``PL015`` are flow-sensitive: they consult the
+abstract-reachability analysis over the same IR (:mod:`repro.lint.flow`).
+Every IR-backed rule stays silent when lowering fails.  PL008 only
+warns about stalls that are permanent under abstract reachability.
+See ``docs/LINT.md`` for the full catalog with rationale and examples.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..core.errors import ForbidMultiple, ForbidTogether
 from ..core.symbols import Op
-from .context import LintContext
+from .context import LintContext, ProbeEntry
 from .model import Diagnostic, Location, Severity
 from .registry import rule
 
@@ -31,13 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .flow import FlowAnalysis
 
 __all__: list[str] = []
-
-
-def _rule_or_symbolic(ctx: LintContext, entry_rule_index: int | None, symbol: str):
-    """Best location for a finding tied to one probe entry."""
-    if ctx.dsl is not None and entry_rule_index is not None:
-        return ctx.rule_location(entry_rule_index)
-    return ctx.symbolic(symbol)
 
 
 def _ctx_text(present: frozenset[str]) -> str:
@@ -221,12 +215,17 @@ def check_unreachable_state(ctx: LintContext) -> Iterator[Diagnostic]:
     Every cache starts with no copy (the invalid state, paper Section
     2.1); a state with no initiator-transition or observer-reaction path
     from it is dead weight -- usually a transcription error in the
-    transition table.  Reachability is computed over the probe table:
-    initiator edges of non-stalled outcomes plus observer edges whose
-    observer is present in the probed context.
+    transition table.  Reachability is computed over the Definition 1
+    FSM (:func:`repro.analysis.fsm.local_fsm`, the graph ``repro fsm``
+    checks): initiator edges of non-stalled outcomes plus observer
+    edges whose observer is present in the context.
     """
+    fsm = ctx.fsm
+    if fsm is None:
+        return
+    dead = fsm.dead_states()
     for state in ctx.spec.states:
-        if state not in ctx.reachable:
+        if state in dead:
             yield ctx.diag(
                 "PL001",
                 Severity.ERROR,
@@ -298,15 +297,19 @@ def check_non_exhaustive(ctx: LintContext) -> Iterator[Diagnostic]:
     The paper's Definition 1 makes the per-cache FSM total over its
     alphabet: every valid state must answer every applicable operation
     in every observation context (completing it or stalling).  A probed
-    cell with no matching DSL rule -- or a registry ``react`` that
-    raises -- means verification would crash mid-expansion.
+    cell with no matching DSL rule means verification would crash
+    mid-expansion.  A registry ``react`` that raises is reported only
+    in a context the flow analysis reaches: a ``react`` may reject a
+    present-set no reachable state produces, and expansion never
+    selects that entry.
     """
     seen: set[tuple[str, Op]] = set()
     for entry in ctx.probes:
         if entry.matched or (entry.state, entry.op) in seen:
             continue
-        seen.add((entry.state, entry.op))
         if entry.error is not None:
+            if not _flow_reaches(ctx.flow, entry):
+                continue
             message = (
                 f"react({entry.state}, {entry.op.value}) raised in context "
                 f"{_ctx_text(entry.ctx.present)}: {entry.error}"
@@ -316,12 +319,23 @@ def check_non_exhaustive(ctx: LintContext) -> Iterator[Diagnostic]:
                 f"no rule covers ({entry.state}, {entry.op.value}) in context "
                 f"{_ctx_text(entry.ctx.present)} (add a rule or a 'stall')"
             )
+        seen.add((entry.state, entry.op))
         location = ctx.symbolic(f"react({entry.state}, {entry.op.value})")
         if ctx.dsl is not None:
             near = ctx.dsl.rules_for(entry.state, entry.op)
             if near:
                 location = ctx.rule_location(ctx.dsl._rules.index(near[-1]))
         yield ctx.diag("PL003", Severity.ERROR, message, location)
+
+
+def _flow_reaches(flow: "FlowAnalysis | None", entry: ProbeEntry) -> bool:
+    """Whether a reachable abstract configuration observes *entry*'s
+    context at its cell (no flow analysis: no)."""
+    if flow is None:
+        return False
+    ir = flow.ir
+    present = frozenset(ir.state_id(s) for s in entry.ctx.present)
+    return present in flow.contexts_for(ir.state_id(entry.state), ir.op_id(entry.op))
 
 
 # ----------------------------------------------------------------------
@@ -333,12 +347,18 @@ def check_unknown_state_ref(ctx: LintContext) -> Iterator[Diagnostic]:
     """Declarative metadata naming states outside the FSM's alphabet.
 
     Covers duplicate state symbols, an invalid state missing from Q,
-    and ``forbid``/``owners``/``exclusive``/``shared-fill``/``restrict``
-    entries naming unknown states.  The DSL parser rejects most of
-    these up front; the rule is the registry-spec equivalent (and a
-    safety net for hand-built ``ProtocolSpec`` objects).
+    ``forbid``/``owners``/``exclusive``/``shared-fill``/``restrict``
+    entries naming unknown states, and a ``react`` outcome naming one
+    (next state, supplier, write-back or observer), which fails IR
+    lowering.  The DSL parser rejects most of these up front; the rule
+    is the registry-spec equivalent (and a safety net for hand-built
+    ``ProtocolSpec`` objects).
     """
     spec = ctx.spec
+    if ctx.lowering_error is not None:
+        yield ctx.diag(
+            "PL004", Severity.ERROR, ctx.lowering_error, ctx.symbolic("react")
+        )
     states = set(spec.states)
     if len(states) != len(spec.states):
         duplicates = sorted(
@@ -494,42 +514,31 @@ def check_unsatisfiable_supplier(ctx: LintContext) -> Iterator[Diagnostic]:
 # PL007 -- invalid observer
 # ----------------------------------------------------------------------
 @rule("PL007", Severity.ERROR, "invalid-observer",
-      "an observer reaction is keyed by, or targets, a non-valid state")
+      "an observer reaction is keyed by the invalid state")
 def check_invalid_observer(ctx: LintContext) -> Iterator[Diagnostic]:
-    """Observer maps that mention states outside the valid set.
+    """Observer maps that make the invalid state react.
 
-    A reaction keyed by the invalid state is meaningless (a cache with
-    no copy has nothing to snoop *from*), and one keyed by -- or moving
-    to -- an unknown symbol would corrupt the composite state.  The DSL
-    parser enforces this syntactically; the rule catches registry specs
-    whose ``react`` builds observer dictionaries dynamically.
+    A reaction keyed by the invalid state is meaningless: a cache with
+    no copy has nothing to snoop *from*.  The DSL parser enforces this
+    syntactically; the rule catches registry specs whose ``react``
+    builds observer dictionaries dynamically.  A reaction keyed by --
+    or moving to -- an undeclared state cannot be lowered at all, so
+    PL004 reports it.
     """
-    spec = ctx.spec
-    seen: set[tuple[str, Op, str, str]] = set()
+    invalid = ctx.spec.invalid
+    seen: set[tuple[str, Op, str]] = set()
     for entry in ctx.probes:
         for obs, nxt, _updated in entry.observers:
-            key = (entry.state, entry.op, obs, nxt)
-            if key in seen:
-                continue
-            problem: str | None = None
-            if obs == spec.invalid:
-                problem = f"reaction keyed by the invalid state {obs!r}"
-            elif obs not in spec.states:
-                problem = f"reaction keyed by unknown state {obs!r}"
-            elif nxt not in spec.states:
-                problem = f"observer {obs} moves to unknown state {nxt!r}"
-            if problem is None:
+            key = (entry.state, entry.op, nxt)
+            if obs != invalid or key in seen:
                 continue
             seen.add(key)
             yield ctx.diag(
                 "PL007",
                 Severity.ERROR,
-                f"react({entry.state}, {entry.op.value}): {problem}",
-                _rule_or_symbolic(
-                    ctx,
-                    entry.rule_index,
-                    f"react({entry.state}, {entry.op.value})",
-                ),
+                f"react({entry.state}, {entry.op.value}): reaction keyed by "
+                f"the invalid state {obs!r}",
+                ctx.symbolic(f"react({entry.state}, {entry.op.value})"),
             )
 
 
@@ -716,11 +725,12 @@ def check_unreachable_transition(ctx: LintContext) -> Iterator[Diagnostic]:
     if flow is None:
         return
     ir = flow.ir
+    dead = ctx.fsm.dead_states()
     seen: set[tuple[int, int]] = set()
     for t in ir.transitions:
         if t.state in flow.reachable_states:
             continue
-        if ir.states[t.state] not in ctx.reachable:
+        if ir.states[t.state] in dead:
             continue  # PL001's business (an ERROR already)
         if (t.state, t.op) in seen:
             continue

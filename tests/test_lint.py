@@ -40,6 +40,7 @@ from repro.lint import (
 )
 from repro.lint.registry import resolve_codes
 from repro.protocols.dsl import Origin, parse_protocol
+from repro.protocols.moesi import MoesiProtocol
 from repro.protocols.registry import get_protocol
 
 REJECT = RunOptions(preflight="reject")
@@ -867,3 +868,57 @@ class TestStaticness:
         assert report.clean
         # A lint run keeps no ExpansionResult anywhere in its report.
         assert not hasattr(report, "result")
+
+
+class _CountingMoesi(MoesiProtocol):
+    """MOESI counting its ``react`` calls (14 applicable cells, 16
+    present-sets: one lowering probes 224 times)."""
+
+    calls = 0
+
+    def react(self, state, op, ctx):
+        type(self).calls += 1
+        return super().react(state, op, ctx)
+
+
+class TestOneLowering:
+    def test_lint_probes_react_once_per_cell_and_context(self):
+        _CountingMoesi.calls = 0
+        lint_spec(_CountingMoesi())
+        assert _CountingMoesi.calls == 224
+
+    def test_verify_preflight_shares_the_kernel_lowering(self):
+        # 224 for the one lowering lint and the kernel share, plus 154
+        # for validate() (14 cells x the 11 present-sets of <= 2 states).
+        _CountingMoesi.calls = 0
+        verify(_CountingMoesi(), options=ANNOTATE)
+        assert _CountingMoesi.calls == 224 + 154
+
+
+class _UndeclaredNextSpec(_RegistrySpecBase):
+    name = "undeclared-next"
+
+    def react(self, state, op, ctx):
+        if state == "S" and op is Op.READ and ctx.has("S"):
+            return Outcome("Nowhere")
+        return super().react(state, op, ctx)
+
+
+class TestUndeclaredOutcomeState:
+    MESSAGE = (
+        "undeclared-next: react(S, R, present=['S']) names undeclared "
+        "state 'Nowhere'"
+    )
+
+    def test_lowering_names_the_cell_and_the_state(self):
+        from repro.ir import IRError, lower
+
+        with pytest.raises(IRError) as excinfo:
+            lower(_UndeclaredNextSpec())
+        assert str(excinfo.value) == self.MESSAGE
+
+    def test_pl004_reports_it_and_ir_rules_stay_silent(self):
+        report = lint_spec(_UndeclaredNextSpec())
+        assert [(d.rule, d.message) for d in report.diagnostics] == [
+            ("PL004", self.MESSAGE)
+        ]

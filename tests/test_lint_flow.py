@@ -18,13 +18,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.options import RunOptions
+from repro.core.verifier import verify
 from repro.ir import lower
 from repro.lint import RULES, Severity, lint_path, lint_source, lint_spec
 from repro.lint.context import LintContext
 from repro.lint.flow import FlowAnalysis, _merge
 from repro.protocols.dsl import builtin_spec_names, load_builtin, parse_protocol
 from repro.protocols.registry import all_protocols, get_protocol
-from tests.helpers import generated_specs
+from tests.helpers import ProbeShyIllinois, generated_specs
 
 CORPUS = sorted(Path("tests/corpus").glob("*.proto"))
 
@@ -187,7 +189,7 @@ def test_flow_rules_are_silent_when_flow_degrades():
     context = LintContext(
         parse_protocol(RULES["PL008"].example, default_name="deadlock")
     )
-    context._flow = None  # simulate a failed lowering
+    context.flow = None  # simulate a failed lowering
     for rule_id in ("PL008", "PL012", "PL013", "PL014", "PL015"):
         assert list(RULES[rule_id].check(context)) == [], rule_id
 
@@ -221,6 +223,14 @@ def test_flow_analysis_of_a_spec_whose_react_always_raises():
     assert flow.selected and not flow.completes and not flow.stalls
     # The full rule set still runs; the raising react is a PL003 error.
     assert "PL003" in {d.rule for d in lint_spec(Exploding()).diagnostics}
+
+
+def test_unreachable_raise_is_not_a_pl003_error():
+    """ProbeShyIllinois raises only when all three valid states are
+    held elsewhere at once, a context no reachable configuration
+    produces: no PL003, and the reject preflight lets it verify."""
+    assert lint_spec(ProbeShyIllinois()).clean
+    assert verify(ProbeShyIllinois(), options=RunOptions(preflight="reject")).ok
 
 
 # ----------------------------------------------------------------------
