@@ -1345,13 +1345,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "diff",
         help="the differential gate: every check over every spec source",
-        description="Run every differential check (IR round-trip and flow "
-        "over-approximation, kernel/interpreter parity, witnessed liveness "
-        "verdicts, the Theorem 1 oracle) over every spec source (zoo, "
-        "builtin DSL specs, mutants, starvation mutants, the tests/corpus "
-        "regression corpus, seeded generated specs).  Prints every spec "
-        "with a finding or a skipped check, then one summary line; exits "
-        "1 on any finding.  Takes no options.",
+        description="Run every differential check (IR against react() cell "
+        "by cell, flow over-approximation, kernel/interpreter parity, "
+        "witnessed liveness verdicts, the Theorem 1 oracle) over every "
+        "spec source (zoo, builtin DSL specs, mutants, starvation mutants, "
+        "the tests/corpus regression corpus, seeded generated specs).  "
+        "Prints every spec with a finding or a skipped check, then one "
+        "summary line; exits 1 on any finding.  Takes no options.",
         epilog=_EXIT_STATUS_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )

@@ -17,13 +17,18 @@ Concrete protocols live in :mod:`repro.protocols`.
 from __future__ import annotations
 
 import abc
-import itertools
+import threading
+from typing import TYPE_CHECKING
+from weakref import WeakKeyDictionary
 
 from .errors import StatePattern
 from .reactions import Ctx, Outcome, INITIATOR, observation_contexts
 from .symbols import Op
 
-__all__ = ["ProtocolSpec", "ProtocolDefinitionError"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.guard import Guard
+
+__all__ = ["ProtocolSpec", "ProtocolDefinitionError", "ReactionTable", "reaction_table"]
 
 
 class ProtocolDefinitionError(Exception):
@@ -35,9 +40,9 @@ class ProtocolSpec(abc.ABC):
 
     Subclasses define the class attributes documented below and
     implement :meth:`react`.  The base class provides structural
-    validation (:meth:`validate`) that exercises ``react`` over every
-    state/operation/context combination, so malformed specifications
-    fail fast rather than mid-verification.
+    validation (:meth:`validate`) over the behaviour table
+    (:func:`reaction_table`), so malformed specifications fail fast
+    rather than mid-verification.
     """
 
     #: Short identifier used by the CLI and the registry.
@@ -106,12 +111,12 @@ class ProtocolSpec(abc.ABC):
     def validate(self) -> None:
         """Check the specification for internal consistency.
 
-        Exercises :meth:`react` over every (state, operation) pair in
-        every context with at most two present states (the
-        well-formedness domain: a ``react`` may reject a larger
-        present-set no reachable state produces) and verifies that all
-        named states exist, that replacement ends in the invalid state,
-        and that observers named in outcomes are valid states.  Raises
+        Reads the behaviour table (:func:`reaction_table`) in every
+        context with at most two present states (the well-formedness
+        domain: a ``react`` may reject a larger present-set no
+        reachable state produces) and verifies that all named states
+        exist, that replacement ends in the invalid state, and that
+        observers named in outcomes are valid states.  Raises
         :class:`ProtocolDefinitionError` on the first problem found.
         """
         if not self.name:
@@ -122,21 +127,15 @@ class ProtocolSpec(abc.ABC):
             )
         if len(set(self.states)) != len(self.states):
             raise ProtocolDefinitionError(f"{self.name}: duplicate state symbols")
-        contexts = [
-            ctx
-            for ctx in observation_contexts(self.valid_states())
-            if len(ctx.present) <= 2
-        ]
-        for state, op in itertools.product(self.states, self.operations):
-            if not self.applicable(state, op):
-                continue
-            for ctx in contexts:
-                try:
-                    outcome = self.react(state, op, ctx)
-                except Exception as exc:  # noqa: BLE001 - reported with context
+        for state, op, reactions in reaction_table(self):
+            for ctx, outcome in reactions or ():
+                if len(ctx.present) > 2:
+                    continue
+                if isinstance(outcome, Exception):
                     raise ProtocolDefinitionError(
-                        f"{self.name}: react({state}, {op}, {ctx}) raised {exc!r}"
-                    ) from exc
+                        f"{self.name}: react({state}, {op}, {ctx}) raised "
+                        f"{outcome!r}"
+                    ) from outcome
                 self._check_outcome(state, op, ctx, outcome)
 
     def _check_outcome(self, state: str, op: Op, ctx: Ctx, outcome: Outcome) -> None:
@@ -191,3 +190,66 @@ class ProtocolSpec(abc.ABC):
                 raise ProtocolDefinitionError(
                     f"{where} -> fills the cache without a data source"
                 )
+
+
+#: ``(state, op, reactions)`` per cell; ``reactions`` pairs each
+#: observation context with ``react``'s outcome or raised exception, and
+#: is ``None`` where :meth:`ProtocolSpec.applicable` excludes the cell.
+ReactionTable = tuple[
+    tuple[str, Op, tuple[tuple[Ctx, Outcome | Exception], ...] | None], ...
+]
+
+#: spec object -> its table; weak and off the instance, so a dead spec
+#: drops its table and a pickled copy (a worker's) probes afresh.  The
+#: readers of one table run back to back, so only the newest few are
+#: kept: a caller holding many specs (a perturbation sweep) must not
+#: hold all their tables.
+_TABLES: "WeakKeyDictionary[ProtocolSpec, ReactionTable]" = WeakKeyDictionary()
+_TABLES_LIMIT = 8
+_TABLES_LOCK = threading.Lock()
+
+
+def reaction_table(
+    spec: ProtocolSpec, guard: "Guard | None" = None
+) -> ReactionTable | None:
+    """The whole behaviour of *spec*: ``react`` in every cell and context.
+
+    A cache sees the rest of the system only through the present-set
+    (Definition 1), so ``react`` in every ``(state, op)`` cell under
+    every :func:`~repro.core.reactions.observation_contexts` present-set
+    is the whole protocol.  The fingerprint
+    (:func:`~repro.core.serialize.spec_to_dict`), :meth:`~ProtocolSpec.validate`
+    and IR lowering read this one table, cached per spec object.
+
+    A raise is recorded, not propagated (a ``react`` may reject a
+    present-set no reachable state produces), and without its traceback
+    or chained exceptions, whose frames would pin the spec in the cache.
+    ``guard`` is polled before every probe; when it trips the result
+    is ``None`` and nothing is cached.
+    """
+    table = _TABLES.get(spec)
+    if table is not None:
+        return table
+    contexts = observation_contexts(spec.valid_states())
+    rows = []
+    for state in spec.states:
+        for op in spec.operations:
+            if not spec.applicable(state, op):
+                rows.append((state, op, None))
+                continue
+            reactions: list[tuple[Ctx, Outcome | Exception]] = []
+            for ctx in contexts:
+                if guard is not None and guard.check() is not None:
+                    return None
+                try:
+                    reactions.append((ctx, spec.react(state, op, ctx)))
+                except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                    exc.__traceback__ = exc.__context__ = exc.__cause__ = None
+                    reactions.append((ctx, exc))
+            rows.append((state, op, tuple(reactions)))
+    table = tuple(rows)
+    with _TABLES_LOCK:  # concurrent `repro serve` campaigns share it
+        _TABLES[spec] = table
+        if len(_TABLES) > _TABLES_LIMIT:
+            del _TABLES[next(iter(_TABLES))]
+    return table

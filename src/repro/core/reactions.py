@@ -179,10 +179,10 @@ def observation_contexts(valid: Sequence[str]) -> tuple[Ctx, ...]:
     ZERO copies, then each non-empty subset with MANY copies (``copies``
     only ever matters through :attr:`Ctx.any_copy`, which the present-set
     already decides), ordered by size and then by sorted state names.
-    Every prober of ``react`` -- IR lowering, the spec fingerprint and
-    :meth:`ProtocolSpec.validate` -- reads this one domain, and so does
-    :meth:`repro.ir.ProtocolIR.behaviour`, the table lint and the
-    Definition 1 FSM read.
+    :func:`repro.core.protocol.reaction_table` (what the fingerprint,
+    ``validate()`` and IR lowering read) probes ``react`` over this one
+    domain, and :meth:`repro.ir.ProtocolIR.behaviour` (what lint and
+    the Definition 1 FSM read) selects over it.
     """
     ordered = sorted(valid)
     contexts = [Ctx(frozenset(), CountCase.ZERO)]

@@ -13,8 +13,8 @@ The batch engine (:mod:`repro.engine`) relies on this: golden files,
 spec fingerprints and cache keys are all hashes of this output.
 
 :func:`spec_to_dict` additionally renders a *protocol specification*
-itself into a canonical behavioural table (every reaction in every
-present-set a cache can observe), which is what
+itself into a canonical behavioural table (its
+:func:`~repro.core.protocol.reaction_table`), which is what
 :func:`repro.engine.fingerprint.spec_fingerprint` hashes.
 """
 
@@ -27,8 +27,8 @@ from .composite import CompositeState, Label, make_state
 from .errors import Violation, Witness
 from .essential import ExpansionResult
 from .operators import Rep
-from .protocol import ProtocolSpec
-from .reactions import Outcome, observation_contexts
+from .protocol import ProtocolSpec, reaction_table
+from .reactions import Outcome
 from .symbols import DataValue, SharingLevel
 
 __all__ = [
@@ -193,46 +193,40 @@ def outcome_to_dict(outcome: Outcome) -> dict[str, Any]:
 def spec_to_dict(spec: ProtocolSpec) -> dict[str, Any]:
     """Canonical behavioural rendering of a protocol specification.
 
-    Tabulates :meth:`ProtocolSpec.react` over every state, operation
-    and present-set (:func:`~repro.core.reactions.observation_contexts`)
-    in a deterministic order, alongside the structural attributes
-    (states, error patterns, characteristic function).  Two
+    Renders the behaviour table (:func:`~repro.core.protocol.reaction_table`:
+    :meth:`ProtocolSpec.react` in every state, operation and
+    present-set, in a deterministic order) alongside the structural
+    attributes (states, error patterns, characteristic function).  Two
     specifications with the same rendering behave identically on every
     scenario the verifier can pose, which is what makes the rendering a
     sound substrate for content-addressed result caching (see
     :mod:`repro.engine.fingerprint`).
 
-    A reaction that raises is recorded (exception type name) rather
-    than propagated, so even pathological specifications fingerprint
-    deterministically.
+    A reaction that raised is rendered by its exception type name, so
+    even pathological specifications fingerprint deterministically.
     """
     reactions: list[dict[str, Any]] = []
-    contexts = observation_contexts(spec.valid_states())
-    for state in spec.states:
-        for op in spec.operations:
-            if not spec.applicable(state, op):
-                reactions.append(
-                    {"state": state, "op": op.value, "applicable": False}
-                )
-                continue
-            for ctx in contexts:
-                try:
-                    entry: dict[str, Any] = {
-                        "outcome": outcome_to_dict(spec.react(state, op, ctx))
-                    }
-                except Exception as exc:  # noqa: BLE001 - recorded, not raised
-                    entry = {"raises": type(exc).__name__}
-                reactions.append(
-                    {
-                        "state": state,
-                        "op": op.value,
-                        "ctx": {
-                            "present": sorted(ctx.present),
-                            "copies": ctx.copies.value,
-                        },
-                        **entry,
-                    }
-                )
+    for state, op, cell in reaction_table(spec):
+        if cell is None:
+            reactions.append({"state": state, "op": op.value, "applicable": False})
+            continue
+        for ctx, outcome in cell:
+            entry: dict[str, Any] = (
+                {"raises": type(outcome).__name__}
+                if isinstance(outcome, Exception)
+                else {"outcome": outcome_to_dict(outcome)}
+            )
+            reactions.append(
+                {
+                    "state": state,
+                    "op": op.value,
+                    "ctx": {
+                        "present": sorted(ctx.present),
+                        "copies": ctx.copies.value,
+                    },
+                    **entry,
+                }
+            )
     return {
         "name": spec.name,
         "full_name": spec.full_name,

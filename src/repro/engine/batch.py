@@ -31,6 +31,7 @@ from ..obs import NOOP_SPAN
 from ..obs import active as _active_collector
 from ..obs import clock
 from ..analysis.reporting import batch_summary_table, lint_table
+from ..core.protocol import ProtocolSpec
 from .cache import ResultCache
 from .fingerprint import ENGINE_VERSION, spec_fingerprint
 from .job import JobResult, JobStatus, VerificationJob
@@ -344,29 +345,26 @@ def run_batch(
                 )
                 _finish(journal, results[i])
                 continue
-            if job.options.preflight != "off":
-                try:
-                    rejected = _preflight(journal, job, lint_findings, i)
-                except Exception as exc:  # noqa: BLE001 - spec errors are data
-                    error = f"{type(exc).__name__}: {exc}"
-                    results[i] = JobResult(job, JobStatus.ERROR, error=error)
-                    journal.emit("job_start", job=job.label, fingerprint=None)
-                    _finish(journal, results[i])
-                    continue
-                if rejected is not None:
-                    results[i] = rejected
-                    journal.emit("job_start", job=job.label, fingerprint=None)
-                    _finish(journal, rejected)
-                    continue
+            # Lint and fingerprint read one resolved spec (one behaviour
+            # table); a spec file is linted leniently, then resolved.
+            ended: JobResult | None = None
             try:
-                fingerprint = spec_fingerprint(job.resolve_spec())
+                spec = job.resolve_spec() if job.spec_file is None else None
+                if job.options.preflight != "off":
+                    ended = _preflight(journal, job, spec, lint_findings, i)
+                if ended is None:
+                    fingerprint = spec_fingerprint(
+                        spec if spec is not None else job.resolve_spec()
+                    )
             except Exception as exc:  # noqa: BLE001 - spec errors are data here
                 error = f"{type(exc).__name__}: {exc}"
-                results[i] = JobResult(
+                ended = JobResult(
                     job, JobStatus.ERROR, error=error, lint=lint_findings.get(i)
                 )
+            if ended is not None:  # rejected by preflight, or an error
+                results[i] = ended
                 journal.emit("job_start", job=job.label, fingerprint=None)
-                _finish(journal, results[i])
+                _finish(journal, ended)
                 continue
             journal.emit("job_start", job=job.label, fingerprint=fingerprint)
             fingerprints[i] = fingerprint
@@ -498,18 +496,19 @@ def run_batch(
     return report
 
 
-def _lint_job(job: VerificationJob):
+def _lint_job(job: VerificationJob, spec: ProtocolSpec | None):
     """Lint the specification a job will verify, without validating it.
 
-    ``resolve_spec`` runs the full structural validation for DSL files,
-    which raises on exactly the problems the linter is meant to report;
-    spec-file jobs are therefore parsed leniently here (syntax errors
-    become ``PL000`` findings) so statically-broken files reach the
-    analyzer instead of blowing up before it.
+    *spec* is the job's resolved specification.  Spec-file jobs pass
+    ``None``: ``resolve_spec`` runs the full structural validation for
+    DSL files, which raises on exactly the problems the linter is meant
+    to report, so they are parsed leniently here (syntax errors become
+    ``PL000`` findings) and statically-broken files reach the analyzer
+    instead of blowing up before it.
     """
     from ..lint import lint_source, lint_spec
 
-    if job.spec_file is not None:
+    if spec is None:
         from pathlib import Path
 
         text = Path(job.spec_file).read_text(encoding="utf-8")
@@ -526,23 +525,25 @@ def _lint_job(job: VerificationJob):
             source_path=job.spec_file,
         )
         return lint_spec(get_mutant(spec, job.mutant), target=job.label)
-    return lint_spec(job.resolve_spec(), target=job.label)
+    return lint_spec(spec, target=job.label)
 
 
 def _preflight(
     journal: RunJournal,
     job: VerificationJob,
+    spec: ProtocolSpec | None,
     lint_findings: dict[int, list[dict[str, Any]]],
     index: int,
 ) -> JobResult | None:
-    """Lint one job's spec before dispatch; a result means rejection.
+    """Lint one job's spec (see :func:`_lint_job`) before dispatch; a
+    result means rejection.
 
     Emits the ``lint`` journal event, stashes the findings for
     attachment to whatever result the job eventually produces, and --
     in ``"reject"`` mode -- returns a terminal ``rejected`` result for
     specs failing an error-severity rule.
     """
-    report = _lint_job(job)
+    report = _lint_job(job, spec)
     findings = [d.to_dict() for d in report.diagnostics]
     journal.emit(
         "lint",

@@ -14,8 +14,10 @@ Ingredients:
   trip the runner's soft-cancel);
 * :class:`FaultedSpec` -- a delegating protocol wrapper that detonates
   the fault inside ``react`` **only in worker processes**: the parent
-  fingerprints the very same spec (``spec_to_dict`` calls ``react`` in
-  every present-set) without triggering it;
+  lints and fingerprints the very same spec (its ``reaction_table``
+  calls ``react`` in every present-set) without triggering it; the
+  table is cached off the instance, so a worker's unpickled copy
+  probes ``react`` afresh and the fault fires there;
 * :func:`inject` -- apply a plan to a job list;
 * :func:`corrupt_cache_entry` / :func:`tear_journal` /
   :func:`corrupt_store_file` -- storage-level faults: a flipped-bit

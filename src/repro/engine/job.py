@@ -15,7 +15,7 @@ the same :class:`JobResult` shape, whose ``payload`` is exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -226,6 +226,9 @@ def execute_job(
     sweep (the parallel runner additionally guards against crashes and
     hangs at the process level).
 
+    ``options.preflight`` is not applied here: the batch engine lints
+    each job at admission (see :func:`repro.engine.batch.run_batch`).
+
     The job's budgets run under a :class:`~repro.engine.guard.Guard`,
     so an exhausted budget -- or an external soft-cancel via
     ``cancel``, which is how a timed-out worker is asked to wrap up
@@ -239,7 +242,7 @@ def execute_job(
         spec = job.resolve_spec()
         report = verify(
             spec,
-            options=job.options,
+            options=replace(job.options, preflight="off"),
             validate_spec=job.validate_spec,
             guard=Guard(job.options.budget(), cancel=cancel),
         )

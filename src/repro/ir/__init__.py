@@ -2,21 +2,22 @@
 
 Lower any specification (DSL or registry) to a flat, integer-interned
 decision list of guarded transitions; serialize it deterministically
-with a stable SHA-256 fingerprint; round-trip it back to a live,
-verifiable :class:`~repro.core.protocol.ProtocolSpec`.
+with a stable SHA-256 fingerprint; read its whole behaviour back, cell
+by cell, with :meth:`ProtocolIR.behaviour` and :meth:`ProtocolIR.outcome`.
 
 Quickstart::
 
     from repro.ir import lower
-    from repro.protocols import get
+    from repro.protocols import get_protocol
 
-    ir = lower(get("illinois"))
+    ir = lower(get_protocol("illinois"))
     print(ir.fingerprint())          # stable across processes
-    twin = ir.to_protocol()          # explore()s identically
+    cells = list(ir.behaviour())     # (state, op, ctx, transition)
 
 The IR is the input format for flow-sensitive lint rules
-(:mod:`repro.lint.flow`) and the planned compiled expansion kernel.
-See ``docs/IR.md`` for the format specification.
+(:mod:`repro.lint.flow`), the Definition 1 FSM and the compiled
+expansion kernel (:mod:`repro.kernel`).  See ``docs/IR.md`` for the
+format specification.
 """
 
 from .lower import lower, lower_dsl, lower_spec
@@ -26,7 +27,6 @@ from .model import (
     IRAction,
     IRError,
     IRGuard,
-    IRProtocol,
     IRTransition,
     ProtocolIR,
     canonical_json,
@@ -38,7 +38,6 @@ __all__ = [
     "IRAction",
     "IRError",
     "IRGuard",
-    "IRProtocol",
     "IRTransition",
     "ProtocolIR",
     "canonical_json",

@@ -8,11 +8,12 @@ Two entry points, one dispatcher:
   DSL rule it came from (``origin``), which the lint layer uses to map
   flow findings back to source lines.
 * :func:`lower_spec` recovers a decision list from an *opaque*
-  :class:`~repro.core.protocol.ProtocolSpec` by probing ``react()``
-  over the full powerset of valid present-sets.  This is exact, not a
-  sample: in the paper's model (Definition 1) a specification only
-  observes the rest of the system through the present-set, so the
-  powerset enumerates every distinguishable context.  A greedy
+  :class:`~repro.core.protocol.ProtocolSpec` by reading its
+  :func:`~repro.core.protocol.reaction_table` -- ``react()`` over the
+  full powerset of valid present-sets.  This is exact, not a sample:
+  in the paper's model (Definition 1) a specification only observes
+  the rest of the system through the present-set, so the powerset
+  enumerates every distinguishable context.  A greedy
   synthesis pass then compresses each ``(state, op)`` cell's outcome
   table back into readable guards (``any``/``none``/``has``/``!has``
   conjunctions), falling back to the exact full conjunction for a
@@ -31,8 +32,8 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Iterator
 
 from ..core.errors import ForbidMultiple, ForbidState, ForbidTogether
-from ..core.protocol import ProtocolSpec
-from ..core.reactions import INITIATOR, Outcome, observation_contexts
+from ..core.protocol import ProtocolSpec, ReactionTable, reaction_table
+from ..core.reactions import INITIATOR, Outcome
 from ..core.symbols import Op
 from ..protocols.dsl import DslProtocol
 from .model import SELF, IRAction, IRError, IRGuard, IRTransition, ProtocolIR
@@ -167,12 +168,15 @@ def lower_dsl(dsl: DslProtocol) -> ProtocolIR:
 # ----------------------------------------------------------------------
 # Registry lowering (exact probing + guard synthesis)
 # ----------------------------------------------------------------------
-def _signature(
-    outcome: Outcome, state_id: dict[str, int]
-) -> tuple[object, ...]:
-    """A hashable, fully-interned rendering of one probed outcome."""
+def _action(
+    outcome: Outcome | Exception, state: int, state_id: dict[str, int]
+) -> IRAction:
+    """The fully-interned action of one reaction-table entry (*state*
+    is the cell's, which a ``raises`` entry keeps)."""
+    if isinstance(outcome, Exception):
+        return IRAction(state, raises=f"{type(outcome).__name__}: {outcome}")
     if outcome.stalled:
-        return ("stall", state_id[outcome.next_state])
+        return IRAction(state_id[outcome.next_state], stalled=True)
     load = None
     if outcome.load_from is not None:
         source = outcome.load_from
@@ -191,27 +195,11 @@ def _signature(
             for obs, r in outcome.observers.items()
         )
     )
-    return (
-        "act",
-        state_id[outcome.next_state],
-        load,
-        writeback,
-        outcome.write_through,
-        observers,
-    )
-
-
-def _action_from_signature(sig: tuple, state: int) -> IRAction:
-    if sig[0] == "stall":
-        return IRAction(next_state=sig[1], stalled=True)
-    if sig[0] == "raises":
-        return IRAction(next_state=state, raises=sig[1])
-    _, next_state, load, writeback, write_through, observers = sig
     return IRAction(
-        next_state=next_state,
+        next_state=state_id[outcome.next_state],
         load=load,
         writeback=writeback,
-        write_through=write_through,
+        write_through=outcome.write_through,
         observers=observers,
     )
 
@@ -244,9 +232,9 @@ def _exact_guard(
 
 
 def _synthesize_cell(
-    table: dict[frozenset[int], tuple],
+    table: dict[frozenset[int], IRAction],
     valid_ids: tuple[int, ...],
-) -> list[tuple[IRGuard, tuple]]:
+) -> list[tuple[IRGuard, IRAction]]:
     """Compress one cell's outcome table into a first-match guard list.
 
     Greedy: at each step pick the candidate guard that covers the most
@@ -257,127 +245,98 @@ def _synthesize_cell(
     terminates.
     """
     remaining = sorted(table, key=lambda p: (len(p), sorted(p)))
-    out: list[tuple[IRGuard, tuple]] = []
+    out: list[tuple[IRGuard, IRAction]] = []
     while remaining:
-        best: tuple[int, int, IRGuard, tuple] | None = None
+        best: tuple[int, int, IRGuard, IRAction] | None = None
         for order, guard in enumerate(_candidate_guards(valid_ids)):
             covered = [p for p in remaining if guard.holds(p)]
             if not covered:
                 continue
-            signatures = {table[p] for p in covered}
-            if len(signatures) != 1:
+            actions = {table[p] for p in covered}
+            if len(actions) != 1:
                 continue
             key = (-len(covered), order)
             if best is None or key < (best[0], best[1]):
-                best = (key[0], key[1], guard, signatures.pop())
+                best = (key[0], key[1], guard, actions.pop())
         if best is None:
             present = remaining[0]
             guard = _exact_guard(present, valid_ids)
             out.append((guard, table[present]))
             remaining = remaining[1:]
             continue
-        _, _, guard, signature = best
-        out.append((guard, signature))
+        _, _, guard, action = best
+        out.append((guard, action))
         remaining = [p for p in remaining if not guard.holds(p)]
     return out
 
 
 def _synthesized_restrictions(
     spec: ProtocolSpec,
+    table: ReactionTable,
     state_id: dict[str, int],
     op_id: dict[str, int],
 ) -> tuple[tuple[int, str, tuple[int, ...]], ...]:
     """Recover ``only-from`` limits from a custom ``applicable()``.
 
     The base :class:`ProtocolSpec` only excludes REPLACE-from-invalid;
-    whenever a specification's override admits a different state set
-    for some operation, an explicit ``only-from`` restriction captures
-    it so the IR's :meth:`~ProtocolIR.applicable` agrees exactly.
+    where *table* excludes other cells, an explicit ``only-from``
+    restriction makes the IR's :meth:`~ProtocolIR.applicable` agree.
     """
     restrictions: list[tuple[int, str, tuple[int, ...]]] = []
     for op in spec.operations:
-        allowed = tuple(s for s in spec.states if spec.applicable(s, op))
-        default = tuple(
-            s
+        allowed = [state_id[s] for s, o, cell in table if o is op and cell is not None]
+        default = [
+            state_id[s]
             for s in spec.states
             if not (op is Op.REPLACE and s == spec.invalid)
-        )
+        ]
         if allowed != default:
-            restrictions.append(
-                (
-                    op_id[op.value],
-                    "only-from",
-                    tuple(sorted(state_id[s] for s in allowed)),
-                )
-            )
+            restrictions.append((op_id[op.value], "only-from", tuple(sorted(allowed))))
     return tuple(restrictions)
 
 
 def lower_spec(spec: ProtocolSpec, guard: "Guard | None" = None) -> ProtocolIR:
-    """Recover a :class:`ProtocolIR` from an opaque protocol by probing.
+    """Recover a :class:`ProtocolIR` from an opaque protocol's behaviour.
 
     Exact for every specification in the paper's model: ``react`` is a
-    pure function of ``(state, op, present-set)``, and
-    :func:`~repro.core.reactions.observation_contexts` enumerates every
-    distinguishable present-set.
-
-    A probe that raises is recorded as a ``raises`` entry (exception
-    type and message), not propagated: a ``react`` may reject a
-    present-set no reachable state produces.  An outcome that names an
-    undeclared state (next state, supplier, write-back or observer)
-    cannot be interned and raises :class:`IRError` naming the cell.
-
-    ``guard`` (a :class:`~repro.engine.guard.Guard`) is polled before
-    every probe: a ``react`` can be arbitrarily slow, so a deadline or
-    a soft-cancel must be able to stop lowering too.  A tripped guard
-    raises :class:`IRError`; the guard stays tripped for the caller.
+    pure function of ``(state, op, present-set)``, and the spec's
+    :func:`~repro.core.protocol.reaction_table` holds it over every
+    present-set; lowering synthesizes guards from that table.  A
+    ``react`` that raised becomes a ``raises`` entry (exception type and
+    message); an outcome naming an undeclared state cannot be interned
+    and raises :class:`IRError` naming the cell.  ``guard`` is polled
+    before every probe and every cell's synthesis; a tripped guard
+    raises :class:`IRError`.
     """
+    table = reaction_table(spec, guard)
     state_id, op_id, fields = _header(spec)
-    valid = spec.valid_states()
-    valid_ids = tuple(state_id[s] for s in valid)
-    contexts = observation_contexts(valid)
+    valid_ids = tuple(state_id[s] for s in spec.valid_states())
 
     transitions: list[IRTransition] = []
-    for state in spec.states:
-        for op in spec.operations:
-            if not spec.applicable(state, op):
-                continue
-            table: dict[frozenset[int], tuple] = {}
-            for ctx in contexts:
-                exhausted = guard.check() if guard is not None else None
-                if exhausted is not None:
-                    raise IRError(
-                        f"{spec.name}: lowering stopped: {exhausted.describe()}"
-                    )
-                try:
-                    outcome = spec.react(state, op, ctx)
-                except Exception as exc:  # noqa: BLE001 - recorded, not raised
-                    signature: tuple = ("raises", f"{type(exc).__name__}: {exc}")
-                else:
-                    try:
-                        signature = _signature(outcome, state_id)
-                    except KeyError as exc:
-                        raise IRError(
-                            f"{spec.name}: react({state}, {op.value}, "
-                            f"present={sorted(ctx.present)}) names undeclared "
-                            f"state {exc.args[0]!r}"
-                        ) from None
-                table[frozenset(state_id[s] for s in ctx.present)] = signature
-            for when, signature in _synthesize_cell(table, valid_ids):
-                transitions.append(
-                    IRTransition(
-                        state=state_id[state],
-                        op=op_id[op.value],
-                        guard=when,
-                        action=_action_from_signature(
-                            signature, state_id[state]
-                        ),
-                        origin=None,
-                    )
-                )
+    for state, op, cell in table or ():
+        # Synthesis outweighs probing, so the guard is polled per cell too.
+        if cell is None or guard is not None and guard.check() is not None:
+            continue
+        actions: dict[frozenset[int], IRAction] = {}
+        for ctx, outcome in cell:
+            try:
+                action = _action(outcome, state_id[state], state_id)
+            except KeyError as exc:
+                raise IRError(
+                    f"{spec.name}: react({state}, {op.value}, "
+                    f"present={sorted(ctx.present)}) names undeclared "
+                    f"state {exc.args[0]!r}"
+                ) from None
+            actions[frozenset(state_id[s] for s in ctx.present)] = action
+        transitions.extend(
+            IRTransition(state_id[state], op_id[op.value], when, action)
+            for when, action in _synthesize_cell(actions, valid_ids)
+        )
+    if guard is not None and guard.exhausted is not None:
+        raise IRError(f"{spec.name}: lowering stopped: {guard.exhausted.describe()}")
     return ProtocolIR(
         transitions=tuple(transitions),
-        restrictions=_synthesized_restrictions(spec, state_id, op_id),
+        restrictions=_synthesized_restrictions(spec, table, state_id, op_id),
         **fields,  # type: ignore[arg-type]
     )
 

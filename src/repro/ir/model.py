@@ -28,28 +28,22 @@ Design points:
   SHA-256 of its minimal JSON rendering.  Two lowerings of the same
   specification hash identically across processes and Python
   versions.
-* **Round-trip** -- :meth:`ProtocolIR.to_protocol` returns an
-  :class:`IRProtocol`, a live :class:`~repro.core.protocol.ProtocolSpec`
-  interpreting the decision list with first-match-wins semantics,
-  suitable for ``explore()`` / enumeration / simulation exactly like
-  the specification it was lowered from.
+* **Exactness** -- :meth:`ProtocolIR.behaviour` selects a transition in
+  every cell and observation context, and :meth:`ProtocolIR.outcome`
+  materializes it; over that whole table a lowered IR agrees with the
+  spec's :func:`~repro.core.protocol.reaction_table` (the ``ir`` check
+  of ``repro diff`` compares the two cell by cell).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from ..core.errors import (
-    ForbidMultiple,
-    ForbidState,
-    ForbidTogether,
-    StatePattern,
-)
-from ..core.protocol import ProtocolDefinitionError, ProtocolSpec
+from ..core.protocol import ProtocolDefinitionError
 from ..core.reactions import (
     INITIATOR,
     MEMORY,
@@ -69,7 +63,6 @@ __all__ = [
     "IRAction",
     "IRTransition",
     "ProtocolIR",
-    "IRProtocol",
     "canonical_json",
 ]
 
@@ -137,19 +130,6 @@ class IRGuard:
             if kind == "has" and state_id not in present:
                 return False
             if kind == "nothas" and state_id in present:
-                return False
-        return True
-
-    def holds_ctx(self, ctx: Ctx, states: tuple[str, ...]) -> bool:
-        """Evaluate over a live :class:`~repro.core.reactions.Ctx`."""
-        for kind, state_id in self.atoms:
-            if kind == "any" and not ctx.any_copy:
-                return False
-            if kind == "none" and ctx.any_copy:
-                return False
-            if kind == "has" and not ctx.has(states[state_id]):
-                return False
-            if kind == "nothas" and ctx.has(states[state_id]):
                 return False
         return True
 
@@ -319,6 +299,54 @@ class ProtocolIR:
                     for ctx, present in contexts:
                         yield state, op, ctx, self.select(state, op, present)
 
+    def outcome(self, transition: IRTransition, ctx: Ctx) -> Outcome:
+        """What ``react`` returns when *transition* is selected in *ctx*.
+
+        As in the DSL, declared observers are reported whether or not
+        *ctx* holds them and a cache-load chain resolves to its first
+        present candidate; a ``raises`` entry, or a chain with none
+        present, raises :class:`~repro.core.protocol.ProtocolDefinitionError`.
+        """
+        a = transition.action
+        where = (
+            f"{self.name}: react({self.states[transition.state]}, "
+            f"{self.ops[transition.op]}, present={sorted(ctx.present)})"
+        )
+        if a.raises is not None:
+            raise ProtocolDefinitionError(f"{where} raised {a.raises}")
+        next_state = self.states[a.next_state]
+        if a.stalled:
+            return Outcome(next_state, stalled=True)
+        load = None
+        if a.load is not None:
+            kind, candidates = a.load
+            if kind == "memory":
+                load = MEMORY
+            else:
+                names = [self.states[c] for c in candidates]
+                present = [name for name in names if ctx.has(name)]
+                if not present:
+                    raise ProtocolDefinitionError(
+                        f"{where} loads from cache:{'|'.join(names)}, "
+                        "which holds no copy"
+                    )
+                load = from_cache(present[0])
+        writeback: str | None = None
+        if a.writeback == SELF:
+            writeback = INITIATOR
+        elif a.writeback is not None:
+            writeback = self.states[a.writeback]
+        return Outcome(
+            next_state,
+            load_from=load,
+            observers={
+                self.states[obs]: ObserverReaction(self.states[nxt], updated)
+                for obs, nxt, updated in a.observers
+            },
+            writeback_from=writeback,
+            write_through=a.write_through,
+        )
+
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-able rendering (the fingerprint input).
@@ -429,116 +457,3 @@ class ProtocolIR:
         return hashlib.sha256(
             canonical_json(self.to_dict()).encode("utf-8")
         ).hexdigest()
-
-    # -- round-trip -------------------------------------------------------
-    def to_protocol(self) -> "IRProtocol":
-        """A live, verifiable protocol interpreting this decision list."""
-        return IRProtocol(self)
-
-
-# ----------------------------------------------------------------------
-# The interpreting protocol (IR -> ProtocolSpec round trip)
-# ----------------------------------------------------------------------
-def _patterns_from_ir(ir: ProtocolIR) -> tuple[StatePattern, ...]:
-    patterns: list[StatePattern] = []
-    for entry in ir.error_patterns:
-        kind = entry[0]
-        if kind == "multiple":
-            patterns.append(ForbidMultiple(ir.states[entry[1]]))
-        elif kind == "together":
-            patterns.append(
-                ForbidTogether(ir.states[entry[1]], ir.states[entry[2]])
-            )
-        elif kind == "state":
-            patterns.append(ForbidState(ir.states[entry[1]]))
-        else:
-            raise IRError(f"{ir.name}: unknown error pattern kind {kind!r}")
-    return tuple(patterns)
-
-
-class IRProtocol(ProtocolSpec):
-    """A :class:`ProtocolSpec` interpreting a guarded-action decision list.
-
-    First-match-wins over :attr:`ProtocolIR.transitions`, with the
-    same materialization semantics as the DSL: declared observers are
-    reported whether or not the context holds them, cache-load
-    candidate chains resolve to the first *present* candidate, and a
-    context matched by no transition -- or by a ``raises`` entry -- is
-    a definition error.
-    """
-
-    def __init__(self, ir: ProtocolIR) -> None:
-        self.ir = ir
-        self.name = ir.name
-        self.full_name = ir.full_name
-        self.states = ir.states
-        self.invalid = ir.states[ir.invalid]
-        self.uses_sharing_detection = ir.uses_sharing_detection
-        self.operations = tuple(Op(op) for op in ir.ops)
-        self.owner_states = tuple(ir.states[i] for i in ir.owner_states)
-        self.exclusive_states = tuple(ir.states[i] for i in ir.exclusive_states)
-        self.shared_fill_state = (
-            ir.states[ir.shared_fill_state]
-            if ir.shared_fill_state is not None
-            else None
-        )
-        self.error_patterns = _patterns_from_ir(ir)
-
-    def applicable(self, state: str, op: Op) -> bool:
-        """Restriction-aware applicability (see :class:`ProtocolIR`)."""
-        return self.ir.applicable(self.ir.state_id(state), self.ir.op_id(op))
-
-    def react(self, state: str, op: Op, ctx: Ctx) -> Outcome:
-        """First-match interpretation of the decision list."""
-        ir = self.ir
-        sid, oid = ir.state_id(state), ir.op_id(op)
-        for t in ir.transitions_for(sid, oid):
-            if t.guard.holds_ctx(ctx, ir.states):
-                return self._materialize(t, ctx)
-        raise ProtocolDefinitionError(
-            f"{self.name}: no IR transition matches ({state}, {op.value}, "
-            f"present={sorted(ctx.present)})"
-        )
-
-    def _materialize(self, t: IRTransition, ctx: Ctx) -> Outcome:
-        ir = self.ir
-        a = t.action
-        if a.raises is not None:
-            raise ProtocolDefinitionError(
-                f"{self.name}: react({ir.states[t.state]}, {ir.ops[t.op]}, "
-                f"present={sorted(ctx.present)}) raised {a.raises}"
-            )
-        next_state = ir.states[a.next_state]
-        if a.stalled:
-            return Outcome(next_state, stalled=True)
-        load = None
-        if a.load is not None:
-            kind, candidates = a.load
-            if kind == "memory":
-                load = MEMORY
-            else:
-                for candidate in candidates:
-                    if ctx.has(ir.states[candidate]):
-                        load = from_cache(ir.states[candidate])
-                        break
-                if load is None:
-                    names = "|".join(ir.states[c] for c in candidates)
-                    raise ProtocolDefinitionError(
-                        f"{self.name}: transition loads from cache:{names} "
-                        "but no such copy exists in this context"
-                    )
-        writeback: str | None = None
-        if a.writeback == SELF:
-            writeback = INITIATOR
-        elif a.writeback is not None:
-            writeback = ir.states[a.writeback]
-        return Outcome(
-            next_state,
-            load_from=load,
-            observers={
-                ir.states[obs]: ObserverReaction(ir.states[nxt], updated)
-                for obs, nxt, updated in a.observers
-            },
-            writeback_from=writeback,
-            write_through=a.write_through,
-        )

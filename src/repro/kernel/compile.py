@@ -1286,14 +1286,9 @@ def compile_protocol(spec, guard=None) -> CompiledProtocol:
         cached = None
     if cached is not None:
         return cached
-    if isinstance(spec, ProtocolIR):
-        ir = spec
-    elif isinstance(getattr(spec, "ir", None), ProtocolIR):
-        ir = spec.ir
-    else:
-        from ..ir.lower import lower
+    from ..ir.lower import lower
 
-        ir = lower(spec, guard)
+    ir = spec if isinstance(spec, ProtocolIR) else lower(spec, guard)
     fingerprint = ir.fingerprint()
     compiled = _BY_FP.get(fingerprint)
     if compiled is None:

@@ -30,9 +30,10 @@ perturbations of them; this subsystem removes the human from the loop:
 * :mod:`repro.testkit.diff` -- the differential gate: one table of
   spec sources (zoo, builtins, mutants, starvation mutants, the pinned
   corpus, generated and generated-stalling specs) times one table of
-  checks (IR round-trip and flow over-approximation, kernel/interpreter
-  parity, witnessed liveness verdicts, the Theorem 1 oracle), each spec
-  expanded once and shared by every check; ``repro diff`` runs it all.
+  checks (IR against ``react()`` cell by cell, flow over-approximation,
+  kernel/interpreter parity, witnessed liveness verdicts, the Theorem 1
+  oracle), each spec expanded once and shared by every check;
+  ``repro diff`` runs it all.
 
 Related verification efforts (the GAL model of a coherence protocol,
 Meunier et al.; the CXL.cache formalisation, Tan et al.) found their

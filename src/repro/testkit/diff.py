@@ -26,11 +26,16 @@ source              specifications
 Checks (:data:`CHECKS`) yield :class:`Finding` objects:
 
 ``ir``
-    Lowering to :mod:`repro.ir` and lifting back preserves the
-    expansion (``roundtrip``: violation kinds, essential set), the IR
-    survives ``to_dict``/``from_dict`` (``serialization``), and the
-    flow over-approximation (:mod:`repro.lint.flow`) covers every
-    exercised transition and guaranteed-populated state (``flow``).
+    The lowered :mod:`repro.ir` document is the spec, cell by cell
+    (``behaviour``: its header fields name the spec's states,
+    operations and error patterns, :meth:`~repro.ir.ProtocolIR.applicable`
+    is the spec's ``applicable``, and in every applicable cell and
+    observation context the IR's selected transition materializes to
+    the outcome -- or the raise -- of the spec's
+    :func:`~repro.core.protocol.reaction_table`), the IR survives
+    ``to_dict``/``from_dict`` (``serialization``), and the flow
+    over-approximation (:mod:`repro.lint.flow`) covers every exercised
+    transition and guaranteed-populated state (``flow``).
 ``kernel``
     The compiled kernel is observably the interpreter (``explore``:
     violation kinds and witnesses, essential set, visit and expansion
@@ -50,9 +55,10 @@ Checks (:data:`CHECKS`) yield :class:`Finding` objects:
 
 Each case gets one :class:`Context` whose interpreter expansion,
 kernel expansion, IR lowering and flow analysis are built at most once
-and shared by every check.  ``ir`` and ``kernel`` read the interpreter
-reference; ``liveness`` and ``theorem1`` read the expansion users get:
-the kernel's (lowering is total, so every spec has one).
+and shared by every check.  ``kernel`` and the flow part of ``ir``
+read the interpreter reference; ``liveness`` and ``theorem1`` read the
+expansion users get: the kernel's (lowering is total, so every spec
+has one).
 
 One skip rule: a check that cannot reach a verdict is *skipped*, never
 failed.  A partial or over-budget expansion skips with ``budget
@@ -67,9 +73,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from ..core.errors import ForbidMultiple, ForbidState, ForbidTogether
 from ..core.essential import ExpansionLimitError, ExpansionResult, explore
 from ..core.operators import Rep
-from ..core.protocol import ProtocolSpec
+from ..core.protocol import ProtocolDefinitionError, ProtocolSpec, reaction_table
+from ..core.reactions import Outcome
 from ..enumeration.exhaustive import Equivalence, enumerate_space
 from ..ir import ProtocolIR, lower
 from ..kernel import compile_protocol
@@ -239,6 +247,79 @@ def _difference(what: str, ours, theirs, sides: tuple[str, str]) -> str | None:
     )
 
 
+#: IR error-pattern kinds, as :func:`repro.ir.lower` encodes them.
+_PATTERNS = {
+    "multiple": ForbidMultiple,
+    "together": ForbidTogether,
+    "state": ForbidState,
+}
+
+
+def _behaviour_differences(
+    name: str, spec: ProtocolSpec, ir: ProtocolIR
+) -> Iterator[Finding]:
+    """Where *ir* is not *spec*: one finding per header field or cell
+    (at its first differing present-set).
+
+    A cache sees only the present-set (Definition 1), so agreeing with
+    the spec's behaviour table in every cell and observation context --
+    reachable or not -- is agreeing everywhere.
+    """
+
+    def names(ids) -> tuple[str, ...]:
+        return tuple(ir.states[i] for i in ids)
+
+    fill = None if ir.shared_fill_state is None else ir.states[ir.shared_fill_state]
+    header = {
+        "names": ((spec.name, spec.full_name), (ir.name, ir.full_name)),
+        "states": (tuple(spec.states), ir.states),
+        "invalid state": (spec.invalid, ir.states[ir.invalid]),
+        "operations": (tuple(op.value for op in spec.operations), ir.ops),
+        "sharing": (spec.uses_sharing_detection, ir.uses_sharing_detection),
+        "owners": (tuple(spec.owner_states), names(ir.owner_states)),
+        "exclusives": (tuple(spec.exclusive_states), names(ir.exclusive_states)),
+        "shared fill": (spec.shared_fill_state, fill),
+        "error patterns": (
+            tuple(spec.error_patterns),
+            tuple(_PATTERNS[kind](*names(ids)) for kind, *ids in ir.error_patterns),
+        ),
+    }
+    for field, (ours, theirs) in header.items():
+        if ours != theirs:
+            detail = f"{field} differ: {ours} (spec) vs {theirs} (IR)"
+            yield Finding("behaviour", name, detail)
+    if any(ours != theirs for ours, theirs in header.values()):
+        return  # the cells cannot be matched up
+    selected = {(state, op, c.present): t for state, op, c, t in ir.behaviour()}
+    for state, op, cell in reaction_table(spec):
+        sid, oid = ir.state_id(state), ir.op_id(op)
+        if (cell is not None) != ir.applicable(sid, oid):
+            detail = f"({state}, {op.value}) is applicable in only one of spec and IR"
+            yield Finding("behaviour", name, detail)
+            continue
+        for c, reaction in cell or ():
+            t = selected[sid, oid, c.present]
+            ours: object = reaction
+            if isinstance(reaction, Exception):
+                ours = f"raises {type(reaction).__name__}: {reaction}"
+            if t is None:
+                theirs: object = "no transition"
+            elif t.action.raises is not None:
+                theirs = f"raises {t.action.raises}"
+            else:
+                try:
+                    theirs = ir.outcome(t, c)
+                except ProtocolDefinitionError as exc:
+                    theirs = f"error: {exc}"
+            if ours != theirs:
+                detail = (
+                    f"({state}, {op.value}) at present-set {sorted(c.present)}: "
+                    f"{ours} (spec) vs {theirs} (IR)"
+                )
+                yield Finding("behaviour", name, detail)
+                break  # one finding per cell
+
+
 def _check_ir(ctx: Context) -> Iterator[Finding]:
     ir = ctx.ir
     replica = ProtocolIR.from_dict(ir.to_dict())
@@ -250,21 +331,7 @@ def _check_ir(ctx: Context) -> Iterator[Finding]:
             f"({ir.fingerprint()[:12]} -> {replica.fingerprint()[:12]})",
         )
 
-    base = ctx.interp
-    lifted = _expand(explore, ir.to_protocol())
-    if _kinds(base) != _kinds(lifted):
-        yield Finding(
-            "roundtrip",
-            ctx.name,
-            f"violation kinds differ: {_kinds(base)} vs {_kinds(lifted)} "
-            "after IR round-trip",
-        )
-    sides = ("original", "round-tripped")
-    essential = _difference(
-        "essential sets", _essential(base), _essential(lifted), sides
-    )
-    if essential:
-        yield Finding("roundtrip", ctx.name, essential)
+    yield from _behaviour_differences(ctx.name, ctx.spec, ir)
 
     # The flow fixpoint over-approximates, so the expansion can never
     # contradict it.  Every exercised initiator transition completes in
@@ -272,7 +339,7 @@ def _check_ir(ctx: Context) -> Iterator[Finding]:
     # cell whose rules all stall or raise is exempt: the expansion
     # records the refused attempt (the self-loop liveness feeds on),
     # and a raising rule never completes.
-    flow = ctx.flow
+    base, flow = ctx.interp, ctx.flow
     exercised = {(t.label.initiator, t.label.op.value) for t in base.transitions}
     for state, op in sorted(exercised):
         cell = (ir.state_id(state), ir.op_id(op))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.protocol import ProtocolDefinitionError, ProtocolSpec
+from repro.core import protocol
+from repro.core.protocol import ProtocolDefinitionError, ProtocolSpec, reaction_table
 from repro.core.reactions import Ctx, MEMORY, ObserverReaction, Outcome, from_cache
 from repro.core.symbols import Op
 
@@ -142,3 +146,50 @@ class TestShippedProtocolsValidate:
             assert spec.full_name
             assert spec.error_patterns, f"{spec.name} has no error patterns"
             assert spec.owner_states or spec.name in ("firefly",), spec.name
+
+
+class TestReactionTable:
+    def test_one_probe_per_cell_and_context_then_cached(self):
+        calls = []
+
+        def react(self, state, op, ctx):
+            calls.append((state, op, ctx.present))
+            return MiniProtocol.react(self, state, op, ctx)
+
+        spec = _broken(react=react)
+        table = reaction_table(spec)
+        # Five applicable cells (no replacing from Invalid) x two
+        # present-sets, each probed once; the Z-from-Invalid row is None.
+        assert len(calls) == len(set(calls)) == 10
+        assert [cell is None for _, _, cell in table].count(True) == 1
+        spec.validate()
+        assert reaction_table(spec) is table and len(calls) == 10
+
+    def test_a_raise_is_data_and_does_not_pin_the_spec(self):
+        def react(self, state, op, ctx):
+            raise RuntimeError("boom")
+
+        spec = _broken(react=react)
+        (_, _, cell), *_ = reaction_table(spec)
+        _, raised = cell[0]
+        assert isinstance(raised, RuntimeError) and raised.__traceback__ is None
+        dead = weakref.ref(spec)
+        del spec, cell
+        gc.collect()
+        assert dead() is None
+
+    def test_a_tripped_guard_caches_nothing(self):
+        class Tripped:
+            def check(self):
+                return "exhausted"
+
+        spec = MiniProtocol()
+        assert reaction_table(spec, Tripped()) is None
+        assert reaction_table(spec) is not None
+
+    def test_only_the_newest_tables_are_kept(self):
+        specs = [MiniProtocol() for _ in range(3 * protocol._TABLES_LIMIT)]
+        for spec in specs:
+            reaction_table(spec)
+        assert len(protocol._TABLES) <= protocol._TABLES_LIMIT
+        assert specs[-1] in protocol._TABLES and specs[0] not in protocol._TABLES

@@ -1,17 +1,18 @@
 """Tests for the guarded-action IR (``repro.ir``).
 
-The load-bearing property is behavioural round-trip identity: lowering
-any shipped specification (registry object or DSL source) to the IR
-and lifting it back must produce a protocol whose Figure 3 expansion
-is indistinguishable from the original -- same verdict, same essential
-composite-state set.  Around that: deterministic serialization and
-fingerprinting, restriction synthesis, error handling, and the
+The load-bearing property is exactness: the IR of any shipped
+specification (registry object or DSL source) is the specification
+cell by cell -- same header, same applicability, and in every
+applicable cell and present-set, reachable or not, the outcome (or
+raise) ``react()`` gives.  Around that: deterministic serialization
+and fingerprinting, restriction synthesis, error handling, and the
 ``repro ir dump`` CLI.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,16 +22,21 @@ from repro.core.protocol import ProtocolDefinitionError
 from repro.core.reactions import Ctx
 from repro.core.symbols import CountCase, Op
 from repro.ir import (
+    IRAction,
     IRError,
     IRGuard,
+    IRTransition,
     ProtocolIR,
     canonical_json,
     lower,
     lower_dsl,
     lower_spec,
 )
+from repro.kernel import compile_protocol
+from repro.kernel import explore as kernel_explore
 from repro.protocols.dsl import builtin_spec_names, load_builtin, load_protocol
 from repro.protocols.registry import get_protocol, protocol_names
+from repro.testkit import diff
 from repro.testkit.diff import Case, Context, run_check
 from tests.helpers import ProbeShyIllinois
 
@@ -38,8 +44,8 @@ CORPUS = sorted(Path("tests/corpus").glob("*.proto"))
 
 
 # ----------------------------------------------------------------------
-# Round-trip identity (the acceptance criterion): the differential
-# gate's ``ir`` check -- round-trip, serialization, flow.
+# Exactness (the acceptance criterion): the differential gate's ``ir``
+# check -- behaviour table, serialization, flow.
 # ----------------------------------------------------------------------
 def _ir_check(source, spec):
     found, skipped = run_check("ir", Context(Case(source, spec)))
@@ -59,6 +65,39 @@ def test_builtin_dsl_spec_roundtrips(name):
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_entry_roundtrips(path):
     _ir_check("corpus", load_protocol(path))
+
+
+def test_ir_check_compares_unreachable_present_sets(monkeypatch):
+    """An IR that differs from ``react()`` only where no reachable state
+    looks -- Illinois with one action changed at {Dirty, Shared, V-Ex}
+    -- explores identically, yet is not the spec: the ``ir`` check
+    compares every cell under every present-set."""
+    spec = get_protocol("illinois")
+    ir = lower_spec(spec)
+    sid, oid = ir.state_id("Invalid"), ir.op_id(Op.READ)
+    full = IRGuard(tuple(("has", v) for v in ir.valid_ids()))
+    first = ir.transitions.index(ir.transitions_for(sid, oid)[0])
+    changed = IRTransition(
+        sid, oid, full, IRAction(ir.state_id("Shared"), load=("memory", ()))
+    )
+    edited = replace(
+        ir,
+        transitions=(*ir.transitions[:first], changed, *ir.transitions[first:]),
+    )
+    monkeypatch.setattr(diff, "lower", lambda _: edited)
+    found, skipped = run_check("ir", Context(Case("zoo", spec)))
+    assert skipped is None
+    (finding,) = found
+    assert finding.kind == "behaviour"
+    assert finding.detail.startswith(
+        "(Invalid, R) at present-set ['Dirty', 'Shared', 'V-Ex']: "
+    )
+    # No reachable state observes that present-set: the kernel explores
+    # the edited IR exactly as it explores the spec.
+    ours = kernel_explore(spec)
+    theirs = kernel_explore(spec, compiled=compile_protocol(edited))
+    assert theirs.essential == ours.essential
+    assert theirs.stats.visits == ours.stats.visits
 
 
 # ----------------------------------------------------------------------
@@ -92,15 +131,16 @@ def test_dsl_to_ir_convenience():
 
 def test_lock_msi_restriction_is_synthesized():
     """The registry lock-msi limits which states may issue Lock/Unlock;
-    the prober must rediscover that as an IR restriction so the
-    round-tripped protocol matches ``applicable`` exactly."""
+    the prober must rediscover that as an IR restriction so the IR's
+    ``applicable`` matches the spec's exactly."""
     spec = get_protocol("lock-msi")
     ir = lower_spec(spec)
     assert ir.restrictions, "expected synthesized applicability limits"
-    lifted = ir.to_protocol()
     for state in spec.states:
         for op in spec.operations:
-            assert lifted.applicable(state, op) == spec.applicable(state, op)
+            assert ir.applicable(ir.state_id(state), ir.op_id(op)) == (
+                spec.applicable(state, op)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -144,14 +184,15 @@ def test_raises_entry_round_trips_and_raises_when_reached():
         "raises" in t["action"]
         for t in lower(get_protocol("illinois")).to_dict()["transitions"]
     )
-    # Lifted back, the entry is a definition error where it is selected.
+    # Materialized, the entry is a definition error where it is selected.
     t = raising[0]
-    spec = ir.to_protocol()
-    ctx = Ctx(present=frozenset(spec.valid_states()), copies=CountCase.MANY)
+    valid = frozenset(ir.states[i] for i in ir.valid_ids())
+    ctx = Ctx(present=valid, copies=CountCase.MANY)
+    assert ir.select(t.state, t.op, frozenset(ir.valid_ids())) == t
     with pytest.raises(
         ProtocolDefinitionError, match="raised RuntimeError: unreachable"
     ):
-        spec.react(ir.states[t.state], Op(ir.ops[t.op]), ctx)
+        ir.outcome(t, ctx)
 
 
 def test_to_dict_survives_json():

@@ -888,11 +888,35 @@ class TestOneLowering:
         assert _CountingMoesi.calls == 224
 
     def test_verify_preflight_shares_the_kernel_lowering(self):
-        # 224 for the one lowering lint and the kernel share, plus 154
-        # for validate() (14 cells x the 11 present-sets of <= 2 states).
+        # One behaviour table: lint's lowering, validate() and the
+        # kernel's compile all read it.
         _CountingMoesi.calls = 0
         verify(_CountingMoesi(), options=ANNOTATE)
-        assert _CountingMoesi.calls == 224 + 154
+        assert _CountingMoesi.calls == 224
+
+    def test_batch_preflight_and_fingerprint_share_one_spec(self, monkeypatch):
+        # Admission resolves moesi once: its lint probes 224 times and
+        # its fingerprint reads the same table.  The job then verifies
+        # its own copy with preflight off (admission already linted):
+        # validate() and the kernel share that copy's table, 224 more.
+        import repro.lint
+
+        calls = {"react": 0, "lint": 0}
+        react, lint = MoesiProtocol.react, repro.lint.lint_spec
+
+        def counting_react(self, state, op, ctx):
+            calls["react"] += 1
+            return react(self, state, op, ctx)
+
+        def counting_lint(*args, **kwargs):
+            calls["lint"] += 1
+            return lint(*args, **kwargs)
+
+        monkeypatch.setattr(MoesiProtocol, "react", counting_react)
+        monkeypatch.setattr(repro.lint, "lint_spec", counting_lint)
+        job = VerificationJob(protocol="moesi", validate_spec=True, options=ANNOTATE)
+        assert run_batch([job], workers=1).results[0].ok
+        assert calls == {"react": 448, "lint": 1}
 
 
 class _UndeclaredNextSpec(_RegistrySpecBase):
