@@ -28,7 +28,7 @@ def main() -> None:
     print(f"Injected bug: {mutant.full_name}\n")
 
     # 1. Symbolic verification: immediate, exhaustive, with witness.
-    report = verify(mutant, validate_spec=False)
+    report = verify(mutant)
     assert not report.ok
     print("=== 1. Symbolic verifier ===")
     print(

@@ -58,7 +58,7 @@ def main() -> None:
 
     # 3. A broken locking protocol is caught symbolically.
     buggy = get_mutant(spec, "drop-invalidation")
-    buggy_report = verify(buggy, validate_spec=False)
+    buggy_report = verify(buggy)
     assert not buggy_report.ok
     print(f"{buggy.full_name}:")
     print(buggy_report.witnesses[0].render())

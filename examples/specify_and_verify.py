@@ -43,7 +43,7 @@ def main() -> None:
 
     # 2. A write-broadcast protocol from a spec file, verified and run.
     firefly_like = load_protocol(SPEC_DIR / "firefly_like.proto")
-    report = verify(firefly_like, validate_spec=False)
+    report = verify(firefly_like)
     print(f"\n{report}")
     system = System(firefly_like, 4)
     sim = system.run(make_workload("producer-consumer", 4, 5000, seed=9))
@@ -52,7 +52,7 @@ def main() -> None:
 
     # 3. A buggy spec is rejected before any hardware exists.
     broken = load_protocol(SPEC_DIR / "broken_mesi.proto")
-    broken_report = verify(broken, validate_spec=False)
+    broken_report = verify(broken)
     print(f"\n{broken_report}")
     assert not broken_report.ok
     print("\nFirst counterexample for the buggy specification:")

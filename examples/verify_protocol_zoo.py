@@ -26,7 +26,7 @@ from repro.protocols.registry import get_protocol
 
 def main() -> None:
     jobs = [
-        VerificationJob(protocol=name, validate_spec=True)
+        VerificationJob(protocol=name)
         for name in protocol_names()
     ]
     report = run_batch(jobs, workers=int(os.environ.get("REPRO_ZOO_JOBS", "1")))

@@ -54,14 +54,14 @@ from .core.protocol import ProtocolDefinitionError
 from .core.serialize import result_to_json
 from .core.verifier import verify
 from .obs import EXPORT_EXTENSIONS, EXPORTERS
-from .protocols.dsl import DslError, load_protocol, parse_protocol
+from .protocols.dsl import DslError, load_protocol, parse_protocol_file
 from .protocols.mutations import (
     LIVENESS_MUTATIONS,
     MUTATIONS,
     get_mutant,
     mutants_for,
 )
-from .protocols.registry import all_protocols, protocol_names, resolve_specs
+from .protocols.registry import all_protocols, resolve_specs
 
 # Modules that serve a single subcommand (the simulator, enumeration,
 # perturbation, comparison and FSM analyses, the service and testkit)
@@ -160,27 +160,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     options = RunOptions.from_args(args)
     status = EXIT_OK
     if args.spec_file:
-        if options.preflight != "off":
-            # Parse leniently: the preflight (not the structural
-            # validator) should be the one reporting static problems.
-            from pathlib import Path
-
-            text = Path(args.spec_file).read_text(encoding="utf-8")
-            specs = [
-                parse_protocol(
-                    text,
-                    default_name=Path(args.spec_file).stem,
-                    source_path=args.spec_file,
-                )
-            ]
-        else:
-            specs = [load_protocol(args.spec_file)]
+        specs = [parse_protocol_file(args.spec_file)]  # verify() validates
     else:
         specs = resolve_specs(args.protocol)
     for spec in specs:
         if args.mutant:
             spec = get_mutant(spec, args.mutant)
-        report = verify(spec, options=options, validate_spec=not args.mutant)
+        report = verify(spec, options=options)
         if report.lint is not None and not report.lint.clean:
             for diagnostic in report.lint.diagnostics:
                 print(f"lint: {diagnostic.render(report.lint.target)}")
@@ -216,29 +202,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         ResultCache,
         RunJournal,
         VerificationJob,
+        registry_jobs,
         run_batch,
     )
 
     options = RunOptions.from_args(args)
-    jobs: list[VerificationJob] = []
-    names: list[str] = []
-    for name in args.protocols:
-        if name == "all":
-            names.extend(protocol_names())
-        elif name == "none":  # spec-file-only batches
-            continue
-        else:
-            names.append(name)
-    for name in dict.fromkeys(names):  # dedupe, keep order
-        [spec] = resolve_specs(name)  # raises KeyError for unknown names
-        jobs.append(VerificationJob(protocol=name, validate_spec=True, options=options))
-        if args.mutants:
-            for mutant in mutants_for(spec):
-                jobs.append(
-                    VerificationJob(
-                        protocol=name, mutant=mutant.mutation.key, options=options
-                    )
-                )
+    jobs = registry_jobs(
+        # ``none`` names no protocol: spec-file-only batches.
+        [name for name in args.protocols if name != "none"],
+        options,
+        mutants=args.mutants,
+    )
     for path in args.spec_file:
         jobs.append(VerificationJob(spec_file=path, options=options))
 
@@ -611,34 +585,13 @@ def _cmd_ir(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .engine import RunJournal, VerificationJob, run_batch
+    from .engine import RunJournal, VerificationJob, registry_jobs, run_batch
     from .obs import Collector, render_report, use_collector
 
     options = RunOptions.from_args(args)
-    jobs: list[VerificationJob] = []
-    names: list[str] = []
-    for name in args.protocol:
-        if name == "all":
-            names.extend(protocol_names())
-        else:
-            names.append(name)
-    for name in dict.fromkeys(names):  # dedupe, keep order
-        [spec] = resolve_specs(name)  # raises KeyError for unknown names
-        jobs.append(
-            VerificationJob(
-                protocol=name,
-                mutant=args.mutant,
-                validate_spec=args.mutant is None,
-                options=options,
-            )
-        )
-        if args.mutants:
-            for mutant in mutants_for(spec):
-                jobs.append(
-                    VerificationJob(
-                        protocol=name, mutant=mutant.mutation.key, options=options
-                    )
-                )
+    jobs = registry_jobs(
+        args.protocol, options, mutant=args.mutant, mutants=args.mutants
+    )
     for path in args.spec_file:
         jobs.append(VerificationJob(spec_file=path, options=options))
     if not jobs:

@@ -19,7 +19,7 @@ from .errors import Violation, Witness
 from .essential import ExpansionResult, PruningMode, explore  # noqa: F401
 from .graph import ascii_diagram
 from .options import RunOptions
-from .protocol import ProtocolSpec
+from .protocol import ProtocolSpec, reaction_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.guard import Guard
@@ -151,7 +151,6 @@ def verify(
     *,
     options: RunOptions = RunOptions(),
     stop_on_error: bool = False,
-    validate_spec: bool = True,
     guard: "Guard | None" = None,
 ) -> VerificationReport:
     """Verify a protocol; the library's main entry point.
@@ -174,6 +173,10 @@ def verify(
       :class:`~repro.engine.guard.Guard`: an exhausted budget yields a
       *partial* report (``report.partial``) instead of raising.
 
+    The spec is validated (:meth:`~repro.core.protocol.ProtocolSpec.validate`,
+    raising :class:`~repro.core.protocol.ProtocolDefinitionError`) from
+    its behaviour table, which is built under the run's guard: a guard
+    that trips there skips validation and yields a partial report.
     An explicit ``guard`` owns every budget, ``max_visits`` included.
     The expansion runs on the compiled kernel (:mod:`repro.kernel`),
     which reports what the interpreter (:func:`explore`) does.
@@ -193,8 +196,6 @@ def verify(
         lint_report = lint_spec(spec)
         if options.preflight == "reject" and not lint_report.ok:
             raise LintError(lint_report)
-    if validate_spec:
-        spec.validate()
     if guard is None and (
         options.deadline, options.max_states, options.max_rss_mb
     ) != (None, None, None):
@@ -202,6 +203,8 @@ def verify(
         from ..engine.guard import Guard
 
         guard = Guard(options.budget())
+    if reaction_table(spec, guard) is not None:  # else the kernel's PARTIAL
+        spec.validate()
     # Imported lazily: the kernel lives above the core package.
     from .. import kernel
 

@@ -45,7 +45,7 @@ from .batch import BatchReport, run_batch
 from .cache import ResultCache, default_cache_dir
 from .fingerprint import ENGINE_VERSION, job_key, spec_fingerprint
 from .guard import Budget, Exhaustion, ExhaustionReason, Guard, current_rss_mb
-from .job import JobResult, JobStatus, VerificationJob, execute_job
+from .job import JobResult, JobStatus, VerificationJob, execute_job, registry_jobs
 from .journal import JournalFollower, RunJournal
 from .resilience import BackoffPolicy, BatchCancelled, BreakerState, CircuitBreaker
 from .runner import ParallelRunner, SerialRunner, make_runner
@@ -74,6 +74,7 @@ __all__ = [
     "execute_job",
     "job_key",
     "make_runner",
+    "registry_jobs",
     "run_batch",
     "spec_fingerprint",
 ]

@@ -25,7 +25,7 @@ the result cache for verdicts), re-dispatching only the remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..obs import NOOP_SPAN
 from ..obs import active as _active_collector
@@ -38,6 +38,9 @@ from .job import JobResult, JobStatus, VerificationJob
 from .journal import RunJournal
 from .resilience import BackoffPolicy, BatchCancelled, BreakerState, CircuitBreaker
 from .runner import CancelFlag, ParallelRunner, SerialRunner, make_runner
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..lint.model import LintReport
 
 __all__ = ["BatchReport", "run_batch"]
 
@@ -326,6 +329,7 @@ def run_batch(
 
     results: list[JobResult | None] = [None] * len(jobs)
     fingerprints: dict[int, str] = {}
+    specs: dict[int, ProtocolSpec] = {}
     lint_findings: dict[int, list[dict[str, Any]]] = {}
     to_run: list[int] = []
 
@@ -345,21 +349,32 @@ def run_batch(
                 )
                 _finish(journal, results[i])
                 continue
-            # Lint and fingerprint read one resolved spec (one behaviour
-            # table); a spec file is linted leniently, then resolved.
+            # Lint, fingerprint and (serially) verification read one
+            # resolved spec: one behaviour table per job.
             ended: JobResult | None = None
             try:
-                spec = job.resolve_spec() if job.spec_file is None else None
+                spec = job.resolve_spec()
                 if job.options.preflight != "off":
-                    ended = _preflight(journal, job, spec, lint_findings, i)
+                    from ..lint import lint_spec
+
+                    report = lint_spec(spec, target=job.label)
+                    ended = _preflight(journal, job, report, lint_findings, i)
                 if ended is None:
-                    fingerprint = spec_fingerprint(
-                        spec if spec is not None else job.resolve_spec()
-                    )
+                    fingerprint = spec_fingerprint(spec)
             except Exception as exc:  # noqa: BLE001 - spec errors are data here
-                error = f"{type(exc).__name__}: {exc}"
-                ended = JobResult(
-                    job, JobStatus.ERROR, error=error, lint=lint_findings.get(i)
+                from ..protocols.dsl import DslError
+
+                if isinstance(exc, DslError) and job.options.preflight != "off":
+                    # An unparsable spec file still gets its PL000 finding.
+                    from ..lint import lint_path
+
+                    report = lint_path(job.spec_file)
+                    ended = _preflight(journal, job, report, lint_findings, i)
+                ended = ended or JobResult(
+                    job,
+                    JobStatus.ERROR,
+                    error=f"{type(exc).__name__}: {exc}",
+                    lint=lint_findings.get(i),
                 )
             if ended is not None:  # rejected by preflight, or an error
                 results[i] = ended
@@ -410,6 +425,7 @@ def run_batch(
                 _finish(journal, results[i])
                 continue
             to_run.append(i)
+            specs[i] = spec
 
     if to_run:
         if runner is None:
@@ -429,6 +445,7 @@ def run_batch(
             # (when cacheable) already landed -- which is what lets a
             # resumed run trust the journal.
             i = to_run[k]
+            result.job = jobs[i]
             result.fingerprint = fingerprints[i]
             result.lint = lint_findings.get(i)
             results[i] = result
@@ -436,6 +453,20 @@ def run_batch(
                 cache.put(fingerprints[i], jobs[i], result)
             _finish(journal, result)
 
+        if isinstance(runner, SerialRunner):
+            # In-process jobs verify the spec admission resolved, so a
+            # job builds one behaviour table and one lowering; each
+            # spec is let go once its job is dispatched.  A worker
+            # resolves its own copy (where a chaos fault detonates).
+            dispatch: Any = (
+                VerificationJob(
+                    spec=specs.pop(i), options=jobs[i].options, label=jobs[i].label
+                )
+                for i in to_run
+            )
+        else:
+            specs.clear()
+            dispatch = [jobs[i] for i in to_run]
         run_kwargs: dict[str, Any] = {}
         if backoff is not None or breaker is not None:
             run_kwargs["keys"] = [fingerprints[i] for i in to_run]
@@ -448,7 +479,7 @@ def run_batch(
                 else NOOP_SPAN
             ):
                 runner.run(
-                    [jobs[i] for i in to_run],
+                    dispatch,
                     on_event=lambda event, fields: journal.emit(event, **fields),
                     on_result=on_result,
                     **run_kwargs,
@@ -496,54 +527,20 @@ def run_batch(
     return report
 
 
-def _lint_job(job: VerificationJob, spec: ProtocolSpec | None):
-    """Lint the specification a job will verify, without validating it.
-
-    *spec* is the job's resolved specification.  Spec-file jobs pass
-    ``None``: ``resolve_spec`` runs the full structural validation for
-    DSL files, which raises on exactly the problems the linter is meant
-    to report, so they are parsed leniently here (syntax errors become
-    ``PL000`` findings) and statically-broken files reach the analyzer
-    instead of blowing up before it.
-    """
-    from ..lint import lint_source, lint_spec
-
-    if spec is None:
-        from pathlib import Path
-
-        text = Path(job.spec_file).read_text(encoding="utf-8")
-        if job.mutant is None:
-            return lint_source(
-                text, name=Path(job.spec_file).stem, path=job.spec_file
-            )
-        from ..protocols.dsl import parse_protocol
-        from ..protocols.mutations import get_mutant
-
-        spec = parse_protocol(
-            text,
-            default_name=Path(job.spec_file).stem,
-            source_path=job.spec_file,
-        )
-        return lint_spec(get_mutant(spec, job.mutant), target=job.label)
-    return lint_spec(spec, target=job.label)
-
-
 def _preflight(
     journal: RunJournal,
     job: VerificationJob,
-    spec: ProtocolSpec | None,
+    report: "LintReport",
     lint_findings: dict[int, list[dict[str, Any]]],
     index: int,
 ) -> JobResult | None:
-    """Lint one job's spec (see :func:`_lint_job`) before dispatch; a
-    result means rejection.
+    """Record one job's preflight lint *report*; a result means rejection.
 
     Emits the ``lint`` journal event, stashes the findings for
     attachment to whatever result the job eventually produces, and --
     in ``"reject"`` mode -- returns a terminal ``rejected`` result for
     specs failing an error-severity rule.
     """
-    report = _lint_job(job, spec)
     findings = [d.to_dict() for d in report.diagnostics]
     journal.emit(
         "lint",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from ..obs import clock
 from ..core.options import RunOptions
@@ -31,6 +31,7 @@ __all__ = [
     "VerificationJob",
     "JobResult",
     "execute_job",
+    "registry_jobs",
 ]
 
 
@@ -94,7 +95,6 @@ class VerificationJob:
     spec_file: str | None = None
     spec: ProtocolSpec | None = field(default=None, compare=False)
     options: RunOptions = RunOptions()
-    validate_spec: bool = False
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -125,14 +125,15 @@ class VerificationJob:
 
         Raises ``KeyError`` (unknown protocol/mutation), ``OSError`` or
         ``DslError`` (bad spec file) -- callers map these to the
-        usage-error exit status.
+        usage-error exit status.  A spec file is parsed, not validated:
+        :func:`~repro.core.verifier.verify` validates every spec it runs.
         """
         if self.spec is not None:
             spec = self.spec
         elif self.spec_file is not None:
-            from ..protocols.dsl import load_protocol
+            from ..protocols.dsl import parse_protocol_file
 
-            spec = load_protocol(self.spec_file)
+            spec = parse_protocol_file(self.spec_file)
         else:
             from ..protocols.registry import get_protocol
 
@@ -152,9 +153,42 @@ class VerificationJob:
             "mutant": self.mutant,
             "spec_file": self.spec_file,
             "inline_spec": self.spec.name if self.spec is not None else None,
-            "validate_spec": self.validate_spec,
             **self.options.to_dict(),
         }
+
+
+def registry_jobs(
+    names: Sequence[str],
+    options: RunOptions,
+    *,
+    mutant: str | None = None,
+    mutants: bool = False,
+) -> list[VerificationJob]:
+    """One job per registry protocol in *names*, then its mutant matrix.
+
+    ``"all"`` expands to the zoo, repeated names collapse to their first
+    occurrence and an unknown name raises ``KeyError``.  Each protocol's
+    job applies ``mutant`` (when given); ``mutants`` adds one job per
+    applicable safety mutant right after it.
+    """
+    from ..protocols.mutations import mutants_for
+    from ..protocols.registry import get_protocol, protocol_names
+
+    expanded = [
+        each
+        for name in names
+        for each in (protocol_names() if name == "all" else (name,))
+    ]
+    jobs = []
+    for name in dict.fromkeys(expanded):  # dedupe, keep order
+        spec = get_protocol(name)
+        jobs.append(VerificationJob(protocol=name, mutant=mutant, options=options))
+        if mutants:
+            jobs.extend(
+                VerificationJob(protocol=name, mutant=m.mutation.key, options=options)
+                for m in mutants_for(spec)
+            )
+    return jobs
 
 
 @dataclass
@@ -243,7 +277,6 @@ def execute_job(
         report = verify(
             spec,
             options=replace(job.options, preflight="off"),
-            validate_spec=job.validate_spec,
             guard=Guard(job.options.budget(), cancel=cancel),
         )
         result = report.result

@@ -65,7 +65,7 @@ import multiprocessing
 import time
 from collections import deque
 from multiprocessing.connection import Connection, wait as _connection_wait
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..obs import active as _active_collector
 from ..obs import clock
@@ -102,14 +102,14 @@ class SerialRunner:
 
     def run(
         self,
-        jobs: Sequence[VerificationJob],
+        jobs: Iterable[VerificationJob],
         on_event: EventSink | None = None,
         on_result: ResultSink | None = None,
         *,
         keys: Sequence[str] | None = None,
         cancel: CancelFlag | None = None,
     ) -> list[JobResult]:
-        """Run every job; results are in input order.
+        """Run every job, drawn one at a time; results are in input order.
 
         ``keys`` is accepted for interface parity with
         :class:`ParallelRunner` but unused: breaker supervision guards

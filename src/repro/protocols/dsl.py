@@ -90,6 +90,7 @@ __all__ = [
     "Origin",
     "parse_protocol",
     "load_protocol",
+    "parse_protocol_file",
     "load_builtin",
     "builtin_spec_names",
 ]
@@ -639,12 +640,15 @@ def parse_protocol(
     )
 
 
+def parse_protocol_file(path: str | Path) -> DslProtocol:
+    """Parse (not validate) a protocol specification file."""
+    text = Path(path).read_text(encoding="utf-8")
+    return parse_protocol(text, default_name=Path(path).stem, source_path=str(path))
+
+
 def load_protocol(path: str | Path) -> DslProtocol:
     """Parse **and validate** a protocol specification file."""
-    text = Path(path).read_text(encoding="utf-8")
-    protocol = parse_protocol(
-        text, default_name=Path(path).stem, source_path=str(path)
-    )
+    protocol = parse_protocol_file(path)
     protocol.validate()
     return protocol
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from ..core.essential import ExpansionLimitError, explore
-from ..core.protocol import ProtocolDefinitionError, ProtocolSpec
+from ..core.protocol import ProtocolSpec
 from ..core.reactions import Ctx, ObserverReaction, Outcome
 from ..core.symbols import Op
 
@@ -36,6 +35,9 @@ __all__ = [
     "CriticalityReport",
     "criticality_profile",
 ]
+
+#: Perturbations per batch and worker in :func:`criticality_profile`.
+_CHUNK = 8
 
 #: Every supported single-point edit.
 PERTURBATION_KINDS = (
@@ -218,60 +220,41 @@ def criticality_profile(
     fragility ratio: they could never be implemented, so they say
     nothing about the protocol's robustness.
 
-    ``jobs > 1`` distributes the sweep over the batch engine's worker
-    pool (:mod:`repro.engine`); perturbed candidates are plain
-    picklable specifications, and verdicts are aggregated in
+    The sweep runs through the batch engine (:mod:`repro.engine`), whose
+    :func:`~repro.core.verifier.verify` validates every edit: ``jobs >
+    1`` distributes it over a worker pool (perturbed candidates are
+    plain picklable specifications), and verdicts are aggregated in
     deterministic perturbation order either way.
     """
-    report = CriticalityReport(protocol=spec.name)
-    candidates: list[tuple[Perturbation, PerturbedProtocol]] = []
-    for perturbation in all_perturbations(spec, picks=picks):
-        report.attempted += 1
-        candidate = PerturbedProtocol(spec, perturbation)
-        try:
-            candidate.validate()
-        except ProtocolDefinitionError:
-            report.ill_formed += 1
-            continue
-        candidates.append((perturbation, candidate))
+    # Imported lazily: the engine package sits above the protocol layer
+    # and pulling it in eagerly would be cyclic.
+    from ..core.options import RunOptions
+    from ..engine import VerificationJob, run_batch
 
-    if jobs > 1:
-        # Imported lazily: the engine package sits above the protocol
-        # layer and pulling it in eagerly would be cyclic.
-        from ..core.options import RunOptions
-        from ..engine import VerificationJob, run_batch
-
-        options = RunOptions(max_visits=max_visits)
+    perturbations = all_perturbations(spec, picks=picks)
+    report = CriticalityReport(protocol=spec.name, attempted=len(perturbations))
+    options = RunOptions(max_visits=max_visits)
+    # One batch per chunk: a sweep holds one chunk's specs (and their
+    # compiled kernels) and payloads at a time, not the whole sweep's.
+    size = _CHUNK * max(jobs, 1)
+    for start in range(0, len(perturbations), size):
+        chunk = perturbations[start : start + size]
         batch = run_batch(
             [
                 VerificationJob(
-                    spec=candidate, options=options, label=f"{candidate.name}#{i}"
+                    spec=PerturbedProtocol(spec, perturbation),
+                    options=options,
+                    label=f"{spec.name}~{start + i}",
                 )
-                for i, (_, candidate) in enumerate(candidates)
+                for i, perturbation in enumerate(chunk)
             ],
             workers=jobs,
         )
-        for (perturbation, _), result in zip(candidates, batch.results):
-            if not result.completed:
+        for perturbation, result in zip(chunk, batch.results):
+            if not result.completed:  # failed validation, or diverged
                 report.ill_formed += 1
                 continue
             assert result.payload is not None
             kinds = {v["kind"] for v in result.payload["violations"]}
-            _record_verdict(
-                report, perturbation, result.payload["verified"], kinds
-            )
-        return report
-
-    for perturbation, candidate in candidates:
-        try:
-            result = explore(candidate, max_visits=max_visits)
-        except ExpansionLimitError:
-            report.ill_formed += 1
-            continue
-        _record_verdict(
-            report,
-            perturbation,
-            result.ok,
-            {v.kind.value for v in result.violations},
-        )
+            _record_verdict(report, perturbation, result.payload["verified"], kinds)
     return report

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core.options import FIELD_NAMES, RunOptions
-from ..engine import VerificationJob
+from ..engine import VerificationJob, registry_jobs
 from ..engine.batch import BatchReport
 from ..obs import clock
 
@@ -180,9 +180,6 @@ class CampaignRequest:
         are the minimum of what the request asked for and what the
         tenant has left.
         """
-        from ..protocols.mutations import mutants_for
-        from ..protocols.registry import protocol_names, resolve_specs
-
         options = self.options
         if deadline_cap is not None:
             deadline = options.deadline
@@ -197,27 +194,7 @@ class CampaignRequest:
                 options, max_visits=min(options.max_visits, max_visits_cap)
             )
 
-        names: list[str] = []
-        for name in self.protocols:
-            if name == "all":
-                names.extend(protocol_names())
-            else:
-                names.append(name)
-        jobs: list[VerificationJob] = []
-        for name in dict.fromkeys(names):  # dedupe, keep order
-            [spec] = resolve_specs(name)  # raises KeyError for unknown names
-            jobs.append(
-                VerificationJob(protocol=name, validate_spec=True, options=options)
-            )
-            if self.mutants:
-                for mutant in mutants_for(spec):
-                    jobs.append(
-                        VerificationJob(
-                            protocol=name,
-                            mutant=mutant.mutation.key,
-                            options=options,
-                        )
-                    )
+        jobs = registry_jobs(self.protocols, options, mutants=self.mutants)
         for name, source in self.specs:
             spec_dir.mkdir(parents=True, exist_ok=True)
             path = spec_dir / f"{name}.proto"

@@ -34,6 +34,7 @@ from repro.engine import (
     spec_fingerprint,
 )
 from repro.protocols.dsl import builtin_spec_names, load_builtin
+from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.msi import MsiProtocol
 from repro.protocols.mutations import get_mutant, mutants_for
 from repro.protocols.registry import all_protocols, get_protocol, protocol_names
@@ -237,11 +238,24 @@ class TestJournal:
         ]
 
 
+class RaisesBesideDirtyAndShared(IllinoisProtocol):
+    """Illinois whose ``react`` raises only beside Dirty and Shared copies
+    at once: a present-set no reachable state has, so expansion never
+    meets it, but a row with two present states, which validation reads."""
+
+    name = "illinois-raises-beside-dirty-and-shared"
+
+    def react(self, state, op, ctx):
+        if ctx.present == {"Dirty", "Shared"}:
+            raise RuntimeError("Dirty beside Shared")
+        return super().react(state, op, ctx)
+
+
 # ----------------------------------------------------------------------
 class TestRunners:
     def test_parallel_matches_serial_for_the_zoo(self):
         jobs = [
-            VerificationJob(protocol=name, validate_spec=True)
+            VerificationJob(protocol=name)
             for name in protocol_names()
         ]
         serial = SerialRunner().run(jobs)
@@ -336,9 +350,23 @@ class TestRunBatch:
         assert not result.cached and report.cache_hits == 0
         assert result.status == JobStatus.ERROR
 
+    @pytest.mark.parametrize("order", [("off", "annotate"), ("annotate", "off")])
+    def test_an_ill_formed_spec_errors_whichever_job_runs_first(
+        self, tmp_path, order
+    ):
+        # Validation is not a per-job choice: over one cache, both jobs
+        # of either order reject the spec, and neither result is cached.
+        cache = ResultCache(tmp_path)
+        spec = RaisesBesideDirtyAndShared()
+        for preflight in order:
+            job = VerificationJob(spec=spec, options=RunOptions(preflight=preflight))
+            [result] = run_batch([job], cache=cache).results
+            assert result.status == JobStatus.ERROR and not result.cached
+            assert "ProtocolDefinitionError" in result.error
+
     def test_results_keep_input_order(self):
         jobs = [
-            VerificationJob(protocol=name, validate_spec=True)
+            VerificationJob(protocol=name)
             for name in protocol_names()
         ]
         report = run_batch(jobs, workers=3)
@@ -360,13 +388,13 @@ class TestRunBatch:
     def test_batch_agrees_with_sequential_verify(self):
         """`repro batch` verdicts == sequential verify/mutants verdicts."""
         base = get_protocol("illinois")
-        jobs = [VerificationJob(protocol="illinois", validate_spec=True)] + [
+        jobs = [VerificationJob(protocol="illinois")] + [
             VerificationJob(protocol="illinois", mutant=m.mutation.key)
             for m in mutants_for(base)
         ]
         report = run_batch(jobs, workers=2)
-        sequential = [verify(base, validate_spec=True).result] + [
-            verify(get_mutant(base, m.mutation.key), validate_spec=False).result
+        sequential = [verify(base).result] + [
+            verify(get_mutant(base, m.mutation.key)).result
             for m in mutants_for(base)
         ]
         for result, expected in zip(report.results, sequential):

@@ -90,7 +90,7 @@ class TestVerifyFacade:
 
     def test_render_failed_includes_counterexample(self):
         mutant = get_mutant(IllinoisProtocol(), "drop-invalidation")
-        report = verify(mutant, validate_spec=False)
+        report = verify(mutant)
         text = report.render()
         assert "FAILED" in text
         assert "Counterexample" in text

@@ -156,7 +156,7 @@ class TestPartialExpansion:
 
     def test_verify_renders_partial_verdict(self):
         report = verify(
-            "illinois", validate_spec=False, guard=Guard(Budget(max_visits=5))
+            "illinois", guard=Guard(Budget(max_visits=5))
         )
         assert report.partial
         assert not report.ok

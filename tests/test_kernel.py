@@ -252,7 +252,7 @@ def test_cache_entry_is_shared_across_backends():
     # the same payload: the zoo plus one violating mutant (witnesses).
     mutant = mutants_for(get_protocol("msi"))[0]
     for spec in [*all_protocols(), mutant]:
-        kern = result_to_dict(verify(spec, validate_spec=False).result)
+        kern = result_to_dict(verify(spec).result)
         interp = result_to_dict(explore(spec))
         assert _without_elapsed(kern) == _without_elapsed(interp), spec.name
 
@@ -297,9 +297,13 @@ def test_a_reachable_raise_raises_on_both_engines():
     # The kernel raises when expansion reaches the raise entry.
     message = r"react\(Invalid, R, present=\['Dirty'\]\) raised RuntimeError: boom"
     with pytest.raises(ProtocolDefinitionError, match=message):
-        verify(spec, validate_spec=False)
+        kernel_explore(spec)
     with pytest.raises(ProtocolDefinitionError, match=message):
         kernel_enumerate(spec, 2)
+    # verify() rejects the spec before expanding: validation reads the
+    # raise from the behaviour table.
+    with pytest.raises(ProtocolDefinitionError, match=r"raised RuntimeError\('boom'\)"):
+        verify(spec)
 
 
 class CancelledWhileLowering(IllinoisProtocol):
@@ -325,9 +329,12 @@ def test_guard_stops_lowering_with_a_partial_result():
     lower(full)  # how many react() calls one whole lowering makes
     flag = threading.Event()
     spec = CancelledWhileLowering(flag)
-    report = verify(spec, validate_spec=False, guard=Guard(cancel=flag))
-    # A structured PARTIAL from the kernel -- not an error, and not a
+    report = verify(spec, guard=Guard(cancel=flag))
+    # verify() builds the behaviour table under the guard, so the trip
+    # skips validation: no react() call runs unguarded.  The result is a
+    # structured PARTIAL from the kernel -- not an error, and not a
     # finished lowering: the initial state is the whole frontier.
+    assert spec.calls == 5
     assert report.partial and not report.result.violations
     assert report.result.exhausted.reason == "cancelled"
     assert not report.result.essential

@@ -739,6 +739,28 @@ class TestBatchPreflight:
         assert result.status == JobStatus.ERROR
         assert result.lint and result.lint[0]["rule"] == "PL006"
 
+    @pytest.mark.parametrize(
+        "preflight,status,rules",
+        [
+            ("reject", JobStatus.REJECTED, ["PL000"]),
+            ("annotate", JobStatus.ERROR, ["PL000"]),
+            ("off", JobStatus.ERROR, None),
+        ],
+    )
+    def test_unparsable_spec_file(self, tmp_path, preflight, status, rules):
+        # A file that does not parse resolves to no spec; the preflight
+        # still reports it, as lint_source's PL000 finding.
+        path = tmp_path / "garbled.proto"
+        path.write_text("protocol ???\n", encoding="utf-8")
+        job = VerificationJob(
+            spec_file=str(path), options=RunOptions(preflight=preflight)
+        )
+        [result] = run_batch([job]).results
+        assert result.status == status
+        assert rules == (
+            None if result.lint is None else [d["rule"] for d in result.lint]
+        )
+
     def test_per_job_preflight_mode(self, tmp_path):
         spy = _SpyRunner()
         jobs = [
@@ -895,10 +917,10 @@ class TestOneLowering:
         assert _CountingMoesi.calls == 224
 
     def test_batch_preflight_and_fingerprint_share_one_spec(self, monkeypatch):
-        # Admission resolves moesi once: its lint probes 224 times and
-        # its fingerprint reads the same table.  The job then verifies
-        # its own copy with preflight off (admission already linted):
-        # validate() and the kernel share that copy's table, 224 more.
+        # Admission resolves moesi once: its lint probes 224 times, and
+        # its fingerprint, the serial runner's validate() and the kernel
+        # read that table (the job verifies with preflight off: admission
+        # already linted it).
         import repro.lint
 
         calls = {"react": 0, "lint": 0}
@@ -914,9 +936,9 @@ class TestOneLowering:
 
         monkeypatch.setattr(MoesiProtocol, "react", counting_react)
         monkeypatch.setattr(repro.lint, "lint_spec", counting_lint)
-        job = VerificationJob(protocol="moesi", validate_spec=True, options=ANNOTATE)
+        job = VerificationJob(protocol="moesi", options=ANNOTATE)
         assert run_batch([job], workers=1).results[0].ok
-        assert calls == {"react": 448, "lint": 1}
+        assert calls == {"react": 224, "lint": 1}
 
 
 class _UndeclaredNextSpec(_RegistrySpecBase):

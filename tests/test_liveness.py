@@ -91,7 +91,7 @@ def _all_liveness_mutants():
     ids=lambda v: v if isinstance(v, str) else "",
 )
 def test_liveness_mutants_are_safety_clean_but_not_live(name, mutant):
-    report = verify(mutant, options=LIVENESS, validate_spec=False)
+    report = verify(mutant, options=LIVENESS)
     # Safety-clean: the starvation catalog must not smuggle in
     # coherence bugs, or it would be caught for the wrong reason.
     assert not report.result.violations, name
@@ -108,7 +108,7 @@ def test_liveness_mutants_are_safety_clean_but_not_live(name, mutant):
 
 def test_liveness_violation_kinds_are_starvation_kinds():
     for _, mutant in _all_liveness_mutants():
-        liveness = verify(mutant, options=LIVENESS, validate_spec=False).liveness
+        liveness = verify(mutant, options=LIVENESS).liveness
         for violation in liveness.violations:
             assert violation.kind in (ErrorKind.STALL_CYCLE, ErrorKind.DEADLOCK)
 
@@ -133,7 +133,6 @@ def test_lasso_signature_and_retry_label_shape():
     liveness = verify(
         get_mutant(get_protocol("msi"), "stall-forever"),
         options=LIVENESS,
-        validate_spec=False,
     ).liveness
     lasso = liveness.lassos[0]
     prefix = f"{lasso.pending} {lasso.kind.value} stem="
@@ -145,7 +144,6 @@ def test_render_includes_the_lasso():
     report = verify(
         get_mutant(get_protocol("msi"), "stall-forever"),
         options=LIVENESS,
-        validate_spec=False,
     )
     text = report.render()
     assert "NOT LIVE" in text

@@ -29,7 +29,7 @@ def test_property_stall_free_draws_are_live(seed):
     # approximation is exact: every draw must be dynamically live.
     generator = SpecGenerator(seed=seed)
     _, spec = generator.draw_checked()
-    report = verify(spec, options=RunOptions(mode="liveness"), validate_spec=False)
+    report = verify(spec, options=RunOptions(mode="liveness"))
     assert report.liveness is not None
     if report.liveness.checked:
         assert report.liveness.live, report.liveness.summary()
