@@ -329,157 +329,154 @@ def run_batch(
 
     results: list[JobResult | None] = [None] * len(jobs)
     fingerprints: dict[int, str] = {}
-    specs: dict[int, ProtocolSpec] = {}
     lint_findings: dict[int, list[dict[str, Any]]] = {}
     to_run: list[int] = []
 
-    with coll.span("batch.admit", jobs=len(jobs)) if coll is not None else NOOP_SPAN:
-        for i, job in enumerate(jobs):
-            prior = replayable.get(job.label)
-            if prior is not None:
-                results[i] = JobResult(
-                    job,
-                    prior["status"],
-                    error=prior.get("error"),
-                    attempts=int(prior.get("attempts", 1)),
-                    elapsed=float(prior.get("elapsed", 0.0)),
-                )
+    def admit(i: int, job: VerificationJob) -> ProtocolSpec | None:
+        """Settle job *i* (journal replay, preflight, error, cache hit or
+        quarantine), or queue it in ``to_run`` and return its spec."""
+        prior = replayable.get(job.label)
+        if prior is not None:
+            results[i] = JobResult(
+                job,
+                prior["status"],
+                error=prior.get("error"),
+                attempts=int(prior.get("attempts", 1)),
+                elapsed=float(prior.get("elapsed", 0.0)),
+            )
+            journal.emit("job_replayed", job=job.label, status=prior["status"])
+            _finish(journal, results[i])
+            return None
+        # Lint, fingerprint and (serially) verification read one
+        # resolved spec: one behaviour table per job.
+        ended: JobResult | None = None
+        try:
+            spec = job.resolve_spec()
+            if job.options.preflight != "off":
+                from ..lint import lint_spec
+
+                report = lint_spec(spec, target=job.label)
+                ended = _preflight(journal, job, report, lint_findings, i)
+            if ended is None:
+                fingerprint = spec_fingerprint(spec)
+        except Exception as exc:  # noqa: BLE001 - spec errors are data here
+            from ..protocols.dsl import DslError
+
+            if isinstance(exc, DslError) and job.options.preflight != "off":
+                # An unparsable spec file still gets its PL000 finding.
+                from ..lint import lint_path
+
+                report = lint_path(job.spec_file)
+                ended = _preflight(journal, job, report, lint_findings, i)
+            ended = ended or JobResult(
+                job,
+                JobStatus.ERROR,
+                error=f"{type(exc).__name__}: {exc}",
+                lint=lint_findings.get(i),
+            )
+        if ended is not None:  # rejected by preflight, or an error
+            results[i] = ended
+            journal.emit("job_start", job=job.label, fingerprint=None)
+            _finish(journal, ended)
+            return None
+        journal.emit("job_start", job=job.label, fingerprint=fingerprint)
+        fingerprints[i] = fingerprint
+        if cache is not None:
+            hit = cache.get(fingerprint, job)
+            if hit is not None:
+                hit.lint = lint_findings.get(i)
+                results[i] = hit
                 journal.emit(
-                    "job_replayed", job=job.label, status=prior["status"]
+                    "cache_hit", job=job.label, key=cache.key_for(fingerprint, job)
                 )
-                _finish(journal, results[i])
-                continue
-            # Lint, fingerprint and (serially) verification read one
-            # resolved spec: one behaviour table per job.
-            ended: JobResult | None = None
-            try:
-                spec = job.resolve_spec()
-                if job.options.preflight != "off":
-                    from ..lint import lint_spec
+                _finish(journal, hit)
+                return None
+        # Cache misses that would hit a tripped breaker are refused
+        # here, before any worker sees them (cache hits above are
+        # served regardless -- quarantine protects workers, and a
+        # replay touches none).  A half-open breaker lets the job
+        # through: the runner dispatches it as the cooldown probe.
+        if breaker is not None and breaker.state(fingerprint) == BreakerState.OPEN:
+            journal.emit(
+                "breaker_open",
+                job=job.label,
+                key=fingerprint,
+                reason="open",
+                transition="open",
+                retry_after=round(breaker.retry_after(fingerprint), 3),
+            )
+            results[i] = JobResult(
+                job,
+                JobStatus.QUARANTINED,
+                error=(
+                    "circuit breaker open for this spec fingerprint "
+                    f"(retry after {breaker.retry_after(fingerprint):.1f}s)"
+                ),
+                attempts=0,
+                lint=lint_findings.get(i),
+            )
+            _finish(journal, results[i])
+            return None
+        to_run.append(i)
+        return spec
 
-                    report = lint_spec(spec, target=job.label)
-                    ended = _preflight(journal, job, report, lint_findings, i)
-                if ended is None:
-                    fingerprint = spec_fingerprint(spec)
-            except Exception as exc:  # noqa: BLE001 - spec errors are data here
-                from ..protocols.dsl import DslError
+    def on_result(k: int, result: JobResult) -> None:
+        # Cache then journal the moment a job finishes: a batch killed
+        # mid-run keeps everything finished so far, and a journaled
+        # job_finish always implies the cache entry (when cacheable)
+        # already landed -- which is what lets a resumed run trust the
+        # journal.
+        i = to_run[k]
+        result.job = jobs[i]
+        result.fingerprint = fingerprints[i]
+        result.lint = lint_findings.get(i)
+        results[i] = result
+        if cache is not None:
+            cache.put(fingerprints[i], jobs[i], result)
+        _finish(journal, result)
 
-                if isinstance(exc, DslError) and job.options.preflight != "off":
-                    # An unparsable spec file still gets its PL000 finding.
-                    from ..lint import lint_path
-
-                    report = lint_path(job.spec_file)
-                    ended = _preflight(journal, job, report, lint_findings, i)
-                ended = ended or JobResult(
-                    job,
-                    JobStatus.ERROR,
-                    error=f"{type(exc).__name__}: {exc}",
-                    lint=lint_findings.get(i),
-                )
-            if ended is not None:  # rejected by preflight, or an error
-                results[i] = ended
-                journal.emit("job_start", job=job.label, fingerprint=None)
-                _finish(journal, ended)
-                continue
-            journal.emit("job_start", job=job.label, fingerprint=fingerprint)
-            fingerprints[i] = fingerprint
-            if cache is not None:
-                hit = cache.get(fingerprint, job)
-                if hit is not None:
-                    hit.lint = lint_findings.get(i)
-                    results[i] = hit
-                    journal.emit(
-                        "cache_hit",
-                        job=job.label,
-                        key=cache.key_for(fingerprint, job),
+    if runner is None:
+        runner = make_runner(
+            workers=workers,
+            timeout=timeout,
+            retries=retries,
+            grace=grace,
+            backoff=backoff,
+            breaker=breaker,
+        )
+    run_kwargs: dict[str, Any] = {}
+    if cancel is not None:
+        run_kwargs["cancel"] = cancel
+    if isinstance(runner, SerialRunner):
+        # Each job is admitted just before it runs and verifies the spec
+        # admission resolved: one behaviour table and one lowering per
+        # job at any batch size, and one resolved spec alive at a time.
+        def admitted():
+            for i, job in enumerate(jobs):
+                with coll.span("batch.admit") if coll is not None else NOOP_SPAN:
+                    spec = admit(i, job)
+                if spec is not None:
+                    yield VerificationJob(
+                        spec=spec, options=job.options, label=job.label
                     )
-                    _finish(journal, hit)
-                    continue
-            # Cache misses that would hit a tripped breaker are refused
-            # here, before any worker sees them (cache hits above are
-            # served regardless -- quarantine protects workers, and a
-            # replay touches none).  A half-open breaker lets the job
-            # through: the runner dispatches it as the cooldown probe.
-            if (
-                breaker is not None
-                and breaker.state(fingerprint) == BreakerState.OPEN
-            ):
-                journal.emit(
-                    "breaker_open",
-                    job=job.label,
-                    key=fingerprint,
-                    reason="open",
-                    transition="open",
-                    retry_after=round(breaker.retry_after(fingerprint), 3),
-                )
-                results[i] = JobResult(
-                    job,
-                    JobStatus.QUARANTINED,
-                    error=(
-                        "circuit breaker open for this spec fingerprint "
-                        f"(retry after {breaker.retry_after(fingerprint):.1f}s)"
-                    ),
-                    attempts=0,
-                    lint=lint_findings.get(i),
-                )
-                _finish(journal, results[i])
-                continue
-            to_run.append(i)
-            specs[i] = spec
 
-    if to_run:
-        if runner is None:
-            runner = make_runner(
-                workers=workers,
-                timeout=timeout,
-                retries=retries,
-                grace=grace,
-                backoff=backoff,
-                breaker=breaker,
-            )
-
-        def on_result(k: int, result: JobResult) -> None:
-            # Cache then journal the moment a job finishes: a batch
-            # killed mid-run keeps everything finished so far, and a
-            # journaled job_finish always implies the cache entry
-            # (when cacheable) already landed -- which is what lets a
-            # resumed run trust the journal.
-            i = to_run[k]
-            result.job = jobs[i]
-            result.fingerprint = fingerprints[i]
-            result.lint = lint_findings.get(i)
-            results[i] = result
-            if cache is not None:
-                cache.put(fingerprints[i], jobs[i], result)
-            _finish(journal, result)
-
-        if isinstance(runner, SerialRunner):
-            # In-process jobs verify the spec admission resolved, so a
-            # job builds one behaviour table and one lowering; each
-            # spec is let go once its job is dispatched.  A worker
-            # resolves its own copy (where a chaos fault detonates).
-            dispatch: Any = (
-                VerificationJob(
-                    spec=specs.pop(i), options=jobs[i].options, label=jobs[i].label
-                )
-                for i in to_run
-            )
-        else:
-            specs.clear()
-            dispatch = [jobs[i] for i in to_run]
-        run_kwargs: dict[str, Any] = {}
+        pending: Any = admitted()
+    else:
+        # Workers resolve their own copy (where a chaos fault detonates).
+        admitting = (
+            coll.span("batch.admit", jobs=len(jobs)) if coll is not None else NOOP_SPAN
+        )
+        with admitting:
+            for i, job in enumerate(jobs):
+                admit(i, job)
+        pending = [jobs[i] for i in to_run]
         if backoff is not None or breaker is not None:
             run_kwargs["keys"] = [fingerprints[i] for i in to_run]
-        if cancel is not None:
-            run_kwargs["cancel"] = cancel
+    if pending:  # a serial generator is always run
         try:
-            with (
-                coll.span("batch.dispatch", jobs=len(to_run))
-                if coll is not None
-                else NOOP_SPAN
-            ):
+            with coll.span("batch.dispatch") if coll is not None else NOOP_SPAN:
                 runner.run(
-                    dispatch,
+                    pending,
                     on_event=lambda event, fields: journal.emit(event, **fields),
                     on_result=on_result,
                     **run_kwargs,

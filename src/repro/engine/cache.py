@@ -130,14 +130,20 @@ class ResultCache:
     def put(self, fingerprint: str, job: VerificationJob, result: JobResult) -> None:
         """Store a completed or partial result.
 
-        No-op for errors/timeouts/crashes, and for partials whose
+        No-op for errors/timeouts/crashes, for partials whose
         exhaustion reason is ``cancelled`` -- those stopped because of
         the runner's per-job timeout, which is not part of the job
-        key, so caching them would poison runs with other timeouts.
+        key, so caching them would poison runs with other timeouts --
+        and for partials that visited no state: their guard tripped
+        before expansion, maybe before the spec was validated, so a
+        replay could stand in for the ``error`` another run reports.
         """
         if result.status not in JobStatus.WITH_PAYLOAD or result.payload is None:
             return
-        if result.partial and result.exhausted_reason == "cancelled":
+        if result.partial and (
+            result.exhausted_reason == "cancelled"
+            or not result.payload["stats"]["visits"]
+        ):
             return
         key = self.key_for(fingerprint, job)
         path = self._path(key)

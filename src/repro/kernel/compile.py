@@ -27,6 +27,7 @@ interpreter's algebra.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import OrderedDict
 from weakref import WeakKeyDictionary
 
@@ -1261,14 +1262,18 @@ _MISSING = object()
 # ----------------------------------------------------------------------
 # Compilation cache
 # ----------------------------------------------------------------------
-#: spec object -> CompiledProtocol (fast path; weak so specs can die).
+#: spec object -> CompiledProtocol (fast path) for the newest
+#: _CACHE_LIMIT specs: weak so specs can die, and bounded so a caller
+#: that keeps many specs alive (a perturbation sweep's job list) does
+#: not keep all their kernels.
 _BY_SPEC: "WeakKeyDictionary" = WeakKeyDictionary()
 #: IR fingerprint -> CompiledProtocol, LRU-bounded.  Kept small: a
 #: long-lived process (``repro serve``) verifies a stream of distinct
 #: specs, and each compile holds its memo layers (up to ~2 MB for a
 #: zoo mutant); reuse only pays off for the same spec run back to back.
 _BY_FP: "OrderedDict[str, CompiledProtocol]" = OrderedDict()
-_BY_FP_LIMIT = 8
+_CACHE_LIMIT = 8
+_CACHE_LOCK = threading.Lock()  # concurrent `repro serve` campaigns
 
 
 def compile_protocol(spec, guard=None) -> CompiledProtocol:
@@ -1290,16 +1295,19 @@ def compile_protocol(spec, guard=None) -> CompiledProtocol:
 
     ir = spec if isinstance(spec, ProtocolIR) else lower(spec, guard)
     fingerprint = ir.fingerprint()
-    compiled = _BY_FP.get(fingerprint)
-    if compiled is None:
-        compiled = CompiledProtocol(ir)
-        _BY_FP[fingerprint] = compiled
-        if len(_BY_FP) > _BY_FP_LIMIT:
-            _BY_FP.popitem(last=False)
-    else:
-        _BY_FP.move_to_end(fingerprint)
-    try:
-        _BY_SPEC[spec] = compiled
-    except TypeError:
-        pass
+    with _CACHE_LOCK:
+        compiled = _BY_FP.get(fingerprint)
+        if compiled is None:
+            compiled = CompiledProtocol(ir)
+            _BY_FP[fingerprint] = compiled
+            if len(_BY_FP) > _CACHE_LIMIT:
+                _BY_FP.popitem(last=False)
+        else:
+            _BY_FP.move_to_end(fingerprint)
+        try:
+            _BY_SPEC[spec] = compiled
+        except TypeError:
+            return compiled
+        if len(_BY_SPEC) > _CACHE_LIMIT:
+            del _BY_SPEC[next(iter(_BY_SPEC))]
     return compiled

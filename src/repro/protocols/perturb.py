@@ -36,9 +36,6 @@ __all__ = [
     "criticality_profile",
 ]
 
-#: Perturbations per batch and worker in :func:`criticality_profile`.
-_CHUNK = 8
-
 #: Every supported single-point edit.
 PERTURBATION_KINDS = (
     "reroute-initiator",
@@ -234,27 +231,22 @@ def criticality_profile(
     perturbations = all_perturbations(spec, picks=picks)
     report = CriticalityReport(protocol=spec.name, attempted=len(perturbations))
     options = RunOptions(max_visits=max_visits)
-    # One batch per chunk: a sweep holds one chunk's specs (and their
-    # compiled kernels) and payloads at a time, not the whole sweep's.
-    size = _CHUNK * max(jobs, 1)
-    for start in range(0, len(perturbations), size):
-        chunk = perturbations[start : start + size]
-        batch = run_batch(
-            [
-                VerificationJob(
-                    spec=PerturbedProtocol(spec, perturbation),
-                    options=options,
-                    label=f"{spec.name}~{start + i}",
-                )
-                for i, perturbation in enumerate(chunk)
-            ],
-            workers=jobs,
-        )
-        for perturbation, result in zip(chunk, batch.results):
-            if not result.completed:  # failed validation, or diverged
-                report.ill_formed += 1
-                continue
-            assert result.payload is not None
-            kinds = {v["kind"] for v in result.payload["violations"]}
-            _record_verdict(report, perturbation, result.payload["verified"], kinds)
+    batch = run_batch(
+        [
+            VerificationJob(
+                spec=PerturbedProtocol(spec, perturbation),
+                options=options,
+                label=f"{spec.name}~{i}",
+            )
+            for i, perturbation in enumerate(perturbations)
+        ],
+        workers=jobs,
+    )
+    for perturbation, result in zip(perturbations, batch.results):
+        if not result.completed:  # failed validation, or diverged
+            report.ill_formed += 1
+            continue
+        assert result.payload is not None
+        kinds = {v["kind"] for v in result.payload["violations"]}
+        _record_verdict(report, perturbation, result.payload["verified"], kinds)
     return report

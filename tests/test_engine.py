@@ -251,6 +251,14 @@ class RaisesBesideDirtyAndShared(IllinoisProtocol):
         return super().react(state, op, ctx)
 
 
+class SlowRaisesBesideDirtyAndShared(RaisesBesideDirtyAndShared):
+    """The same, with every ``react`` call taking a millisecond."""
+
+    def react(self, state, op, ctx):
+        time.sleep(0.001)
+        return super().react(state, op, ctx)
+
+
 # ----------------------------------------------------------------------
 class TestRunners:
     def test_parallel_matches_serial_for_the_zoo(self):
@@ -363,6 +371,21 @@ class TestRunBatch:
             [result] = run_batch([job], cache=cache).results
             assert result.status == JobStatus.ERROR and not result.cached
             assert "ProtocolDefinitionError" in result.error
+
+    def test_a_partial_from_before_validation_is_not_cached(self, tmp_path):
+        # A worker probes its own copy of the spec, and a 10 ms deadline
+        # trips before the table is whole, so validation never ran: that
+        # partial visited nothing and is not cached.  A serial run, whose
+        # admission built the table with no guard, still rejects it.
+        cache = ResultCache(tmp_path)
+        job = VerificationJob(
+            spec=SlowRaisesBesideDirtyAndShared(), options=RunOptions(deadline=0.01)
+        )
+        [partial] = run_batch([job], cache=cache, workers=2).results
+        assert partial.exhausted_reason == "deadline"
+        assert partial.payload["stats"]["visits"] == 0
+        [result] = run_batch([job], cache=cache).results
+        assert result.status == JobStatus.ERROR and not result.cached
 
     def test_results_keep_input_order(self):
         jobs = [

@@ -940,6 +940,26 @@ class TestOneLowering:
         assert run_batch([job], workers=1).results[0].ok
         assert calls == {"react": 224, "lint": 1}
 
+    def test_a_serial_batch_builds_one_table_per_job(self, monkeypatch):
+        # Each job is admitted just before it runs, so no job's table is
+        # evicted between its fingerprint and its verification, however
+        # many jobs the batch holds.
+        import repro.core.protocol as protocol
+        from repro.engine import registry_jobs
+
+        builds = []
+        contexts = protocol.observation_contexts
+
+        def counting_contexts(valid):
+            builds.append(valid)
+            return contexts(valid)
+
+        monkeypatch.setattr(protocol, "observation_contexts", counting_contexts)
+        jobs = registry_jobs(["all"], RunOptions())
+        assert len(jobs) > protocol._TABLES_LIMIT
+        assert run_batch(jobs, workers=1).verified == len(jobs)
+        assert len(builds) == len(jobs)
+
 
 class _UndeclaredNextSpec(_RegistrySpecBase):
     name = "undeclared-next"
