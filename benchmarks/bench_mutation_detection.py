@@ -53,7 +53,7 @@ def _collect_detection_rows():
     for spec in all_protocols():
         for mutant in mutants_for(spec):
             total += 1
-            symbolic = explore(mutant, max_visits=50_000)
+            symbolic = explore(mutant)
             if not symbolic.ok:
                 symbolic_kills += 1
 
@@ -112,7 +112,7 @@ def test_mutation_detection_table(benchmark, emit):
 def test_symbolic_kill_cost(benchmark):
     """Time to reject one representative buggy protocol."""
     mutant = mutants_for(IllinoisProtocol())[0]
-    result = benchmark(lambda: explore(mutant, max_visits=50_000))
+    result = benchmark(lambda: explore(mutant))
     assert not result.ok
 
 

@@ -158,7 +158,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     options = RunOptions.from_args(args)
-    status = EXIT_OK
+    partial = violated = False
     if args.spec_file:
         specs = [parse_protocol_file(args.spec_file)]  # verify() validates
     else:
@@ -178,7 +178,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(figure4_table(report.result))
                 print()
         if args.trace:
-            traced = explore(spec, augmented=options.augmented, keep_trace=True)
+            from .engine.guard import Guard
+
+            traced = explore(
+                spec,
+                augmented=options.augmented,
+                keep_trace=True,
+                guard=Guard(options.budget()),
+            )
             print(expansion_listing(traced))
             print()
         if args.dot:
@@ -190,9 +197,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(result_to_json(report.result) + "\n")
             print(f"JSON result written to {args.json}")
-        if not report.ok:
-            status = EXIT_VIOLATION
-    return status
+        # Classified as a batch classifies a job: violations found
+        # before a budget expired are definitive, and a partial run
+        # without any cannot claim a verdict.
+        if report.partial and not report.result.violations:
+            partial = True
+        elif not report.ok:
+            violated = True
+    if partial:
+        return EXIT_ERROR
+    return EXIT_VIOLATION if violated else EXIT_OK
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:

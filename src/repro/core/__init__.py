@@ -19,7 +19,6 @@ from .errors import (
 )
 from .essential import (
     Disposition,
-    ExpansionLimitError,
     ExpansionResult,
     ExpansionStats,
     PruningMode,
@@ -52,7 +51,6 @@ __all__ = [
     "DataValue",
     "Disposition",
     "ErrorKind",
-    "ExpansionLimitError",
     "ExpansionResult",
     "GlobalGraph",
     "ExpansionStats",

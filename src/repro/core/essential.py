@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..obs import active as _active_collector
 from ..obs import clock
@@ -58,14 +58,9 @@ __all__ = [
     "TraceEntry",
     "ExpansionStats",
     "ExpansionResult",
-    "ExpansionLimitError",
     "explore",
     "essential_home",
 ]
-
-
-class ExpansionLimitError(Exception):
-    """The expansion exceeded its visit budget without converging."""
 
 
 class PruningMode(str, enum.Enum):
@@ -245,10 +240,8 @@ def explore(
     *,
     augmented: bool = True,
     pruning: PruningMode = PruningMode.CONTAINMENT,
-    max_visits: int = 1_000_000,
     keep_trace: bool = False,
     stop_on_error: bool = False,
-    on_state: Callable[[CompositeState], None] | None = None,
     guard: "Guard | None" = None,
 ) -> ExpansionResult:
     """Run the Figure 3 algorithm to its fixpoint.
@@ -263,23 +256,18 @@ def explore(
     pruning:
         Containment pruning (the paper's algorithm) or plain duplicate
         detection (ablation baseline).
-    max_visits:
-        Budget on generated states; exceeding it raises
-        :class:`ExpansionLimitError`.  Ignored when ``guard`` is given
-        (the guard owns every budget and degrades gracefully instead
-        of raising).
     keep_trace:
         Record a :class:`TraceEntry` per generated state (Appendix A.2).
     stop_on_error:
         Stop at the first erroneous state instead of exploring fully.
-    on_state:
-        Optional callback invoked for every newly retained state.
     guard:
         Optional :class:`repro.engine.guard.Guard` polled once per
-        generated state.  When a budget expires the run stops cleanly
-        and returns a **partial** result (``partial=True``) carrying
-        the essential-set-so-far, the unexplored frontier and the
-        exhaustion reason -- it never raises.
+        generated state; it owns every budget.  When one expires the
+        run stops cleanly and returns a **partial** result
+        (``partial=True``) carrying the essential-set-so-far, the
+        unexplored frontier and the exhaustion reason -- it never
+        raises.  Without a guard the run goes to its fixpoint: the
+        composite-state space is finite, so the worklist empties.
     """
     expander = SymbolicExpander(spec, augmented=augmented)
     stats = ExpansionStats()
@@ -352,11 +340,6 @@ def explore(
                     )
                     if exhausted is not None:
                         break
-                elif stats.visits > max_visits:
-                    raise ExpansionLimitError(
-                        f"{spec.name}: exceeded {max_visits} state visits "
-                        f"(pruning={pruning.value})"
-                    )
                 target = transition.target
                 if target not in discovery:
                     discovery[target] = (current, str(transition.label))
@@ -390,8 +373,6 @@ def explore(
                         removed = before - len(working) - len(visited)
                         stats.removed_superseded += removed
                         working.append(target)
-                        if on_state is not None:
-                            on_state(target)
                         disposition = (
                             Disposition.SUPERSEDES if removed else Disposition.NEW
                         )
@@ -405,8 +386,6 @@ def explore(
                         disposition = Disposition.DUPLICATE
                     else:
                         working.append(target)
-                        if on_state is not None:
-                            on_state(target)
                         disposition = Disposition.NEW
                 if coll is not None:
                     coll.add_span(

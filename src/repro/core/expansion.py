@@ -178,27 +178,16 @@ class SymbolicExpander:
     def successors(self, state: CompositeState) -> list[SymbolicTransition]:
         """All one-operation symbolic successors of *state*.
 
-        Iterates over every initiator class, every applicable operation
-        and every consistent scenario; duplicate ``(label, target)``
-        pairs are collapsed.
+        The targets of :meth:`reaction_events`, in its order, with
+        duplicate ``(label, target)`` pairs collapsed.
         """
         results: dict[tuple[TransitionLabel, CompositeState], SymbolicTransition] = {}
-        for idx, (init_label, _init_rep) in enumerate(state.classes):
-            init_sym = init_label.symbol
-            for op in self.spec.operations:
-                if not self.spec.applicable(init_sym, op):
-                    continue
-                env = self._remove_initiator(state.classes, idx)
-                for cases in self._scenarios(state, init_sym, env):
-                    ctx = self._make_ctx(env, cases)
-                    outcome = self.spec.react(init_sym, op, ctx)
-                    label = TransitionLabel(op, init_sym)
-                    for succ in self._build_successors(
-                        state, init_label, op, env, cases, outcome
-                    ):
-                        key = (label, succ)
-                        if key not in results:
-                            results[key] = SymbolicTransition(state, label, succ)
+        for event in self.reaction_events(state):
+            label = event.label
+            for succ in event.targets:
+                key = (label, succ)
+                if key not in results:
+                    results[key] = SymbolicTransition(state, label, succ)
         return list(results.values())
 
     # ------------------------------------------------------------------

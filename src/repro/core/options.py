@@ -47,9 +47,9 @@ class RunOptions:
     ``preflight`` lints the spec first (``"reject"`` refuses specs with
     error findings, ``"annotate"`` only records them).
 
-    ``max_visits`` is the hard visit limit; ``deadline`` (seconds),
-    ``max_states`` and ``max_rss_mb`` are cooperative budgets -- an
-    exhausted budget yields a *partial* result, never an exception.
+    ``max_visits``, ``deadline`` (seconds), ``max_states`` and
+    ``max_rss_mb`` are the budgets of the run's guard -- an exhausted
+    budget yields a *partial* result, never an exception.
 
     Every field except ``preflight`` is part of the result-cache key:
     a preflight never changes a verification payload.  Which engine

@@ -150,7 +150,6 @@ def verify(
     protocol: ProtocolSpec | str,
     *,
     options: RunOptions = RunOptions(),
-    stop_on_error: bool = False,
     guard: "Guard | None" = None,
 ) -> VerificationReport:
     """Verify a protocol; the library's main entry point.
@@ -168,16 +167,16 @@ def verify(
       its verdict -- including lasso-shaped counterexamples -- to
       ``result.liveness``.  The expansion, and so the safety check, is
       the same in both modes; see ``docs/LIVENESS.md``;
-    * the cooperative budgets (``deadline``, ``max_states``,
-      ``max_rss_mb``) run the expansion under a
-      :class:`~repro.engine.guard.Guard`: an exhausted budget yields a
-      *partial* report (``report.partial``) instead of raising.
+    * the budgets (``max_visits``, ``deadline``, ``max_states``,
+      ``max_rss_mb``) arm a :class:`~repro.engine.guard.Guard` over
+      the whole run: an exhausted budget yields a *partial* report
+      (``report.partial``), never an exception.  An explicit ``guard``
+      replaces that one and owns every budget.
 
     The spec is validated (:meth:`~repro.core.protocol.ProtocolSpec.validate`,
     raising :class:`~repro.core.protocol.ProtocolDefinitionError`) from
     its behaviour table, which is built under the run's guard: a guard
     that trips there skips validation and yields a partial report.
-    An explicit ``guard`` owns every budget, ``max_visits`` included.
     The expansion runs on the compiled kernel (:mod:`repro.kernel`),
     which reports what the interpreter (:func:`explore`) does.
     """
@@ -196,9 +195,7 @@ def verify(
         lint_report = lint_spec(spec)
         if options.preflight == "reject" and not lint_report.ok:
             raise LintError(lint_report)
-    if guard is None and (
-        options.deadline, options.max_states, options.max_rss_mb
-    ) != (None, None, None):
+    if guard is None:
         # Imported lazily: the guard lives in the engine, above core.
         from ..engine.guard import Guard
 
@@ -212,8 +209,6 @@ def verify(
         spec,
         augmented=options.augmented,
         pruning=PruningMode(options.pruning),
-        max_visits=options.max_visits,
-        stop_on_error=stop_on_error,
         guard=guard,
     )
     if options.mode == "liveness":

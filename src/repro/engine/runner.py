@@ -236,7 +236,6 @@ class ParallelRunner:
         timeout: float | None = None,
         retries: int = 1,
         grace: float = 1.0,
-        start_method: str | None = None,
         backoff: BackoffPolicy | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
@@ -254,10 +253,10 @@ class ParallelRunner:
         #: Per-key circuit breaker (``None`` disables quarantining).
         #: Shared across runs when the caller keeps the runner around.
         self.breaker = breaker
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform: its default
+            self._ctx = multiprocessing.get_context()
 
     # ------------------------------------------------------------------
     def _spawn(self) -> _Slot:

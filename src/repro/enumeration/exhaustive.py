@@ -139,19 +139,17 @@ def enumerate_space(
     n: int,
     *,
     equivalence: Equivalence = Equivalence.STRICT,
-    max_visits: int = 5_000_000,
     check_errors: bool = True,
     guard: "Guard | None" = None,
 ) -> EnumerationResult:
     """Run the Figure 2 worklist search for *n* caches.
 
-    Raises ``RuntimeError`` when *max_visits* is exceeded (the explicit
-    search genuinely blows up for large ``n``; the budget keeps the
-    benchmark harness bounded).  With a ``guard``, budgets degrade
-    gracefully instead: the search stops cleanly and returns a
-    **partial** result carrying the states enumerated so far, the
-    unexpanded frontier and the exhaustion reason (``max_visits`` is
-    then ignored -- the guard owns every budget).
+    The ``guard`` owns every budget: when one expires the search stops
+    cleanly and returns a **partial** result carrying the states
+    enumerated so far, the unexpanded frontier and the exhaustion
+    reason.  Without a guard the search runs to its fixpoint; the
+    product space is finite but grows exponentially in ``n``, so a
+    caller that cannot bound ``n`` passes a guard.
     """
     stats = EnumerationStats()
     started = clock.monotonic()
@@ -205,11 +203,6 @@ def enumerate_space(
                         # The interrupted state heads the frontier.
                         frontier.appendleft(current)
                         break
-                elif stats.visits > max_visits:
-                    raise RuntimeError(
-                        f"{spec.name}: exhaustive search for n={n} exceeded "
-                        f"{max_visits} visits"
-                    )
                 target = transition.target
                 k = key(target)
                 if k in seen:

@@ -5,24 +5,19 @@ works on interned state ids instead of :class:`CompositeState` values:
 successor generation, violation checking and containment all become
 table/memo lookups on the :class:`~repro.kernel.compile.CompiledProtocol`.
 Verdicts, violation kinds, witness shapes, essential sets, visit counts
-and the raise/partial semantics are identical by construction -- the
-worklist control flow below is a transliteration, not a redesign.
+and the partial semantics are identical by construction -- the worklist
+control flow below is a transliteration, not a redesign.  It has no
+trace log and never stops at the first error: those are debugging aids
+of the interpreter (``repro verify --trace``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..core.composite import CompositeState
 from ..core.errors import Witness
-from ..core.essential import (
-    Disposition,
-    ExpansionLimitError,
-    ExpansionResult,
-    ExpansionStats,
-    PruningMode,
-    TraceEntry,
-)
+from ..core.essential import ExpansionResult, ExpansionStats, PruningMode
 from ..core.expansion import SymbolicExpander, SymbolicTransition
 from ..core.protocol import ProtocolSpec
 from ..ir.model import IRError
@@ -41,15 +36,13 @@ def explore(
     *,
     augmented: bool = True,
     pruning: PruningMode = PruningMode.CONTAINMENT,
-    max_visits: int = 1_000_000,
-    keep_trace: bool = False,
-    stop_on_error: bool = False,
-    on_state: Callable[[CompositeState], None] | None = None,
     guard: "Guard | None" = None,
     compiled: CompiledProtocol | None = None,
 ) -> ExpansionResult:
     """Run Figure 3 on the compiled kernel; same contract as the
-    interpreter's :func:`~repro.core.essential.explore`.
+    interpreter's :func:`~repro.core.essential.explore`: ``guard`` owns
+    every budget and an exhausted one yields a PARTIAL, and without a
+    guard the run goes to its fixpoint.
 
     ``compiled`` short-circuits compilation when the caller already
     holds the :class:`CompiledProtocol` (the differential gate and the
@@ -91,7 +84,6 @@ def explore(
     working: list[int] = [init_id]
     visited: list[int] = []
     discovery: dict[int, tuple[int, str] | None] = {init_id: None}
-    trace: list[TraceEntry] = []
     violations: list = []
     witnesses: list[Witness] = []
     reported: set[int] = set()
@@ -119,11 +111,10 @@ def explore(
 
     record_error(init_id)
 
-    stop = False
     exhausted: "Exhaustion | None" = None
     containment = pruning is PruningMode.CONTAINMENT
     try:
-        while working and not stop and exhausted is None:
+        while working and exhausted is None:
             if len(working) > stats.max_worklist:
                 stats.max_worklist = len(working)
             current = working.pop(0)
@@ -143,16 +134,10 @@ def explore(
                     )
                     if exhausted is not None:
                         break
-                elif stats.visits > max_visits:
-                    raise ExpansionLimitError(
-                        f"{spec.name}: exceeded {max_visits} state visits "
-                        f"(pruning={pruning.value})"
-                    )
                 if target not in discovery:
                     discovery[target] = (current, cp.label_str(opid, init_sid))
 
-                if record_error(target) and stop_on_error:
-                    stop = True
+                record_error(target)
 
                 if containment:
                     if (
@@ -161,13 +146,6 @@ def explore(
                         or any(contains_ids(target, q) for q in visited)
                     ):
                         stats.discarded_contained += 1
-                        disposition = (
-                            Disposition.DUPLICATE
-                            if target == current
-                            or target in working
-                            or target in visited
-                            else Disposition.CONTAINED
-                        )
                     else:
                         before = len(working) + len(visited)
                         working = [
@@ -179,11 +157,6 @@ def explore(
                         removed = before - len(working) - len(visited)
                         stats.removed_superseded += removed
                         working.append(target)
-                        if on_state is not None:
-                            on_state(decoded(target))
-                        disposition = (
-                            Disposition.SUPERSEDES if removed else Disposition.NEW
-                        )
                         if contains_ids(current, target):
                             # Figure 3: discard the current state and
                             # restart the outer loop.
@@ -191,25 +164,12 @@ def explore(
                 else:  # PruningMode.DUPLICATES
                     if target == current or target in working or target in visited:
                         stats.duplicates += 1
-                        disposition = Disposition.DUPLICATE
                     else:
                         working.append(target)
-                        if on_state is not None:
-                            on_state(decoded(target))
-                        disposition = Disposition.NEW
-                if keep_trace:
-                    trace.append(
-                        TraceEntry(
-                            decoded(current),
-                            cp.label_str(opid, init_sid),
-                            decoded(target),
-                            disposition,
-                        )
-                    )
-                if discard_current or stop:
+                if discard_current:
                     break
 
-            if not discard_current and not stop and exhausted is None:
+            if not discard_current and exhausted is None:
                 visited.append(current)
             elif exhausted is not None:
                 working.insert(0, current)
@@ -220,7 +180,7 @@ def explore(
         # on partial runs (the pruning invariant only holds at fixpoint).
         # The successor memo makes this pass pure lookups.
         edges: dict[tuple[int, str, int], SymbolicTransition] = {}
-        if not stop and exhausted is None:
+        if exhausted is None:
             for source in essential_ids:
                 source_entries, _ = cp.successors(source)
                 for opid, init_sid, target in source_entries:
@@ -268,7 +228,6 @@ def explore(
         stats=stats,
         violations=tuple(violations),
         witnesses=tuple(witnesses),
-        trace=tuple(trace),
         partial=exhausted is not None,
         exhausted=exhausted,
         frontier=(

@@ -41,7 +41,6 @@ def enumerate_space(
     n: int,
     *,
     equivalence: Equivalence = Equivalence.STRICT,
-    max_visits: int = 5_000_000,
     check_errors: bool = True,
     guard: "Guard | None" = None,
     compiled: CompiledProtocol | None = None,
@@ -49,7 +48,9 @@ def enumerate_space(
     """Run the Figure 2 worklist search on the compiled kernel.
 
     Same contract as the interpreter's
-    :func:`~repro.enumeration.exhaustive.enumerate_space`; ``compiled``
+    :func:`~repro.enumeration.exhaustive.enumerate_space` (``guard``
+    owns every budget; without one the search runs to its fixpoint,
+    however large the state space is for this ``n``); ``compiled``
     short-circuits compilation for callers that already hold one.
     Otherwise the spec is lowered under ``guard``; a guard that trips
     there yields a PARTIAL whose only frontier state is the initial one.
@@ -294,11 +295,6 @@ def enumerate_space(
                                 frontier.appendleft(current)
                                 interrupted = True
                                 break
-                        elif visits > max_visits:
-                            raise RuntimeError(
-                                f"{spec.name}: exhaustive search for n={n} "
-                                f"exceeded {max_visits} visits"
-                            )
                         if counting:
                             k = tuple(sorted(target[:n])) + (target[n],)
                         else:

@@ -225,7 +225,7 @@ def _replay_liveness(spec, entry: CorpusEntry, *, augmented: bool) -> str:
     from ..liveness import analyze_liveness, replay_lasso
 
     result = explore(
-        spec, augmented=augmented, max_visits=entry.budget.symbolic_visits
+        spec, augmented=augmented, guard=entry.budget.symbolic_guard()
     )
     if result.violations:
         # The bug mutated into a safety violation: that is drift.

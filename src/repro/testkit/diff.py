@@ -61,9 +61,9 @@ expansion users get: the kernel's (lowering is total, so every spec
 has one).
 
 One skip rule: a check that cannot reach a verdict is *skipped*, never
-failed.  A partial or over-budget expansion skips with ``budget
-exhausted``.  A source that yields no specifications is itself a
-finding.
+failed.  A partial expansion or enumeration (each runs under a
+``MAX_VISITS`` guard) skips with ``budget exhausted``.  A source that
+yields no specifications is itself a finding.
 """
 
 from __future__ import annotations
@@ -74,10 +74,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from ..core.errors import ForbidMultiple, ForbidState, ForbidTogether
-from ..core.essential import ExpansionLimitError, ExpansionResult, explore
+from ..core.essential import ExpansionResult, explore
 from ..core.operators import Rep
 from ..core.protocol import ProtocolDefinitionError, ProtocolSpec, reaction_table
 from ..core.reactions import Outcome
+from ..engine.guard import Budget, Guard
 from ..enumeration.exhaustive import Equivalence, enumerate_space
 from ..ir import ProtocolIR, lower
 from ..kernel import compile_protocol
@@ -105,7 +106,8 @@ __all__ = [
 
 #: Run the expansions with context variables (Definition 4).
 AUGMENTED = True
-#: Hard visit limit of every expansion; exceeding it skips the case.
+#: Visit budget of every expansion and enumeration; exhausting it
+#: skips the check.
 MAX_VISITS = 1_000_000
 #: Cache counts of the kernel's enumeration comparison (both
 #: equivalences at each).
@@ -166,12 +168,14 @@ def _once(build: Callable[["Context"], object]) -> property:
     return property(get, doc=build.__doc__)
 
 
+def _guard() -> Guard:
+    """A fresh guard for one search of the gate."""
+    return Guard(Budget(max_visits=MAX_VISITS))
+
+
 def _expand(run, spec: ProtocolSpec, **extra) -> ExpansionResult:
     """One complete expansion of *spec*; an incomplete one is a skip."""
-    try:
-        result = run(spec, augmented=AUGMENTED, max_visits=MAX_VISITS, **extra)
-    except ExpansionLimitError:
-        raise Skip("budget exhausted") from None
+    result = run(spec, augmented=AUGMENTED, guard=_guard(), **extra)
     if result.partial:
         raise Skip("budget exhausted")
     return result
@@ -411,9 +415,13 @@ def _check_kernel(ctx: Context) -> Iterator[Finding]:
 
     for n in ENUMERATE_NS:
         for equivalence in (Equivalence.STRICT, Equivalence.COUNTING):
-            eb = enumerate_space(ctx.spec, n, equivalence=equivalence)
+            eb = enumerate_space(ctx.spec, n, equivalence=equivalence, guard=_guard())
             ek = kernel_enumerate(
-                ctx.spec, n, equivalence=equivalence, compiled=ctx.compiled
+                ctx.spec,
+                n,
+                equivalence=equivalence,
+                guard=_guard(),
+                compiled=ctx.compiled,
             )
             if eb.partial or ek.partial:
                 raise Skip("budget exhausted")

@@ -293,6 +293,31 @@ class TestExitCodes:
         assert main(["batch", "--protocols", "nonexistent", "--no-cache"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--deadline", "100"]], ids=["visits", "with-deadline"]
+    )
+    def test_exhausted_visit_budget_is_partial(self, extra, capsys):
+        # The same guard bounds the run whether or not another budget
+        # is set, and a partial verify exits 2 as a partial batch does.
+        code = main(["verify", "illinois", "--max-visits", "10", "--quiet", *extra])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "PARTIAL (visits; 2 frontier states unexplored)" in out
+
+    def test_violations_before_exhaustion_exit_one(self, capsys):
+        # As in a batch: violations a partial run found are definitive.
+        from repro.kernel import explore
+        from repro.protocols.mutations import get_mutant
+        from repro.protocols.registry import get_protocol
+
+        mutant = get_mutant(get_protocol("illinois"), "drop-invalidation")
+        budget = str(explore(mutant).stats.visits - 1)
+        argv = ["verify", "illinois", "--mutant", "drop-invalidation"]
+        assert main([*argv, "--max-visits", budget, "--quiet"]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED" in out
+        assert f"{budget} state visits, 0 global transitions" in out  # partial
+
 
 class TestEnumerateCommand:
     def test_enumerate(self, capsys):

@@ -2,15 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.covering import contains
-from repro.core.essential import (
-    Disposition,
-    ExpansionLimitError,
-    PruningMode,
-    explore,
-)
+from repro.core.essential import Disposition, PruningMode, explore
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.mutations import get_mutant
 from repro.protocols.msi import MsiProtocol
@@ -131,12 +124,18 @@ class TestTrace:
     def test_trace_off_by_default(self, illinois_result):
         assert illinois_result.trace == ()
 
+    def test_trace_lists_retained_states(self):
+        result = explore(IllinoisProtocol(), keep_trace=True)
+        retained = [
+            e.target
+            for e in result.trace
+            if e.disposition in (Disposition.NEW, Disposition.SUPERSEDES)
+        ]
+        assert len(retained) >= 4  # everything except the initial state
+        assert set(result.essential) <= {result.initial, *retained}
+
 
 class TestErrorHandling:
-    def test_limit_raises(self):
-        with pytest.raises(ExpansionLimitError):
-            explore(IllinoisProtocol(), max_visits=3)
-
     def test_stop_on_error_halts_early(self):
         mutant = get_mutant(IllinoisProtocol(), "drop-invalidation")
         eager = explore(mutant, stop_on_error=True)
@@ -166,13 +165,6 @@ class TestErrorHandling:
                 (str(t.label), t.target) for t in expander.successors(state)
             }
             assert (label, next_state) in succs
-
-
-class TestOnStateCallback:
-    def test_callback_sees_retained_states(self):
-        seen = []
-        explore(IllinoisProtocol(), on_state=seen.append)
-        assert len(seen) >= 4  # everything except the initial state
 
 
 class TestSummary:

@@ -124,10 +124,6 @@ class TestEnumerateSpace:
         result = enumerate_space(IllinoisProtocol(), 3)
         assert result.stats.visits > result.stats.unique_states
 
-    def test_budget_enforced(self):
-        with pytest.raises(RuntimeError):
-            enumerate_space(IllinoisProtocol(), 4, max_visits=10)
-
     def test_mutant_errors_found_concretely(self):
         mutant = get_mutant(IllinoisProtocol(), "drop-invalidation")
         result = enumerate_space(mutant, 2)

@@ -14,7 +14,8 @@ import threading
 
 import pytest
 
-from repro.core.essential import ExpansionLimitError, explore
+from repro import kernel
+from repro.core.essential import explore
 from repro.core.serialize import result_to_dict
 from repro.core.options import RunOptions
 from repro.core.verifier import verify
@@ -119,12 +120,6 @@ class TestPartialExpansion:
         assert result.frontier  # and unexplored work remains
         assert "PARTIAL" in result.summary()
 
-    def test_unguarded_limit_still_raises(self):
-        # Backward compatibility: without a guard, the legacy budget
-        # remains a hard error.
-        with pytest.raises(ExpansionLimitError):
-            explore(IllinoisProtocol(), max_visits=3)
-
     def test_complete_run_unchanged_by_guard(self):
         free = explore(IllinoisProtocol())
         guarded = explore(IllinoisProtocol(), guard=Guard(Budget(max_visits=10**9)))
@@ -154,6 +149,14 @@ class TestPartialExpansion:
         assert partial.partial
         assert partial.violations
 
+    def test_verify_arms_the_options_visit_budget(self):
+        # No explicit guard: verify() arms one from its options, so
+        # max_visits alone is a partial, as in a batch job.
+        report = verify("illinois", options=RunOptions(max_visits=10))
+        assert report.partial
+        assert report.result.exhausted.reason == ExhaustionReason.VISITS
+        assert report.result.stats.visits == 10
+
     def test_verify_renders_partial_verdict(self):
         report = verify(
             "illinois", guard=Guard(Budget(max_visits=5))
@@ -177,16 +180,39 @@ class TestPartialEnumeration:
         assert result.states  # non-empty reachable prefix
         assert result.frontier
 
-    def test_unguarded_enumeration_still_raises(self):
-        with pytest.raises(RuntimeError):
-            enumerate_space(IllinoisProtocol(), 4, max_visits=10)
-
     def test_complete_enumeration_not_partial(self):
         result = enumerate_space(
             IllinoisProtocol(), 2, guard=Guard(Budget(deadline=60.0))
         )
         assert not result.partial
         assert result.ok
+
+
+# ----------------------------------------------------------------------
+#: The four search loops; each takes a spec and keyword arguments.
+SEARCHES = {
+    "interp-explore": explore,
+    "kernel-explore": kernel.explore,
+    "interp-enumerate": lambda spec, **kw: enumerate_space(spec, 4, **kw),
+    "kernel-enumerate": lambda spec, **kw: kernel.enumerate_space(spec, 4, **kw),
+}
+
+
+class TestOneBudgetMechanism:
+    """The guard is the only way a search stops before its fixpoint."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    @pytest.mark.parametrize("budget", [1, 10])
+    def test_visit_budget_is_a_partial_at_visit_n(self, name, budget):
+        search = SEARCHES[name]
+        result = search(IllinoisProtocol(), guard=Guard(Budget(max_visits=budget)))
+        assert result.partial
+        assert result.exhausted.reason == ExhaustionReason.VISITS
+        assert result.stats.visits == budget
+        assert result.frontier
+        # There is no raising budget beside the guard.
+        with pytest.raises(TypeError):
+            search(IllinoisProtocol(), max_visits=budget)
 
 
 # ----------------------------------------------------------------------

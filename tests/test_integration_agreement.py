@@ -34,8 +34,8 @@ class TestSymbolicVsConcrete:
         n=3 suffices for every bug in the catalog: each needs at most a
         writer, a stale reader, and one further cache.
         """
-        symbolic_ok = explore(spec, max_visits=100_000).ok
-        concrete_ok = enumerate_space(spec, 3, max_visits=500_000).ok
+        symbolic_ok = explore(spec).ok
+        concrete_ok = enumerate_space(spec, 3).ok
         assert symbolic_ok == concrete_ok, spec.name
 
 
@@ -77,7 +77,7 @@ class TestWitnessReplay:
         from repro.protocols.mutations import get_mutant
 
         mutant = get_mutant(IllinoisProtocol(), "drop-invalidation")
-        result = enumerate_space(mutant, 3, max_visits=500_000)
+        result = enumerate_space(mutant, 3)
         assert not result.ok
         # The concrete search found an erroneous state whose violation
         # kinds overlap the symbolic report.

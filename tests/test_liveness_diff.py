@@ -8,12 +8,13 @@ nobody wrote.  The gate over the shipped sources is in ``test_diff.py``.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.essential import explore
 from repro.core.options import RunOptions
 from repro.core.verifier import verify
+from repro.engine.guard import Budget, Guard
 from repro.liveness import analyze_liveness, replay_lasso
 from repro.testkit import Case, GeneratorConfig, SpecGenerator
 from repro.testkit.diff import Context, run_check
@@ -45,7 +46,8 @@ def test_property_lassos_always_reexecute(seed, p_stall):
         seed=seed, config=GeneratorConfig(p_stall=p_stall)
     )
     _, spec = generator.draw_checked()
-    result = explore(spec, augmented=True, max_visits=60_000)
+    result = explore(spec, augmented=True, guard=Guard(Budget(max_visits=60_000)))
+    assume(not result.partial)
     liveness = analyze_liveness(result)
     if not liveness.checked:
         return
@@ -68,7 +70,8 @@ def test_property_analysis_is_a_pure_function(seed, p_stall):
         seed=seed, config=GeneratorConfig(p_stall=p_stall)
     )
     _, spec = generator.draw_checked()
-    result = explore(spec, augmented=True, max_visits=60_000)
+    result = explore(spec, augmented=True, guard=Guard(Budget(max_visits=60_000)))
+    assume(not result.partial)
     first = json.dumps(analyze_liveness(result).to_dict(), sort_keys=True)
     second = json.dumps(analyze_liveness(result).to_dict(), sort_keys=True)
     assert first == second

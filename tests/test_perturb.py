@@ -118,7 +118,7 @@ class TestCriticalityProfile:
                 candidate.validate()
             except ProtocolDefinitionError:
                 continue
-            result = explore(candidate, max_visits=60_000)
+            result = explore(candidate)
             if not result.ok:
                 assert result.witnesses
                 found += 1

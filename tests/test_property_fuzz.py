@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from hypothesis import assume, given
 
-from repro.core.essential import ExpansionLimitError, explore
+from repro.core.essential import explore
 from repro.core.protocol import ProtocolDefinitionError
+from repro.engine.guard import Budget, Guard
 from repro.enumeration.exhaustive import enumerate_space
 
 from tests.helpers import perturbed_protocols
@@ -41,12 +42,11 @@ def test_symbolic_and_concrete_verdicts_agree(spec):
     except ProtocolDefinitionError:
         assume(False)
 
-    try:
-        symbolic = explore(spec, max_visits=60_000)
-    except ExpansionLimitError:
-        assume(False)
+    symbolic = explore(spec, guard=Guard(Budget(max_visits=60_000)))
+    assume(not symbolic.partial)
 
-    concrete3 = enumerate_space(spec, 3, max_visits=400_000)
+    concrete3 = enumerate_space(spec, 3, guard=Guard(Budget(max_visits=400_000)))
+    assert not concrete3.partial, f"{spec.name}: n=3 search over budget"
 
     if symbolic.ok:
         # Completeness: the symbolic expansion covers every concrete
@@ -58,8 +58,11 @@ def test_symbolic_and_concrete_verdicts_agree(spec):
     else:
         # Soundness of rejection: some finite system exhibits the error.
         for n in (3, 4, 5):
-            result = enumerate_space(spec, n, max_visits=1_500_000)
-            if not result.ok:
+            result = enumerate_space(
+                spec, n, guard=Guard(Budget(max_visits=1_500_000))
+            )
+            # Violations found before a budget expired are definitive.
+            if result.violations:
                 return
         raise AssertionError(
             f"{spec.name}: symbolic rejection not witnessed by any "

@@ -90,7 +90,7 @@ class TestWitnessMinimality:
     def test_witness_is_shortest_path(self, mutant):
         from repro.core.expansion import SymbolicExpander
 
-        result = explore(mutant, max_visits=60_000)
+        result = explore(mutant)
         assert not result.ok
         witness = result.witnesses[0]
 

@@ -81,10 +81,8 @@ class TestEquivalenceConsistency:
     @pytest.mark.parametrize("name", protocol_names())
     def test_strict_canonicalizes_to_counting(self, name):
         spec = get_protocol(name)
-        strict = enumerate_space(spec, 3, max_visits=600_000)
-        counting = enumerate_space(
-            spec, 3, equivalence=Equivalence.COUNTING, max_visits=600_000
-        )
+        strict = enumerate_space(spec, 3)
+        counting = enumerate_space(spec, 3, equivalence=Equivalence.COUNTING)
         # The counting search keeps first-seen representatives, so both
         # sides are canonicalized before comparing.
         assert {s.canonical() for s in strict.states} == {
@@ -96,8 +94,8 @@ class TestEquivalenceConsistency:
         from repro.protocols.mutations import mutants_for
 
         for mutant in mutants_for(get_protocol(name)):
-            strict = enumerate_space(mutant, 3, max_visits=600_000)
+            strict = enumerate_space(mutant, 3)
             counting = enumerate_space(
-                mutant, 3, equivalence=Equivalence.COUNTING, max_visits=600_000
+                mutant, 3, equivalence=Equivalence.COUNTING
             )
             assert strict.ok == counting.ok, mutant.name

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.composite import CompositeState, make_state
 from repro.core.covering import contains
-from repro.core.essential import explore
+from repro.core.essential import Disposition, explore
 from repro.core.expansion import SymbolicExpander
 from repro.core.operators import Rep
 from repro.enumeration.crossval import is_instance
@@ -29,9 +29,12 @@ from repro.protocols.registry import protocol_names
 
 def reachable_composites(spec, augmented=True) -> list[CompositeState]:
     """All composite states retained at some point during expansion."""
-    seen: list[CompositeState] = []
-    result = explore(spec, augmented=augmented, on_state=seen.append)
-    return [result.initial] + seen
+    result = explore(spec, augmented=augmented, keep_trace=True)
+    return [result.initial] + [
+        entry.target
+        for entry in result.trace
+        if entry.disposition in (Disposition.NEW, Disposition.SUPERSEDES)
+    ]
 
 
 def weakenings(state: CompositeState, invalid: str) -> list[CompositeState]:

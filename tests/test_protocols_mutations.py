@@ -98,7 +98,7 @@ class TestVerifierKillsAllMutants:
         from repro.protocols.registry import get_protocol
 
         mutant = get_mutant(get_protocol(protocol_name), mutation_key)
-        result = explore(mutant, max_visits=50_000)
+        result = explore(mutant)
         assert not result.ok, f"{mutant.name} escaped the verifier"
         assert result.witnesses
         # The witness ends in a state exhibiting the reported violation.
