@@ -41,8 +41,9 @@ import re
 import signal
 import threading
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..engine import (
     ENGINE_VERSION,
@@ -75,8 +76,29 @@ _CAMPAIGN_RE = re.compile(r"^/campaigns/([A-Za-z0-9_.-]+)$")
 _EVENTS_RE = re.compile(r"^/campaigns/([A-Za-z0-9_.-]+)/events$")
 _CACHE_RE = re.compile(r"^/cache/([0-9a-f]{8,64})$")
 
-#: SSE tail-follow poll interval (seconds) while a campaign is live.
-_POLL = 0.05
+#: Safety-net poll (seconds) of a live SSE stream.  Streams wake on
+#: every journal line and on the campaign's terminal state; this only
+#: bounds the wait should a wake ever be missed.
+_SAFETY = 1.0
+
+
+class _WakingJournal(RunJournal):
+    """A campaign journal that wakes the campaign's SSE streams.
+
+    ``wake`` is called (in the batch thread) after every line is
+    flushed, so a stream reads the line as soon as it exists.
+    """
+
+    def __init__(
+        self, path: Path, *, mode: str, wake: Callable[[], None]
+    ) -> None:
+        super().__init__(path, mode=mode)
+        self._wake = wake
+
+    def emit(self, event: str, **fields: Any) -> dict[str, Any]:
+        record = super().emit(event, **fields)
+        self._wake()
+        return record
 
 
 class ServeApp:
@@ -138,12 +160,19 @@ class ServeApp:
         self.collector.gauge("serve.queue.depth", 0)
         self.collector.gauge("serve.sse.clients", 0)
         self._sse_clients = 0
+        #: The event loop serving this app (set by :meth:`start`).
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: One wake event per open SSE stream, by campaign id.  Only the
+        #: loop thread touches it; a stream adds its event on connect
+        #: and removes it on close.
+        self._wakes: dict[str, set[asyncio.Event]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0):
         """Recover persisted campaigns, start workers, bind the socket."""
+        self._loop = asyncio.get_running_loop()
         await self.scheduler.start()
         await self.recover()
         return await asyncio.start_server(self._handle_connection, host, port)
@@ -258,7 +287,9 @@ class ServeApp:
             if campaign.resumed and journal_path.exists():
                 resume_events = RunJournal.follow(journal_path).poll()
                 mode = "append"
-            with RunJournal(journal_path, mode=mode) as journal:
+            with _WakingJournal(
+                journal_path, mode=mode, wake=partial(self._wake, campaign.id)
+            ) as journal:
                 report = run_batch(
                     jobs,
                     workers=self.job_workers,
@@ -284,12 +315,33 @@ class ServeApp:
             campaign.finished = clock.wall()
             self.store.save_report(campaign)
             raise
-        campaign.report = report_to_dict(report)
-        campaign.exit_code = report.exit_code
-        campaign.state = CampaignState.DONE
-        campaign.finished = clock.wall()
-        self.store.save_report(campaign)
-        self._set_queue_gauge()
+        else:
+            campaign.report = report_to_dict(report)
+            campaign.exit_code = report.exit_code
+            campaign.state = CampaignState.DONE
+            campaign.finished = clock.wall()
+            self.store.save_report(campaign)
+            self._set_queue_gauge()
+        finally:
+            # Done, failed, or queued again by a drain: the streams see
+            # the new state now rather than at their safety-net poll.
+            self._wake(campaign.id)
+
+    def _wake(self, campaign_id: str) -> None:
+        """Wake the campaign's SSE streams; safe from any thread.
+
+        A batch can outlive the event loop (a server stopped while it
+        runs): a wake after the loop closed is dropped, never raised
+        into the journal write that made it.
+        """
+        if self._loop is None:
+            return
+        with contextlib.suppress(RuntimeError):
+            self._loop.call_soon_threadsafe(self._set_wakes, campaign_id)
+
+    def _set_wakes(self, campaign_id: str) -> None:
+        for event in self._wakes.get(campaign_id, ()):
+            event.set()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -490,6 +542,12 @@ class ServeApp:
         broke and replays byte-identically.  A terminal ``end`` frame
         carries the exit code once the campaign is done and the tail
         is drained.
+
+        The stream sleeps on its own wake event, set by the batch
+        thread after each journal line and once the campaign's state is
+        terminal (:meth:`_wake`).  Each pass clears the event *before*
+        reading the state and the journal, so a line or state change
+        that lands after the read always triggers another pass.
         """
         if offset < 0:
             raise HttpError(400, "offset must be >= 0")
@@ -497,20 +555,25 @@ class ServeApp:
         await writer.drain()
         self._sse_clients += 1
         self.collector.gauge("serve.sse.clients", self._sse_clients)
+        wake = asyncio.Event()
+        self._wakes.setdefault(campaign.id, set()).add(wake)
         try:
             follower = RunJournal.follow(
                 self.store.journal_path(campaign), offset=offset
             )
             while True:
-                drained = True
-                for raw, end_offset in follower.poll_lines():
+                wake.clear()
+                # A terminal state is set after the journal's last line.
+                done = campaign.done
+                lines = follower.poll_lines()
+                for raw, end_offset in lines:
                     writer.write(sse_event(raw, id=end_offset))
-                    drained = False
-                if not drained:
+                if lines:
                     await writer.drain()
-                if campaign.done and not follower.pending and drained:
+                if done and not follower.pending:
                     break
-                await asyncio.sleep(_POLL)
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(wake.wait(), _SAFETY)
             closing = json.dumps(
                 {"state": campaign.state, "exit_code": campaign.exit_code},
                 sort_keys=True,
@@ -518,6 +581,10 @@ class ServeApp:
             writer.write(sse_event(closing, event="end"))
             await writer.drain()
         finally:
+            streams = self._wakes[campaign.id]
+            streams.discard(wake)
+            if not streams:
+                del self._wakes[campaign.id]
             self._sse_clients -= 1
             self.collector.gauge("serve.sse.clients", self._sse_clients)
             self._set_queue_gauge()

@@ -5,8 +5,9 @@ priority-lane scheduler (lanes drain in order, tenant budgets degrade
 to PARTIAL instead of starving), the HTTP API end to end over a real
 socket (submit -> SSE stream -> structured report, warm-cache
 resubmission, restart recovery from the journal), byte-deterministic
-SSE replay from an offset, and the ``repro serve/submit/watch`` CLI
-exit-code contract.
+SSE replay from an offset, event-driven stream wake-ups (no poll
+timer on the path to ``end``), and the ``repro serve/submit/watch``
+CLI exit-code contract.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.serve import (
     campaign_id,
     client,
 )
+from repro.serve import app as serve_app
 from repro.serve.scheduler import MIN_DEADLINE
 
 GOOD_SPEC = """
@@ -487,6 +490,106 @@ class TestSseReplay:
             with pytest.raises(client.ServiceError) as excinfo:
                 client.watch(server.base_url, accepted["id"], offset=-5)
             assert excinfo.value.status == 400
+
+
+def _wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _hold_until_streamed(monkeypatch, app: ServeApp, then=None) -> None:
+    """Start each campaign's batch only once an SSE stream is open.
+
+    The stream is then live for every journal line and for the
+    terminal state, so it ends on wake-ups, not on a poll.  ``then``
+    replaces job resolution (default: the real one).
+    """
+    resolve = then or CampaignRequest.jobs
+
+    def jobs(request, *args, **kwargs):
+        _wait_until(lambda: app._wakes)
+        return resolve(request, *args, **kwargs)
+
+    monkeypatch.setattr(CampaignRequest, "jobs", jobs)
+
+
+class TestEventDrivenStream:
+    """The SSE stream wakes on journal lines and terminal states.
+
+    Each test sets the safety-net poll to 30 s, so a stream that still
+    needed a poll to reach ``end`` would take that long.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _slow_safety_net(self, monkeypatch):
+        monkeypatch.setattr(serve_app, "_SAFETY", 30.0)
+
+    def test_warm_stream_ends_promptly_and_replays_identically(
+        self, tmp_path, monkeypatch
+    ):
+        app = ServeApp(tmp_path / "state", cache=ResultCache(tmp_path / "cache"))
+        with ServerThread(app) as server:
+            cold = client.submit(server.base_url, {"protocols": ["msi"]})
+            client.watch(server.base_url, cold["id"])
+            _hold_until_streamed(monkeypatch, app)
+            warm = client.submit(server.base_url, {"protocols": ["msi"]})
+            live: list[tuple[int, str]] = []
+            began = time.monotonic()
+            final = client.watch(
+                server.base_url,
+                warm["id"],
+                on_event=lambda e: live.append((e.id, e.data)),
+            )
+            elapsed = time.monotonic() - began
+            replay: list[tuple[int, str]] = []
+            client.watch(
+                server.base_url,
+                warm["id"],
+                on_event=lambda e: replay.append((e.id, e.data)),
+            )
+        assert elapsed < 5.0
+        assert final["report"]["counts"]["cache_hits"] == 1
+        assert live and live == replay
+
+    def test_failed_campaign_wakes_its_stream(self, tmp_path, monkeypatch):
+        def broken(request, *args, **kwargs):
+            raise RuntimeError("spec store vanished")
+
+        app = ServeApp(tmp_path / "state")
+        _hold_until_streamed(monkeypatch, app, then=broken)
+        with ServerThread(app) as server:
+            accepted = client.submit(server.base_url, {"protocols": ["msi"]})
+            began = time.monotonic()
+            body = _get_text(
+                server.base_url, f"/campaigns/{accepted['id']}/events"
+            )
+            elapsed = time.monotonic() - began
+        assert elapsed < 5.0
+        # No journal was written: the stream is just the end frame.
+        [frame] = body.strip().split("\n\n")
+        head, data = frame.split("\n")
+        assert head == "event: end"
+        assert json.loads(data.removeprefix("data: ")) == {
+            "state": "failed",
+            "exit_code": 2,
+        }
+
+    def test_wake_after_the_loop_closed_is_dropped(self, tmp_path):
+        app = ServeApp(tmp_path / "state")
+        with ServerThread(app):
+            pass
+        app._wake("c0001-deadbeef")  # a batch still journaling: no raise
+
+    def test_closed_streams_leave_no_wake_state(self, tmp_path):
+        app = ServeApp(tmp_path / "state", cache=ResultCache(tmp_path / "cache"))
+        with ServerThread(app) as server:
+            for _ in range(5):
+                accepted = client.submit(server.base_url, {"protocols": ["msi"]})
+                client.watch(server.base_url, accepted["id"])
+            _wait_until(lambda: app._sse_clients == 0)
+            assert app._wakes == {}
 
 
 # ----------------------------------------------------------------------
