@@ -661,7 +661,7 @@ def _engine_comparison(collector, results: list) -> str:
             root = None
     rows = []
     for result, batch in zip(results, batch_roots):
-        if result.payload is None or batch is None:
+        if result.summary is None or batch is None:
             continue  # nothing was expanded: the batch table says why
         options = result.job.options
         mark = len(collector.spans)

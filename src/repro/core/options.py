@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,7 +115,7 @@ class RunOptions:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """The canonical JSON / HTTP / journal form."""
-        return asdict(self)
+        return {name: getattr(self, name) for name in FIELD_NAMES}
 
     @classmethod
     def from_dict(cls, payload: Any) -> "RunOptions":

@@ -44,6 +44,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BatchReport", "run_batch"]
 
+#: Fingerprints of registry jobs, keyed by ``(protocol, mutant)``, for
+#: the life of the process (a ``repro serve`` hashes each once).
+#: Registry protocols and mutations are code, so an entry cannot go
+#: stale; spec-file and inline-spec jobs always hash.  Two threads that
+#: miss the same key at once both hash it and store the same value.
+_REGISTRY_FINGERPRINTS: dict[tuple[str, str | None], str] = {}
+
+
+def _fingerprint(job: VerificationJob, spec: ProtocolSpec) -> str:
+    """*job*'s spec fingerprint, hashed at most once per registry job."""
+    if job.protocol is None:
+        return spec_fingerprint(spec)
+    key = (job.protocol, job.mutant)
+    fingerprint = _REGISTRY_FINGERPRINTS.get(key)
+    if fingerprint is None:
+        fingerprint = _REGISTRY_FINGERPRINTS[key] = spec_fingerprint(spec)
+    return fingerprint
+
 
 @dataclass
 class BatchReport:
@@ -52,10 +70,9 @@ class BatchReport:
     results: list[JobResult]
     wall: float
     journal: RunJournal = field(default_factory=RunJournal)
-    #: Result-cache lookup totals for this run (``None`` when the run
-    #: had no cache).  Unlike :attr:`cache_hits`, these come straight
-    #: from :class:`~repro.engine.cache.ResultCache` and so also count
-    #: corrupted entries rewritten as misses.
+    #: Result-cache lookups of this run's own admissions (``None`` when
+    #: the run had no cache).  Unlike :attr:`cache_hits`, these count
+    #: lookups, so corrupted entries rewritten as misses show up too.
     cache_lookup_hits: int | None = None
     cache_lookup_misses: int | None = None
 
@@ -134,13 +151,13 @@ class BatchReport:
         """Summary-table rows, one per job in input order."""
         rows = []
         for result in self.results:
-            payload = result.payload
+            summary = result.summary
             rows.append(
                 [
                     result.job.label,
                     result.verdict,
-                    str(len(payload["essential_states"])) if payload else "-",
-                    str(payload["stats"]["visits"]) if payload else "-",
+                    str(summary["essential"]) if summary else "-",
+                    str(summary["visits"]) if summary else "-",
                     f"{result.elapsed * 1000:.0f} ms",
                     "lint"
                     if result.status == JobStatus.REJECTED
@@ -292,9 +309,9 @@ def run_batch(
         # the actual per-lookup counting.
         coll.count("engine.cache.hits", 0)
         coll.count("engine.cache.misses", 0)
-    cache_hits_before, cache_misses_before = (
-        (cache.hits, cache.misses) if cache is not None else (0, 0)
-    )
+    # Counted here, not read off the cache: one cache may serve several
+    # concurrent batches (the service runs campaigns in threads).
+    lookups = {"hits": 0, "misses": 0}
     journal.emit(
         "run_start",
         jobs=len(jobs),
@@ -358,7 +375,7 @@ def run_batch(
                 report = lint_spec(spec, target=job.label)
                 ended = _preflight(journal, job, report, lint_findings, i)
             if ended is None:
-                fingerprint = spec_fingerprint(spec)
+                fingerprint = _fingerprint(job, spec)
         except Exception as exc:  # noqa: BLE001 - spec errors are data here
             from ..protocols.dsl import DslError
 
@@ -383,6 +400,7 @@ def run_batch(
         fingerprints[i] = fingerprint
         if cache is not None:
             hit = cache.get(fingerprint, job)
+            lookups["hits" if hit is not None else "misses"] += 1
             if hit is not None:
                 hit.lint = lint_findings.get(i)
                 results[i] = hit
@@ -495,8 +513,8 @@ def run_batch(
     wall = clock.monotonic() - started
     report = BatchReport(results=final, wall=wall, journal=journal)
     if cache is not None:
-        report.cache_lookup_hits = cache.hits - cache_hits_before
-        report.cache_lookup_misses = cache.misses - cache_misses_before
+        report.cache_lookup_hits = lookups["hits"]
+        report.cache_lookup_misses = lookups["misses"]
     journal.emit(
         "run_end",
         jobs=len(jobs),
@@ -573,9 +591,7 @@ def _preflight(
 
 def _finish(journal: RunJournal, result: JobResult) -> None:
     """Emit the per-job completion record."""
-    stats: dict[str, Any] = (
-        result.payload.get("stats", {}) if result.payload else {}
-    )
+    summary = result.summary or {}
     if result.partial:
         coll = _active_collector()
         if coll is not None:
@@ -588,10 +604,8 @@ def _finish(journal: RunJournal, result: JobResult) -> None:
         cached=result.cached,
         attempts=result.attempts,
         elapsed=round(result.elapsed, 6),
-        visits=stats.get("visits"),
-        expanded=stats.get("expanded"),
-        essential=(
-            len(result.payload["essential_states"]) if result.payload else None
-        ),
+        visits=summary.get("visits"),
+        expanded=summary.get("expanded"),
+        essential=summary.get("essential"),
         error=result.error,
     )

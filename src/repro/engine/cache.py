@@ -1,6 +1,6 @@
 """Persistent, content-addressed verification result cache.
 
-Layout (one JSON file per entry, sharded by key prefix)::
+Layout (one file per entry, sharded by key prefix)::
 
     <root>/v<ENGINE_VERSION>/<key[:2]>/<key>.json
 
@@ -10,13 +10,23 @@ Re-running a zoo or mutant sweep therefore only verifies specs whose
 *behaviour* changed; renames, reorderings and unrelated refactors all
 hit the cache.
 
+An entry is one JSON header line, then the payload's JSON bytes.  The
+header holds the job's metadata, its status, the payload's
+:func:`~repro.engine.job.payload_summary` and the payload's SHA-256.
+A lookup parses only the header and checks the digest; the payload is
+decoded only when a caller reads ``JobResult.payload``, so a batch that
+reports statuses and counts never decodes one.  This module is the only
+one that knows the layout: :meth:`ResultCache.entries` serves whole
+records to everyone else.
+
 Entries are written atomically (temp file + ``os.replace``) so a
-killed run never leaves a torn entry; a *corrupt* entry (unparsable
-JSON or the wrong shape) is quarantined -- moved aside to
-``<key>.json.quarantined`` for post-mortem -- and treated as a miss,
-so one flipped bit can never wedge a sweep or be replayed as a
-verdict.  The default root is ``$REPRO_CACHE_DIR``, else
-``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``.
+killed run never leaves a torn entry; a *corrupt* entry (an unparsable
+header, the wrong shape, or payload bytes that do not match their
+digest) is quarantined -- moved aside to ``<key>.json.quarantined``
+for post-mortem -- and treated as a miss, so one flipped bit can never
+wedge a sweep or be replayed as a verdict.  The default root is
+``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro``, else
+``~/.cache/repro``.
 
 Partial results (budget-exhausted runs) are cached too, flagged with
 ``"partial": true``; since the budgets are part of the job key, a
@@ -29,11 +39,12 @@ part of the key, so caching them would poison unrelated runs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO, Iterator
 
 from ..obs import active as _active_collector
 from .fingerprint import ENGINE_VERSION, job_key
@@ -57,8 +68,6 @@ class ResultCache:
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root).expanduser() if root is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
         self.quarantined = 0
 
     # ------------------------------------------------------------------
@@ -73,48 +82,63 @@ class ResultCache:
     def get(self, fingerprint: str, job: VerificationJob) -> JobResult | None:
         """Replay *job*'s result from the cache, or ``None`` on a miss.
 
-        A missing entry is a plain miss.  A *corrupt* entry -- torn
-        JSON, a non-dict payload, an unknown status, or a partial
-        record without its ``partial`` marker -- is quarantined (moved
-        aside to ``<key>.json.quarantined``) and then counts as a
-        miss, so the fresh result can land cleanly.
+        A missing entry is a plain miss.  A *corrupt* entry -- a torn
+        header, an unknown status, a partial record without its
+        ``partial`` marker, a malformed summary or ``elapsed``, or
+        payload bytes that fail their digest -- is quarantined (moved
+        aside to ``<key>.json.quarantined``) and then counts as a miss,
+        so the fresh result can land cleanly.  The hit's ``payload``
+        stays undecoded until first read.
         """
-        key = self.key_for(fingerprint, job)
-        path = self._path(key)
-        coll = _active_collector()
+        path = self._path(self.key_for(fingerprint, job))
+        hit = None
         try:
-            text = path.read_text(encoding="utf-8")
+            with path.open("rb") as fh:
+                header = _read_header(fh)
+                body = _read_payload(fh, header)
+            hit = JobResult(
+                job,
+                header["status"],
+                payload=body,
+                error=header.get("error"),
+                elapsed=float(header.get("elapsed", 0.0)),
+                cached=True,
+                fingerprint=fingerprint,
+                summary=header["summary"],
+            )
         except OSError:
-            self.misses += 1
-            if coll is not None:
-                coll.count("engine.cache.misses")
-            return None
-        try:
-            record = json.loads(text)
-            status = record["status"]
-            payload = record["payload"]
-            if status not in JobStatus.WITH_PAYLOAD or not isinstance(payload, dict):
-                raise ValueError("malformed cache entry")
-            if (status == JobStatus.PARTIAL) != bool(record.get("partial")):
-                raise ValueError("partial marker does not match status")
+            pass  # no entry: a plain miss
         except (ValueError, KeyError, TypeError):
             self._quarantine(path)
-            self.misses += 1
-            if coll is not None:
-                coll.count("engine.cache.misses")
-            return None
-        self.hits += 1
+        coll = _active_collector()
         if coll is not None:
-            coll.count("engine.cache.hits")
-        return JobResult(
-            job,
-            status,
-            payload=payload,
-            error=record.get("error"),
-            elapsed=float(record.get("elapsed", 0.0)),
-            cached=True,
-            fingerprint=fingerprint,
-        )
+            coll.count(
+                "engine.cache.hits" if hit is not None else "engine.cache.misses"
+            )
+        return hit
+
+    def entries(self, prefix: str) -> list[dict[str, Any]]:
+        """Every intact entry whose spec fingerprint starts with *prefix*.
+
+        Records come back in key order, each the entry's header fields
+        (minus its summary and digest) plus the decoded ``payload``.
+        Only matching entries' payloads are read and decoded; corrupt
+        entries are skipped, not quarantined.
+        """
+        records = []
+        version_dir = self.root / f"v{ENGINE_VERSION}"
+        for path in sorted(version_dir.glob("*/*.json")):
+            try:
+                with path.open("rb") as fh:
+                    header = _read_header(fh)
+                    if not str(header["fingerprint"]).startswith(prefix):
+                        continue
+                    body = _read_payload(fh, header)
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+            del header["summary"], header["sha256"]
+            records.append({**header, "payload": json.loads(body)})
+        return records
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside for post-mortem inspection."""
@@ -138,34 +162,42 @@ class ResultCache:
         before expansion, maybe before the spec was validated, so a
         replay could stand in for the ``error`` another run reports.
         """
-        if result.status not in JobStatus.WITH_PAYLOAD or result.payload is None:
+        if result.status not in JobStatus.WITH_PAYLOAD or result.summary is None:
             return
         if result.partial and (
-            result.exhausted_reason == "cancelled"
-            or not result.payload["stats"]["visits"]
+            result.exhausted_reason == "cancelled" or not result.summary["visits"]
         ):
             return
         key = self.key_for(fingerprint, job)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        record: dict[str, Any] = {
+        # Two encoding passes (the digest leads the entry) of the payload
+        # in pieces, rather than one string of it held whole.
+        digest = hashlib.sha256()
+        for chunk in _json_chunks(result.payload):
+            digest.update(chunk)
+        header: dict[str, Any] = {
             "key": key,
             "engine": ENGINE_VERSION,
             "fingerprint": fingerprint,
             "job": job.to_meta(),
             "status": result.status,
             "elapsed": result.elapsed,
-            "payload": result.payload,
+            "summary": result.summary,
+            "sha256": digest.hexdigest(),
         }
         if result.partial:
-            record["partial"] = True
-            record["error"] = result.error
+            header["partial"] = True
+            header["error"] = result.error
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".json"
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+                fh.write(b"\n")
+                for chunk in _json_chunks(result.payload):
+                    fh.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -173,3 +205,71 @@ class ResultCache:
             except OSError:
                 pass
             raise
+
+
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+#: List items encoded per piece by :func:`_json_chunks`.
+_BATCH = 8
+
+
+def _json_chunks(payload: dict[str, Any]) -> Iterator[bytes]:
+    """``json.dumps(payload, sort_keys=True)`` as UTF-8, in pieces.
+
+    A payload runs to a few MB, and encoding one whole holds a buffer
+    of about twice its size; encoding each top-level value, and long
+    top-level lists ``_BATCH`` items at a time, bounds that buffer and
+    still runs in the C encoder.
+    """
+    opener = b"{"
+    for key in sorted(payload):
+        yield opener + _ENCODE(key).encode("utf-8") + b": "
+        opener = b", "
+        value = payload[key]
+        if not isinstance(value, list) or not value:
+            yield _ENCODE(value).encode("utf-8")
+            continue
+        for start in range(0, len(value), _BATCH):
+            items = _ENCODE(value[start : start + _BATCH])[1:-1]
+            yield (b", " if start else b"[") + items.encode("utf-8")
+        yield b"]"
+    yield b"}" if payload else b"{}"
+
+
+_SUMMARY_KEYS = frozenset(("visits", "expanded", "essential", "reason"))
+
+
+def _read_header(fh: BinaryIO) -> dict[str, Any]:
+    """Parse and check the header line of the entry open as *fh*.
+
+    Raises ``ValueError``, ``KeyError`` or ``TypeError`` on a corrupt
+    header: not one JSON object followed by a newline, an unknown
+    status, a partial marker that disagrees with the status, or a
+    summary of the wrong shape.
+    """
+    head = fh.readline()
+    if not head.endswith(b"\n"):
+        raise ValueError("cache entry has no payload")
+    header = json.loads(head)
+    status = header["status"]
+    if status not in JobStatus.WITH_PAYLOAD:
+        raise ValueError("malformed cache entry")
+    if (status == JobStatus.PARTIAL) != bool(header.get("partial")):
+        raise ValueError("partial marker does not match status")
+    summary = header["summary"]
+    if not isinstance(summary, dict) or summary.keys() != _SUMMARY_KEYS:
+        raise ValueError("malformed summary")
+    return header
+
+
+def _read_payload(fh: BinaryIO, header: dict[str, Any]) -> bytes:
+    """The rest of the entry open as *fh*: its payload bytes, undecoded.
+
+    Raises ``ValueError`` or ``KeyError`` unless they are a JSON object
+    whose SHA-256 is the header's digest.
+    """
+    body = fh.read()
+    if not body.startswith(b"{"):
+        raise ValueError("payload is not a JSON object")
+    if hashlib.sha256(body).hexdigest() != header["sha256"]:
+        raise ValueError("payload does not match its digest")
+    return body

@@ -40,7 +40,9 @@ __all__ = [
 #: payloads carry a ``liveness`` section.
 #: "5": the engine choice left the job key (both engines' payloads are equal).
 #: "6": :func:`spec_to_dict` tabulates every present-set, once each.
-ENGINE_VERSION = "6"
+#: "7": a cache entry is a header line (with a payload summary and
+#: digest) followed by the payload bytes.
+ENGINE_VERSION = "7"
 
 
 def canonical_json(payload: Any) -> str:

@@ -15,6 +15,7 @@ the same :class:`JobResult` shape, whose ``payload`` is exactly
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -31,6 +32,7 @@ __all__ = [
     "VerificationJob",
     "JobResult",
     "execute_job",
+    "payload_summary",
     "registry_jobs",
 ]
 
@@ -191,18 +193,57 @@ def registry_jobs(
     return jobs
 
 
+def payload_summary(payload: dict[str, Any]) -> dict[str, Any]:
+    """The few payload fields a batch reports per job.
+
+    ``visits`` and ``expanded`` come from the expansion stats,
+    ``essential`` counts the essential states and ``reason`` is a
+    partial result's exhaustion reason (``None`` for a complete one).
+    The result cache stores this beside each payload, so a cache hit
+    reports it without decoding the payload.
+    """
+    return {
+        "visits": payload["stats"]["visits"],
+        "expanded": payload["stats"]["expanded"],
+        "essential": len(payload["essential_states"]),
+        "reason": (payload.get("partial") or {}).get("reason"),
+    }
+
+
+class _Payload:
+    """``JobResult.payload``: a dict, or JSON bytes decoded on first read.
+
+    The result cache hands over the payload bytes it has already checked
+    against their digest; most hits are reported from the summary alone
+    and never decode them.
+    """
+
+    def __get__(self, result: "JobResult | None", owner: type) -> Any:
+        if result is None:
+            return None  # the dataclass field's default
+        value = result.__dict__["_payload"]
+        if isinstance(value, bytes):
+            value = result.__dict__["_payload"] = json.loads(value)
+        return value
+
+    def __set__(self, result: "JobResult", value: Any) -> None:
+        result.__dict__["_payload"] = value
+
+
 @dataclass
 class JobResult:
     """Outcome of one job, however it was obtained.
 
     ``payload`` is the :func:`result_to_dict` rendering of the
-    verification (present iff the verification completed); ``cached``
-    marks results replayed from the persistent cache.
+    verification (present iff the verification completed); a cache hit
+    passes it as JSON bytes, decoded on first access.  ``summary`` is
+    :func:`payload_summary` of it.  ``cached`` marks results replayed
+    from the persistent cache.
     """
 
     job: VerificationJob
     status: str
-    payload: dict[str, Any] | None = None
+    payload: dict[str, Any] | bytes | None = _Payload()  # type: ignore[assignment]
     error: str | None = None
     attempts: int = 1
     elapsed: float = 0.0
@@ -211,6 +252,11 @@ class JobResult:
     #: Preflight findings (``Diagnostic.to_dict()`` records), attached
     #: when the job ran with ``preflight`` enabled.
     lint: list[dict[str, Any]] | None = None
+    summary: dict[str, Any] | None = None
+
+    def __post_init__(self) -> None:
+        if self.summary is None and self.payload is not None:
+            self.summary = payload_summary(self.payload)
 
     @property
     def completed(self) -> bool:
@@ -225,9 +271,9 @@ class JobResult:
     @property
     def exhausted_reason(self) -> str | None:
         """Why a partial result stopped early (``None`` otherwise)."""
-        if self.status != JobStatus.PARTIAL or not self.payload:
+        if self.status != JobStatus.PARTIAL or self.summary is None:
             return None
-        return (self.payload.get("partial") or {}).get("reason")
+        return self.summary["reason"]
 
     @property
     def ok(self) -> bool:

@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..engine import (
-    ENGINE_VERSION,
     BackoffPolicy,
     BatchCancelled,
     CircuitBreaker,
@@ -511,19 +510,12 @@ class ServeApp:
 
         ``fingerprint`` is a spec fingerprint (or a prefix of one, 8+
         hex chars): every cached verification of that specification --
-        any options, any budgets -- is returned, exactly as stored.
+        any options, any budgets -- is returned with its full payload
+        (see :meth:`~repro.engine.cache.ResultCache.entries`).
         """
         if self.cache is None:
             raise HttpError(404, "this server runs without a result cache")
-        entries: list[dict[str, Any]] = []
-        version_dir = self.cache.root / f"v{ENGINE_VERSION}"
-        for path in sorted(version_dir.glob("*/*.json")):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if str(record.get("fingerprint", "")).startswith(fingerprint):
-                entries.append(record)
+        entries = self.cache.entries(fingerprint)
         if not entries:
             raise HttpError(404, f"no cache entries for {fingerprint}")
         self.collector.count("serve.cache.served", len(entries))

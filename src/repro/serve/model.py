@@ -279,9 +279,7 @@ def report_to_dict(report: BatchReport) -> dict[str, Any]:
     """
     results = []
     for result in report.results:
-        stats: dict[str, Any] = (
-            result.payload.get("stats", {}) if result.payload else {}
-        )
+        summary = result.summary or {}
         results.append(
             {
                 "job": result.job.to_meta(),
@@ -293,13 +291,9 @@ def report_to_dict(report: BatchReport) -> dict[str, Any]:
                 "attempts": result.attempts,
                 "elapsed": round(result.elapsed, 6),
                 "fingerprint": result.fingerprint,
-                "visits": stats.get("visits"),
-                "expanded": stats.get("expanded"),
-                "essential": (
-                    len(result.payload["essential_states"])
-                    if result.payload
-                    else None
-                ),
+                "visits": summary.get("visits"),
+                "expanded": summary.get("expanded"),
+                "essential": summary.get("essential"),
                 "error": result.error,
             }
         )

@@ -73,6 +73,20 @@ def _test_watchdog(request):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture(autouse=True)
+def _fresh_fingerprint_memo():
+    """Start every test with no memoized registry fingerprint.
+
+    Batch admission hashes each registry job's spec once per process;
+    clearing that memo keeps a test's hashing (and what it counts) from
+    depending on which tests ran before it.
+    """
+    from repro.engine import batch
+
+    batch._REGISTRY_FINGERPRINTS.clear()
+    yield
+
+
 @pytest.fixture(scope="session")
 def illinois():
     return get_protocol("illinois")

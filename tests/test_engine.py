@@ -10,9 +10,13 @@ cache replays every job without re-verifying anything.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
+import pickle
+import shutil
+import threading
 import time
 
 import pytest
@@ -30,9 +34,12 @@ from repro.engine import (
     VerificationJob,
     execute_job,
     job_key,
+    registry_jobs,
     run_batch,
     spec_fingerprint,
 )
+from repro.engine import batch as batch_module
+from repro.engine import cache as cache_module
 from repro.protocols.dsl import builtin_spec_names, load_builtin
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.msi import MsiProtocol
@@ -221,6 +228,157 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
+def _matrix_jobs() -> list[VerificationJob]:
+    """The 51 registry jobs: the zoo and every safety mutant."""
+    return registry_jobs(["all"], RunOptions(), mutants=True)
+
+
+class TestCacheIntegrity:
+    def _entry(self, tmp_path, protocol="illinois"):
+        cache = ResultCache(tmp_path)
+        job = VerificationJob(protocol=protocol)
+        fp = spec_fingerprint(get_protocol(protocol))
+        cache.put(fp, job, execute_job(job))
+        return cache, job, fp, cache._path(cache.key_for(fp, job))
+
+    def _assert_quarantined(self, cache, job, fp, path):
+        assert cache.get(fp, job) is None
+        assert cache.quarantined == 1
+        assert not path.exists()
+        assert path.with_name(path.name + ".quarantined").exists()
+
+    def test_a_flipped_digit_in_the_payload_is_quarantined_and_reverified(
+        self, tmp_path
+    ):
+        cache, job, fp, path = self._entry(tmp_path)
+        raw = path.read_bytes()
+        # The payload follows the header, so the last occurrence is in it;
+        # the result is still valid JSON of the right shape.
+        head, _, tail = raw.rpartition(b'"visits": 23')
+        path.write_bytes(head + b'"visits": 28' + tail)
+        self._assert_quarantined(cache, job, fp, path)
+        [result] = run_batch([job], cache=cache).results
+        assert not result.cached
+        assert result.summary["visits"] == result.payload["stats"]["visits"] == 23
+
+    def test_a_torn_payload_under_an_intact_header_is_quarantined(self, tmp_path):
+        cache, job, fp, path = self._entry(tmp_path)
+        path.write_bytes(path.read_bytes()[:-7])
+        self._assert_quarantined(cache, job, fp, path)
+
+    def test_a_wrong_shape_payload_is_quarantined_even_with_its_digest(
+        self, tmp_path
+    ):
+        cache, job, fp, path = self._entry(tmp_path)
+        head = json.loads(path.read_bytes().partition(b"\n")[0])
+        body = b"[1, 2, 3]"
+        head["sha256"] = hashlib.sha256(body).hexdigest()
+        path.write_bytes(json.dumps(head).encode() + b"\n" + body)
+        self._assert_quarantined(cache, job, fp, path)
+
+    @pytest.mark.parametrize(
+        "edit", [{"summary": None}, {"elapsed": "soon"}], ids=["summary", "elapsed"]
+    )
+    def test_a_malformed_header_field_is_quarantined(self, tmp_path, edit):
+        # The digest covers the payload only: header fields are checked.
+        cache, job, fp, path = self._entry(tmp_path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = {**json.loads(head), **edit}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        self._assert_quarantined(cache, job, fp, path)
+
+    def test_hits_decode_the_stored_payload_over_the_matrix(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        jobs = _matrix_jobs()
+        assert len(jobs) == 51
+        cold = run_batch(jobs, cache=cache)
+        warm = run_batch(jobs, cache=cache)
+        assert warm.cache_hits == len(jobs)
+        for stored, hit in zip(cold.results, warm.results):
+            assert hit.summary == stored.summary
+            # A hit pickles with its undecoded bytes and decodes on first read.
+            shipped = pickle.loads(pickle.dumps(hit))
+            assert json.dumps(hit.payload, sort_keys=True) == json.dumps(
+                stored.payload, sort_keys=True
+            )
+            assert shipped.payload == stored.payload
+            assert b"".join(cache_module._json_chunks(stored.payload)) == (
+                json.dumps(stored.payload, sort_keys=True).encode("utf-8")
+            )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, {"a": []}, {"b": {"y": [1], "x": 2}, "a": list(range(200))}],
+    )
+    def test_payloads_are_written_as_dumps_writes_them(self, payload):
+        assert b"".join(cache_module._json_chunks(payload)) == json.dumps(
+            payload, sort_keys=True
+        ).encode("utf-8")
+
+    def test_entries_serve_whole_records(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = VerificationJob(protocol="msi")
+        fp = spec_fingerprint(get_protocol("msi"))
+        result = execute_job(job)
+        cache.put(fp, job, result)
+        [record] = cache.entries(fp[:12])
+        assert record == {
+            "key": cache.key_for(fp, job),
+            "engine": ENGINE_VERSION,
+            "fingerprint": fp,
+            "job": job.to_meta(),
+            "status": "verified",
+            "elapsed": result.elapsed,
+            "payload": result.payload,
+        }
+        assert cache.entries("0" * 64) == []
+
+
+class TestFingerprintMemo:
+    def test_memo_matches_spec_fingerprint_over_the_matrix(self, monkeypatch):
+        hashed = []
+
+        def counting(spec):
+            hashed.append(spec.name)
+            return spec_fingerprint(spec)
+
+        monkeypatch.setattr(batch_module, "spec_fingerprint", counting)
+        jobs = _matrix_jobs()
+        for _ in range(2):
+            for job in jobs:
+                spec = job.resolve_spec()
+                assert batch_module._fingerprint(job, spec) == spec_fingerprint(spec)
+        assert len(hashed) == len(jobs) == 51
+
+    def test_inline_specs_always_hash(self, monkeypatch):
+        hashed = []
+
+        def counting(spec):
+            hashed.append(spec.name)
+            return spec_fingerprint(spec)
+
+        monkeypatch.setattr(batch_module, "spec_fingerprint", counting)
+        job = VerificationJob(spec=get_protocol("msi"))
+        for _ in range(2):
+            batch_module._fingerprint(job, job.resolve_spec())
+        assert hashed == ["msi", "msi"]
+
+    def test_an_edited_spec_file_misses_the_cache(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        path = tmp_path / "edited.proto"
+        job = VerificationJob(spec_file=str(path))
+        fingerprints = []
+        for source in ("firefly_like.proto", "broken_mesi.proto"):
+            shutil.copy(os.path.join(EXAMPLES_SPECS, source), path)
+            report = run_batch([job], cache=cache)
+            assert report.cache_hits == 0 and report.cache_lookup_misses == 1
+            [start] = report.journal.of("job_start")
+            fingerprints.append(start["fingerprint"])
+        assert fingerprints[0] != fingerprints[1]
+        assert run_batch([job], cache=cache).cache_hits == 1
+
+
+# ----------------------------------------------------------------------
 class TestJournal:
     def test_events_and_counts(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -341,6 +499,44 @@ class TestRunBatch:
         for a, b in zip(cold.results, warm.results):
             assert a.status == b.status
             assert a.payload == b.payload
+
+    def test_concurrent_batches_count_only_their_own_lookups(self, tmp_path):
+        # One cache serves two batches at once, as in the service: the
+        # moesi batch's first lookup waits until the illinois batch is
+        # done, so shared counters would hand it illinois's hits too.
+        cache = ResultCache(tmp_path)
+        jobs = {
+            name: registry_jobs([name], RunOptions(), mutants=True)
+            for name in ("moesi", "illinois")
+        }
+        run_batch(jobs["moesi"] + jobs["illinois"], cache=cache)
+        illinois_done = threading.Event()
+        get = cache.get
+
+        def waiting_get(fingerprint, job):
+            if job.protocol == "moesi":
+                assert illinois_done.wait(timeout=60)
+            return get(fingerprint, job)
+
+        cache.get = waiting_get
+        reports = {}
+
+        def run(name):
+            reports[name] = run_batch(jobs[name], cache=cache)
+            if name == "illinois":
+                illinois_done.set()
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in jobs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert sorted(reports) == sorted(jobs)
+        for name, report in reports.items():
+            n = len(jobs[name])
+            assert (report.cache_lookup_hits, report.cache_lookup_misses) == (n, 0)
+            [end] = report.journal.of("run_end")
+            assert end["cache_lookups"] == {"hits": n, "misses": 0}
 
     def test_a_spec_differing_in_one_present_set_is_not_a_cache_hit(
         self, tmp_path

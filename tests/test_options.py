@@ -35,17 +35,18 @@ NON_DEFAULT: dict[str, tuple[object, list[str]]] = {
     "max_rss_mb": (64.0, ["--max-rss-mb", "64"]),
 }
 
-#: ``job_key`` values pinned byte for byte (engine version "6": the
-#: spec fingerprint tabulates every present-set once); refactors must
-#: keep existing cache entries reachable.
+#: ``job_key`` values pinned byte for byte (engine version "7": a cache
+#: entry is a summary header plus the payload bytes; the fingerprints
+#: are those of version "6"); refactors must keep existing cache
+#: entries reachable.
 PINNED_KEYS = [
     (
         RunOptions(),
-        "db282d5026601a064f4eecb3702f569cc5bfcf60ae119cb9b080e68ad1b9ec79",
+        "86749df75bc21952303519dc3be0ed3122f9dc26ea55ab0584af2f8a5a327031",
     ),
     (
         RunOptions(mode="liveness", deadline=2.0),
-        "be4b1afdb5e28a76f3cd59b420e03e53326da91390677458d1461dbd4a8a3af4",
+        "0accc56c7e097196eff1a3c7c119ce03bbaa36ac8b2aa6215769eba6b3d0c16e",
     ),
 ]
 
