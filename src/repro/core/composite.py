@@ -196,6 +196,17 @@ class CompositeState:
     # ------------------------------------------------------------------
     def pretty(self, *, annotations: bool = True) -> str:
         """Human-readable rendering, e.g. ``(Shared+, Inv*) [sharing=many]``."""
+        if annotations:
+            # A result renders each state once per witness step and
+            # payload entry; cache the annotated form like the hash.
+            cached = self.__dict__.get("_pretty")
+            if cached is None:
+                cached = self._render(True)
+                object.__setattr__(self, "_pretty", cached)
+            return cached
+        return self._render(False)
+
+    def _render(self, annotations: bool) -> str:
         if not self.classes:
             body = "(empty)"
         else:

@@ -346,6 +346,7 @@ def run_batch(
 
     results: list[JobResult | None] = [None] * len(jobs)
     fingerprints: dict[int, str] = {}
+    keys: dict[int, str] = {}  # cache keys, computed once per job
     lint_findings: dict[int, list[dict[str, Any]]] = {}
     to_run: list[int] = []
 
@@ -399,14 +400,13 @@ def run_batch(
         journal.emit("job_start", job=job.label, fingerprint=fingerprint)
         fingerprints[i] = fingerprint
         if cache is not None:
-            hit = cache.get(fingerprint, job)
+            key = keys[i] = cache.key_for(fingerprint, job)
+            hit = cache.get(fingerprint, job, key)
             lookups["hits" if hit is not None else "misses"] += 1
             if hit is not None:
                 hit.lint = lint_findings.get(i)
                 results[i] = hit
-                journal.emit(
-                    "cache_hit", job=job.label, key=cache.key_for(fingerprint, job)
-                )
+                journal.emit("cache_hit", job=job.label, key=key)
                 _finish(journal, hit)
                 return None
         # Cache misses that would hit a tripped breaker are refused
@@ -450,7 +450,7 @@ def run_batch(
         result.lint = lint_findings.get(i)
         results[i] = result
         if cache is not None:
-            cache.put(fingerprints[i], jobs[i], result)
+            cache.put(fingerprints[i], jobs[i], result, keys[i])
         _finish(journal, result)
 
     if runner is None:

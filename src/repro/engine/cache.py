@@ -44,7 +44,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO
 
 from ..obs import active as _active_collector
 from .fingerprint import ENGINE_VERSION, job_key
@@ -79,8 +79,13 @@ class ResultCache:
         return self.root / f"v{ENGINE_VERSION}" / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------
-    def get(self, fingerprint: str, job: VerificationJob) -> JobResult | None:
+    def get(
+        self, fingerprint: str, job: VerificationJob, key: str | None = None
+    ) -> JobResult | None:
         """Replay *job*'s result from the cache, or ``None`` on a miss.
+
+        ``key`` is :meth:`key_for` of the job when the caller already
+        holds it (batch admission journals it with the hit).
 
         A missing entry is a plain miss.  A *corrupt* entry -- a torn
         header, an unknown status, a partial record without its
@@ -90,7 +95,9 @@ class ResultCache:
         so the fresh result can land cleanly.  The hit's ``payload``
         stays undecoded until first read.
         """
-        path = self._path(self.key_for(fingerprint, job))
+        if key is None:
+            key = self.key_for(fingerprint, job)
+        path = self._path(key)
         hit = None
         try:
             with path.open("rb") as fh:
@@ -151,8 +158,14 @@ class ResultCache:
         if coll is not None:
             coll.count("engine.cache.quarantined")
 
-    def put(self, fingerprint: str, job: VerificationJob, result: JobResult) -> None:
-        """Store a completed or partial result.
+    def put(
+        self,
+        fingerprint: str,
+        job: VerificationJob,
+        result: JobResult,
+        key: str | None = None,
+    ) -> None:
+        """Store a completed or partial result (``key`` as in :meth:`get`).
 
         No-op for errors/timeouts/crashes, for partials whose
         exhaustion reason is ``cancelled`` -- those stopped because of
@@ -168,13 +181,14 @@ class ResultCache:
             result.exhausted_reason == "cancelled" or not result.summary["visits"]
         ):
             return
-        key = self.key_for(fingerprint, job)
+        if key is None:
+            key = self.key_for(fingerprint, job)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Two encoding passes (the digest leads the entry) of the payload
-        # in pieces, rather than one string of it held whole.
+        # The digest leads the entry, so hash the pieces, then write them.
+        chunks = result.payload_chunks()
         digest = hashlib.sha256()
-        for chunk in _json_chunks(result.payload):
+        for chunk in chunks:
             digest.update(chunk)
         header: dict[str, Any] = {
             "key": key,
@@ -196,8 +210,7 @@ class ResultCache:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
                 fh.write(b"\n")
-                for chunk in _json_chunks(result.payload):
-                    fh.write(chunk)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -205,34 +218,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
-#: List items encoded per piece by :func:`_json_chunks`.
-_BATCH = 8
-
-
-def _json_chunks(payload: dict[str, Any]) -> Iterator[bytes]:
-    """``json.dumps(payload, sort_keys=True)`` as UTF-8, in pieces.
-
-    A payload runs to a few MB, and encoding one whole holds a buffer
-    of about twice its size; encoding each top-level value, and long
-    top-level lists ``_BATCH`` items at a time, bounds that buffer and
-    still runs in the C encoder.
-    """
-    opener = b"{"
-    for key in sorted(payload):
-        yield opener + _ENCODE(key).encode("utf-8") + b": "
-        opener = b", "
-        value = payload[key]
-        if not isinstance(value, list) or not value:
-            yield _ENCODE(value).encode("utf-8")
-            continue
-        for start in range(0, len(value), _BATCH):
-            items = _ENCODE(value[start : start + _BATCH])[1:-1]
-            yield (b", " if start else b"[") + items.encode("utf-8")
-        yield b"]"
-    yield b"}" if payload else b"{}"
 
 
 _SUMMARY_KEYS = frozenset(("visits", "expanded", "essential", "reason"))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from ..obs import clock
 from ..core.options import RunOptions
@@ -210,12 +210,43 @@ def payload_summary(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+#: List items encoded per piece by :func:`_json_chunks`.
+_BATCH = 8
+
+
+def _json_chunks(payload: dict[str, Any]) -> Iterator[bytes]:
+    """``json.dumps(payload, sort_keys=True)`` as UTF-8, in pieces.
+
+    The one canonical encoding of a payload: the bytes a cache entry
+    stores and the bytes a parallel worker ships.  A payload runs to a
+    few MB, and encoding one whole holds a buffer of about twice its
+    size; encoding each top-level value, and long top-level lists
+    ``_BATCH`` items at a time, bounds that buffer and still runs in
+    the C encoder.
+    """
+    opener = b"{"
+    for key in sorted(payload):
+        yield opener + _ENCODE(key).encode("utf-8") + b": "
+        opener = b", "
+        value = payload[key]
+        if not isinstance(value, list) or not value:
+            yield _ENCODE(value).encode("utf-8")
+            continue
+        for start in range(0, len(value), _BATCH):
+            items = _ENCODE(value[start : start + _BATCH])[1:-1]
+            yield (b", " if start else b"[") + items.encode("utf-8")
+        yield b"]"
+    yield b"}" if payload else b"{}"
+
+
 class _Payload:
     """``JobResult.payload``: a dict, or JSON bytes decoded on first read.
 
-    The result cache hands over the payload bytes it has already checked
-    against their digest; most hits are reported from the summary alone
-    and never decode them.
+    The bytes are the payload's :func:`_json_chunks` encoding: those the
+    result cache has checked against their digest, or those a parallel
+    worker encoded before sending its result.  Most results are
+    reported from the summary alone and never decode them.
     """
 
     def __get__(self, result: "JobResult | None", owner: type) -> Any:
@@ -257,6 +288,14 @@ class JobResult:
     def __post_init__(self) -> None:
         if self.summary is None and self.payload is not None:
             self.summary = payload_summary(self.payload)
+
+    def payload_chunks(self) -> list[bytes]:
+        """The payload's :func:`_json_chunks` encoding, without decoding
+        held bytes: those bytes as they are, or a dict encoded once."""
+        value = self.__dict__["_payload"]
+        if isinstance(value, bytes):
+            return [value]
+        return list(_json_chunks(value))
 
     @property
     def completed(self) -> bool:

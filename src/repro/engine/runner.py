@@ -171,7 +171,8 @@ class SerialRunner:
 
 
 def _worker_main(conn: Connection, cancel: Any = None) -> None:
-    """Worker loop: receive ``(token, job)``, send ``(token, result)``.
+    """Worker loop: receive ``(token, job)``, send ``(token, result)``
+    with the result's payload as its canonical JSON bytes.
 
     ``cancel`` is the slot's shared soft-cancel event: cleared before
     each job (it may still be set from a previous grace window) and
@@ -189,6 +190,10 @@ def _worker_main(conn: Connection, cancel: Any = None) -> None:
         if cancel is not None:
             cancel.clear()
         result = execute_job(job, cancel=cancel)
+        if result.payload is not None:
+            # Encode here, in parallel, rather than pickle the dict: the
+            # parent hashes and caches these bytes as they are.
+            result.payload = b"".join(result.payload_chunks())
         try:
             conn.send((token, result))
         except (BrokenPipeError, OSError):

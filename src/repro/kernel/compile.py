@@ -174,6 +174,33 @@ def _covers_packed(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
     return True
 
 
+def _signature(key: tuple, group_base: int) -> tuple[int, int]:
+    """The containment signature of one packed state: two bitmasks.
+
+    The *label mask* sets bit ``lcode`` for every class; the *required
+    mask* sets it only for classes whose operator is not ``*``.  Both
+    also set bit ``group_base + shc*4 + md``, the state's (sharing,
+    mdata) group (``group_base`` lies above every lcode bit).
+    :func:`_covers_packed` with equal sharing and mdata implies
+    ``label(small) ⊆ label(big)`` (no class of *small* may be skipped)
+    and ``required(big) ⊆ label(small)`` (only ``*`` classes of *big*
+    may go unmatched), so ``small ⊆_F big`` requires::
+
+        label(small) & ~label(big) == 0 and required(big) & ~label(small) == 0
+
+    and the group bits make that fail for unequal groups.
+    """
+    classes, shc, md = key
+    labels = required = 0
+    for c in classes:
+        bit = 1 << (c >> 2)
+        labels |= bit
+        if c & 3 != 3:
+            required |= bit
+    group = 1 << (group_base + shc * 4 + md)
+    return labels | group, required | group
+
+
 def _add_hi(a: int | None, b: int | None) -> int | None:
     """None-absorbing interval upper-bound addition."""
     if a is None or b is None:
@@ -307,6 +334,12 @@ class CompiledProtocol:
         self._ids: dict[tuple, int] = {}
         self._keys: list[tuple] = []
         self._decoded: list[CompositeState] = []
+        self._intern_lock = threading.Lock()
+        #: id -> containment signature (see _signature), read inline by
+        #: the pruning loops to skip pairs before a memo lookup.
+        self._group_base = 4 * S
+        self.label_masks: list[int] = []
+        self.required_masks: list[int] = []
         self.intern_hits = 0
         self.intern_misses = 0
 
@@ -356,6 +389,10 @@ class CompiledProtocol:
         successor at construction time), so inconsistent states are
         never interned and the raise happens at the same point of the
         exploration.
+
+        Concurrent campaigns of ``repro serve`` share one instance, so a
+        miss registers under a lock and publishes the id last: an id
+        read from the table always indexes every per-id list.
         """
         sid = self._ids.get(key)
         if sid is not None:
@@ -364,10 +401,16 @@ class CompiledProtocol:
         self.intern_misses += 1
         state = self._decode(key)
         state.check_consistent(self.invalid_name)
-        sid = len(self._keys)
-        self._ids[key] = sid
-        self._keys.append(key)
-        self._decoded.append(state)
+        labels, required = _signature(key, self._group_base)
+        with self._intern_lock:
+            sid = self._ids.get(key)
+            if sid is None:
+                sid = len(self._keys)
+                self._keys.append(key)
+                self._decoded.append(state)
+                self.label_masks.append(labels)
+                self.required_masks.append(required)
+                self._ids[key] = sid
         return sid
 
     def decoded(self, sid: int) -> CompositeState:

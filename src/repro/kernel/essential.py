@@ -13,6 +13,7 @@ of the interpreter (``repro verify --trace``).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from ..core.composite import CompositeState
@@ -78,6 +79,8 @@ def explore(
         root_span.__enter__()
 
     contains_ids = cp.contains_ids
+    labels = cp.label_masks
+    required = cp.required_masks
     decoded = cp.decoded
 
     init_id = cp.initial_id(augmented)
@@ -140,24 +143,43 @@ def explore(
                 record_error(target)
 
                 if containment:
-                    if (
-                        contains_ids(target, current)
-                        or any(contains_ids(target, p) for p in working)
-                        or any(contains_ids(target, q) for q in visited)
+                    # Signature prefilter (see compile._signature): the
+                    # pair (a, b) reaches the memo only if a's labels
+                    # lie within b's and include b's required labels.
+                    t_lab = labels[target]
+                    t_out = ~t_lab
+                    t_req = required[target]
+                    if any(
+                        contains_ids(target, p)
+                        for p in chain((current,), working, visited)
+                        if labels[p] & t_lab == t_lab
+                        and not required[p] & t_out
                     ):
                         stats.discarded_contained += 1
                     else:
                         before = len(working) + len(visited)
                         working = [
-                            p for p in working if not contains_ids(p, target)
+                            p
+                            for p in working
+                            if labels[p] & t_out
+                            or labels[p] & t_req != t_req
+                            or not contains_ids(p, target)
                         ]
                         visited = [
-                            q for q in visited if not contains_ids(q, target)
+                            q
+                            for q in visited
+                            if labels[q] & t_out
+                            or labels[q] & t_req != t_req
+                            or not contains_ids(q, target)
                         ]
                         removed = before - len(working) - len(visited)
                         stats.removed_superseded += removed
                         working.append(target)
-                        if contains_ids(current, target):
+                        if (
+                            not labels[current] & t_out
+                            and labels[current] & t_req == t_req
+                            and contains_ids(current, target)
+                        ):
                             # Figure 3: discard the current state and
                             # restart the outer loop.
                             discard_current = True
@@ -256,8 +278,16 @@ def _essential_home_id(
             f"state {cp.decoded(state_id)} not found among visited states "
             "(duplicates mode)"
         )
+    labels = cp.label_masks
+    required = cp.required_masks
+    s_lab = labels[state_id]
+    s_out = ~s_lab
     for candidate in essential_ids:
-        if cp.contains_ids(state_id, candidate):
+        if (
+            labels[candidate] & s_lab == s_lab
+            and not required[candidate] & s_out
+            and cp.contains_ids(state_id, candidate)
+        ):
             return candidate
     raise AssertionError(
         f"successor {cp.decoded(state_id)} of an essential state is "

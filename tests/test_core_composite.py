@@ -137,6 +137,23 @@ class TestRendering:
     def test_empty_state(self):
         assert make_state([]).pretty() == "(empty)"
 
+    def test_annotated_rendering_is_memoized_without_changing_it(self):
+        def fresh():
+            return build_state(
+                "Shared+", "Invalid*", sharing=SharingLevel.MANY, mdata=DataValue.FRESH
+            )
+
+        state, twin = fresh(), fresh()
+        bare = state.pretty(annotations=False)
+        first = state.pretty()
+        assert first == "(Invalid*, Shared+) [sharing=many, mdata=fresh]"
+        assert state.pretty() is first  # served from the memo
+        assert state.pretty() == twin.pretty() == str(state)
+        assert state.pretty(annotations=False) == bare == "(Invalid*, Shared+)"
+        # The memo is not a field: equality, hashing and repr ignore it.
+        assert state == twin and hash(state) == hash(twin)
+        assert repr(state) == repr(fresh())
+
 
 class TestParseClassSpec:
     def test_plain(self):

@@ -39,7 +39,7 @@ from repro.engine import (
     spec_fingerprint,
 )
 from repro.engine import batch as batch_module
-from repro.engine import cache as cache_module
+from repro.engine import job as job_module
 from repro.protocols.dsl import builtin_spec_names, load_builtin
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.msi import MsiProtocol
@@ -302,16 +302,38 @@ class TestCacheIntegrity:
                 stored.payload, sort_keys=True
             )
             assert shipped.payload == stored.payload
-            assert b"".join(cache_module._json_chunks(stored.payload)) == (
+            assert b"".join(job_module._json_chunks(stored.payload)) == (
                 json.dumps(stored.payload, sort_keys=True).encode("utf-8")
             )
+
+    def test_parallel_and_serial_batches_write_the_same_entries(self, tmp_path):
+        # A worker ships its payload's bytes and `put` writes them as
+        # they are; the serial path encodes its dict once.  Both must
+        # land the same entries.
+        jobs = _matrix_jobs()
+        trees = {}
+        for workers in (2, 1):
+            root = tmp_path / f"j{workers}"
+            run_batch(jobs, cache=ResultCache(root), workers=workers)
+            entries = {}
+            for path in sorted(root.glob("v*/*/*.json")):
+                head, _, body = path.read_bytes().partition(b"\n")
+                header = json.loads(head)
+                # The digest covers stats.elapsed_seconds, so it is
+                # checked against its bytes, not across the two trees.
+                assert header.pop("sha256") == hashlib.sha256(body).hexdigest()
+                del header["elapsed"]
+                entries[path.name] = (header, _strip_elapsed(json.loads(body)))
+            trees[workers] = entries
+        assert len(trees[2]) == len(jobs)
+        assert trees[2] == trees[1]
 
     @pytest.mark.parametrize(
         "payload",
         [{}, {"a": []}, {"b": {"y": [1], "x": 2}, "a": list(range(200))}],
     )
     def test_payloads_are_written_as_dumps_writes_them(self, payload):
-        assert b"".join(cache_module._json_chunks(payload)) == json.dumps(
+        assert b"".join(job_module._json_chunks(payload)) == json.dumps(
             payload, sort_keys=True
         ).encode("utf-8")
 
@@ -431,6 +453,18 @@ class TestRunners:
             assert s.status == p.status == JobStatus.VERIFIED
             assert _strip_elapsed(s.payload) == _strip_elapsed(p.payload)
 
+    def test_workers_deliver_the_payload_as_its_canonical_bytes(self):
+        job = VerificationJob(protocol="illinois", mutant="drop-invalidation")
+        [result] = ParallelRunner(workers=1).run([job])
+        raw = result.__dict__["_payload"]
+        assert isinstance(raw, bytes)
+        assert result.payload_chunks() == [raw]  # held bytes: no re-encoding
+        assert job_module.payload_summary(json.loads(raw)) == result.summary
+        assert result.status == JobStatus.VIOLATION
+        assert _strip_elapsed(result.payload) == _strip_elapsed(
+            execute_job(job).payload
+        )
+
     def test_timeout_retry_then_failure(self):
         events = []
         runner = ParallelRunner(workers=1, timeout=0.3, retries=1)
@@ -513,10 +547,10 @@ class TestRunBatch:
         illinois_done = threading.Event()
         get = cache.get
 
-        def waiting_get(fingerprint, job):
+        def waiting_get(fingerprint, job, key=None):
             if job.protocol == "moesi":
                 assert illinois_done.wait(timeout=60)
-            return get(fingerprint, job)
+            return get(fingerprint, job, key)
 
         cache.get = waiting_get
         reports = {}

@@ -16,6 +16,8 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.essential import explore
 from repro.core.options import RunOptions
@@ -24,6 +26,7 @@ from repro.core.serialize import result_to_dict
 from repro.core.symbols import DataValue, Op
 from repro.core.verifier import verify
 from repro.engine.guard import Budget, Guard
+from repro.engine.job import registry_jobs
 from repro.enumeration.exhaustive import Equivalence, enumerate_space
 from repro.enumeration.product import (
     ConcreteState,
@@ -33,6 +36,7 @@ from repro.enumeration.product import (
 )
 from repro.ir import lower
 from repro.kernel import CompiledProtocol, compile_protocol
+from repro.kernel.compile import _covers_packed, _signature
 from repro.kernel import enumerate_space as kernel_enumerate
 from repro.kernel import explore as kernel_explore
 from repro.obs import Collector, use_collector
@@ -108,6 +112,64 @@ def test_containment_memo_agrees_with_covering():
             # Twice: the second call must hit the memo, same answer.
             assert cp.contains_ids(a, b) == expected
             assert cp.contains_ids(a, b) == expected
+
+
+_packed_class = st.tuples(st.integers(0, 11), st.integers(0, 3))
+
+
+@st.composite
+def _packed_pairs(draw):
+    """Two packed class tuples, *small* often derived from *big* so that
+    covering pairs are common: big's classes are kept with an operator
+    drawn at random or dropped, and stray classes may be added."""
+    big = draw(st.lists(_packed_class, max_size=6, unique_by=lambda c: c[0]))
+    small = [
+        (lcode, draw(st.integers(0, 3)))
+        for lcode, _ in big
+        if draw(st.booleans())
+    ]
+    small += draw(st.lists(_packed_class, max_size=2))
+    small = {lcode: rep for lcode, rep in small}.items()
+
+    def pack(classes):
+        return tuple(sorted((lcode << 2) | rep for lcode, rep in classes))
+
+    return pack(small), pack(big)
+
+
+_group = st.tuples(st.integers(0, 3), st.integers(0, 3))  # (sharing, mdata)
+
+
+@given(_packed_pairs(), _group, st.none() | _group)
+def test_covering_implies_the_signature_condition(pair, group_s, other):
+    # The pruning loops skip a pair unless its signatures pass this
+    # test, so it must hold for every pair the kernel's ⊆_F accepts.
+    small, big = pair
+    group_b = group_s if other is None else other
+    s_lab, _ = _signature((small, *group_s), 48)
+    b_lab, b_req = _signature((big, *group_b), 48)
+    passes = not s_lab & ~b_lab and not b_req & ~s_lab
+    if group_s == group_b and _covers_packed(small, big):
+        assert passes
+    if group_s != group_b:
+        assert not passes
+
+
+def test_containment_lookups_pass_the_signature_over_the_matrix():
+    # Every memo lookup the pruning loops make is a pair that passes
+    # the prefilter; without it the 51-job matrix makes 1,382,468.
+    lookups = 0
+    for job in registry_jobs(["all"], RunOptions(), mutants=True):
+        spec = job.resolve_spec()
+        cp = CompiledProtocol(lower(spec))
+        kernel_explore(spec, compiled=cp)
+        lookups += cp.containment_hits + cp.containment_misses
+        for small, row in cp._contains.items():
+            for big, known in enumerate(row):
+                if known:
+                    assert not cp.label_masks[small] & ~cp.label_masks[big]
+                    assert not cp.required_masks[big] & ~cp.label_masks[small]
+    assert lookups < 100_000
 
 
 def test_containment_memo_is_per_protocol():
