@@ -25,59 +25,32 @@ Profiling a verification (see ``docs/OBSERVABILITY.md``)::
     print(collector.span_totals())
 """
 
-from .core import (
-    CompositeState,
-    DataValue,
-    ExpansionResult,
-    Op,
-    ProtocolSpec,
-    PruningMode,
-    Rep,
-    RunOptions,
-    SharingLevel,
-    VerificationReport,
-    explore,
-    verify,
-)
-from .engine import BatchReport, ResultCache, RunJournal, VerificationJob, run_batch
-from .lint import LintError, LintReport, lint_all, lint_spec
-from .liveness import LassoWitness, LivenessReport, analyze_liveness, replay_lasso
-from .obs import Collector, render_report, use_collector
-from .protocols import all_protocols, get_protocol, protocol_names
+from ._lazy import lazy_exports
 
 __version__ = "1.9.0"
 
-__all__ = [
-    "BatchReport",
-    "Collector",
-    "CompositeState",
-    "DataValue",
-    "ExpansionResult",
-    "LassoWitness",
-    "LintError",
-    "LintReport",
-    "LivenessReport",
-    "Op",
-    "ProtocolSpec",
-    "PruningMode",
-    "Rep",
-    "ResultCache",
-    "RunJournal",
-    "RunOptions",
-    "SharingLevel",
-    "VerificationJob",
-    "VerificationReport",
-    "__version__",
-    "all_protocols",
-    "analyze_liveness",
-    "explore",
-    "get_protocol",
-    "lint_all",
-    "lint_spec",
-    "protocol_names",
-    "render_report",
-    "replay_lasso",
-    "run_batch",
-    "use_collector",
-    "verify",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core.composite": ("CompositeState",),
+        "core.essential": ("ExpansionResult", "PruningMode", "explore"),
+        "core.operators": ("Rep",),
+        "core.options": ("RunOptions",),
+        "core.protocol": ("ProtocolSpec",),
+        "core.symbols": ("DataValue", "Op", "SharingLevel"),
+        "core.verifier": ("VerificationReport", "verify"),
+        "engine.batch": ("BatchReport", "run_batch"),
+        "engine.cache": ("ResultCache",),
+        "engine.job": ("VerificationJob",),
+        "engine.journal": ("RunJournal",),
+        "lint.api": ("lint_all", "lint_spec"),
+        "lint.model": ("LintError", "LintReport"),
+        "liveness.analyze": ("analyze_liveness",),
+        "liveness.model": ("LassoWitness", "LivenessReport"),
+        "liveness.replay": ("replay_lasso",),
+        "obs.collector": ("Collector", "use_collector"),
+        "obs.profile": ("render_report",),
+        "protocols.registry": ("all_protocols", "get_protocol", "protocol_names"),
+    },
+)
+__all__.append("__version__")

@@ -13,11 +13,13 @@ benchmark output can be eyeballed against the paper's artifacts:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.composite import CompositeState
-from ..core.essential import ExpansionResult
 from ..core.symbols import SharingLevel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.essential import ExpansionResult
 
 __all__ = [
     "format_table",

@@ -47,35 +47,42 @@ import sys
 from typing import Sequence
 
 from .analysis.reporting import expansion_listing, figure4_table, format_table
-from .core.essential import PruningMode, explore
-from .core.graph import to_dot
 from .core.options import RunOptions
 from .core.protocol import ProtocolDefinitionError
 from .core.serialize import result_to_json
 from .core.verifier import verify
-from .obs import EXPORT_EXTENSIONS, EXPORTERS
 from .protocols.dsl import DslError, load_protocol, parse_protocol_file
-from .protocols.mutations import (
-    LIVENESS_MUTATIONS,
-    MUTATIONS,
-    get_mutant,
-    mutants_for,
+
+# Everything else -- the protocol zoo and its registry, the mutation
+# catalogs, the interpreter's ``explore``, the diagram and trace
+# exporters and each subcommand's own modules -- is imported inside the
+# ``_cmd_*`` function that uses it, so that a spec-file ``repro batch``
+# loads only the modules it runs.
+
+#: ``--mutant`` choices: the keys of both catalogs in
+#: :mod:`repro.protocols.mutations` (safety bugs and the safety-clean
+#: starvation bugs only liveness modes reject), spelled out so building
+#: the parser does not import them (a test keeps them equal).
+_MUTANT_CHOICES = (
+    "drop-invalidation",
+    "drop-release",
+    "drop-update-broadcast",
+    "forget-supplier-demotion",
+    "ignore-sharing-line",
+    "skip-memory-update-on-supply",
+    "skip-replacement-writeback",
+    "stall-forever",
+    "stall-write-miss",
 )
-from .protocols.registry import all_protocols, resolve_specs
-
-# Modules that serve a single subcommand (the simulator, enumeration,
-# perturbation, comparison and FSM analyses, the service and testkit)
-# are imported inside that subcommand's ``_cmd_*`` function, so that
-# ``repro batch`` and ``repro verify`` do not pay for them at start-up.
-
-#: --mutant accepts keys from both catalogs (safety bugs and the
-#: safety-clean starvation bugs only liveness modes reject).
-_MUTANT_CHOICES = sorted({**MUTATIONS, **LIVENESS_MUTATIONS})
 
 #: ``--workload`` choices: the keys of
 #: :data:`repro.simulator.workloads.WORKLOADS`, spelled out so building
 #: the parser does not import the simulator (a test keeps them equal).
 _WORKLOAD_CHOICES = ("hot-block", "migratory", "producer-consumer", "uniform")
+
+#: ``profile --format`` choices: the sorted keys of
+#: :data:`repro.obs.export.EXPORTERS` (a test keeps them equal).
+_EXPORT_CHOICES = ("chrome-trace", "json", "prometheus")
 
 __all__ = [
     "main",
@@ -136,6 +143,8 @@ exit status:
 # Subcommand implementations
 # ----------------------------------------------------------------------
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .protocols.mutations import LIVENESS_MUTATIONS, MUTATIONS
+    from .protocols.registry import all_protocols
     from .simulator.workloads import WORKLOADS
 
     rows = []
@@ -162,9 +171,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.spec_file:
         specs = [parse_protocol_file(args.spec_file)]  # verify() validates
     else:
+        from .protocols.registry import resolve_specs
+
         specs = resolve_specs(args.protocol)
     for spec in specs:
         if args.mutant:
+            from .protocols.mutations import get_mutant
+
             spec = get_mutant(spec, args.mutant)
         report = verify(spec, options=options)
         if report.lint is not None and not report.lint.clean:
@@ -178,6 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(figure4_table(report.result))
                 print()
         if args.trace:
+            from .core.essential import explore
             from .engine.guard import Guard
 
             traced = explore(
@@ -189,6 +203,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(expansion_listing(traced))
             print()
         if args.dot:
+            from .core.graph import to_dot
+
             dot = to_dot(report.result)
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(dot + "\n")
@@ -600,7 +616,9 @@ def _cmd_ir(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .engine import RunJournal, VerificationJob, registry_jobs, run_batch
-    from .obs import Collector, render_report, use_collector
+    from .obs.collector import Collector, use_collector
+    from .obs.export import EXPORT_EXTENSIONS, EXPORTERS
+    from .obs.profile import render_report
 
     options = RunOptions.from_args(args)
     jobs = registry_jobs(
@@ -649,6 +667,7 @@ def _engine_comparison(collector, results: list) -> str:
     ``expand`` root span for the same spec and budgets, recorded here
     under the same collector, is the other column.
     """
+    from .core.essential import PruningMode, explore
     from .engine.guard import Guard
 
     batch_roots: list = []
@@ -698,6 +717,8 @@ def _engine_comparison(collector, results: list) -> str:
 
 def _cmd_mutants(args: argparse.Namespace) -> int:
     from .engine import ResultCache, VerificationJob, run_batch
+    from .protocols.mutations import mutants_for
+    from .protocols.registry import resolve_specs
 
     jobs = []
     for spec in resolve_specs(args.protocol):
@@ -748,6 +769,7 @@ def _cmd_mutants(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     from .enumeration.exhaustive import Equivalence
     from .kernel import enumerate_space
+    from .protocols.registry import resolve_specs
 
     [spec] = resolve_specs(args.protocol)
     options = RunOptions.from_args(args)
@@ -783,6 +805,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_crossval(args: argparse.Namespace) -> int:
     from .enumeration.crossval import cross_validate
+    from .protocols.registry import resolve_specs
 
     status = EXIT_OK
     for spec in resolve_specs(args.protocol):
@@ -796,6 +819,8 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .simulator.system import System
     from .simulator.traceio import load_trace, save_trace
+    from .protocols.mutations import get_mutant
+    from .protocols.registry import resolve_specs
     from .simulator.workloads import make_workload
 
     [spec] = resolve_specs(args.protocol)
@@ -823,6 +848,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .analysis.compare import compare_protocols
+    from .core.essential import explore
+    from .protocols.registry import resolve_specs
 
     [spec_a] = resolve_specs(args.a)
     [spec_b] = resolve_specs(args.b)
@@ -834,6 +861,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.sweeps import sweep_table, traffic_sweep
+    from .protocols.registry import resolve_specs
 
     points = traffic_sweep(
         resolve_specs(args.protocol),
@@ -849,6 +877,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_fragility(args: argparse.Namespace) -> int:
     from .protocols.perturb import criticality_profile
+    from .protocols.registry import resolve_specs
 
     for spec in resolve_specs(args.protocol):
         report = criticality_profile(spec, picks=args.picks, jobs=args.jobs)
@@ -869,6 +898,7 @@ def _cmd_fragility(args: argparse.Namespace) -> int:
 
 def _cmd_fsm(args: argparse.Namespace) -> int:
     from .analysis.fsm import check_definition_1
+    from .protocols.registry import resolve_specs
 
     status = EXIT_OK
     for spec in resolve_specs(args.protocol):
@@ -1149,7 +1179,7 @@ def build_parser() -> argparse.ArgumentParser:
     RunOptions.add_arguments(p, only=("augmented",))
     p.add_argument(
         "--format",
-        choices=sorted(EXPORTERS),
+        choices=_EXPORT_CHOICES,
         default="chrome-trace",
         help="trace export format (default: chrome-trace)",
     )

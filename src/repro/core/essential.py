@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from ..obs import active as _active_collector
+from ..obs.collector import active as _active_collector
 from ..obs import clock
 from . import covering
 from .composite import CompositeState

@@ -17,7 +17,6 @@ from .errors import Violation, Witness
 
 # ``explore`` stays importable here: profiling harnesses wrap it by name.
 from .essential import ExpansionResult, PruningMode, explore  # noqa: F401
-from .graph import ascii_diagram
 from .options import RunOptions
 from .protocol import ProtocolSpec, reaction_table
 
@@ -109,6 +108,8 @@ class VerificationReport:
             lines.append(live.summary())
         lines.append("")
         if diagram:
+            from .graph import ascii_diagram
+
             lines.append(ascii_diagram(res))
             lines.append("")
         if res.violations:

@@ -41,40 +41,35 @@ The CLI front end is ``repro batch`` (see ``repro batch --help``), and
 ``repro mutants`` / the fragility sweep run on the same engine.
 """
 
-from .batch import BatchReport, run_batch
-from .cache import ResultCache, default_cache_dir
-from .fingerprint import ENGINE_VERSION, job_key, spec_fingerprint
-from .guard import Budget, Exhaustion, ExhaustionReason, Guard, current_rss_mb
-from .job import JobResult, JobStatus, VerificationJob, execute_job, registry_jobs
-from .journal import JournalFollower, RunJournal
-from .resilience import BackoffPolicy, BatchCancelled, BreakerState, CircuitBreaker
-from .runner import ParallelRunner, SerialRunner, make_runner
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_VERSION",
-    "BackoffPolicy",
-    "BatchCancelled",
-    "BatchReport",
-    "BreakerState",
-    "Budget",
-    "CircuitBreaker",
-    "Exhaustion",
-    "ExhaustionReason",
-    "Guard",
-    "JobResult",
-    "JobStatus",
-    "JournalFollower",
-    "ParallelRunner",
-    "ResultCache",
-    "RunJournal",
-    "SerialRunner",
-    "VerificationJob",
-    "current_rss_mb",
-    "default_cache_dir",
-    "execute_job",
-    "job_key",
-    "make_runner",
-    "registry_jobs",
-    "run_batch",
-    "spec_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "batch": ("BatchReport", "run_batch"),
+        "cache": ("ResultCache", "default_cache_dir"),
+        "fingerprint": ("ENGINE_VERSION", "job_key", "spec_fingerprint"),
+        "guard": (
+            "Budget",
+            "Exhaustion",
+            "ExhaustionReason",
+            "Guard",
+            "current_rss_mb",
+        ),
+        "job": (
+            "JobResult",
+            "JobStatus",
+            "VerificationJob",
+            "execute_job",
+            "registry_jobs",
+        ),
+        "journal": ("JournalFollower", "RunJournal"),
+        "resilience": (
+            "BackoffPolicy",
+            "BatchCancelled",
+            "BreakerState",
+            "CircuitBreaker",
+        ),
+        "runner": ("ParallelRunner", "SerialRunner", "make_runner"),
+    },
+)

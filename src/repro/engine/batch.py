@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..obs import NOOP_SPAN
-from ..obs import active as _active_collector
+from ..obs.collector import NOOP_SPAN
+from ..obs.collector import active as _active_collector
 from ..obs import clock
 from ..analysis.reporting import batch_summary_table, lint_table
 from ..core.protocol import ProtocolSpec

@@ -46,7 +46,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, BinaryIO
 
-from ..obs import active as _active_collector
+from ..obs.collector import active as _active_collector
 from .fingerprint import ENGINE_VERSION, job_key
 from .job import JobResult, JobStatus, VerificationJob
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
-from ..obs import active as _active_collector
+from ..obs.collector import active as _active_collector
 from ..obs import clock
 
 __all__ = [

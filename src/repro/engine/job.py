@@ -173,6 +173,8 @@ def registry_jobs(
     job applies ``mutant`` (when given); ``mutants`` adds one job per
     applicable safety mutant right after it.
     """
+    if not names:  # a spec-file-only batch needs no registry
+        return []
     from ..protocols.mutations import mutants_for
     from ..protocols.registry import get_protocol, protocol_names
 

@@ -43,7 +43,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..obs import active as _active_collector
+from ..obs.collector import active as _active_collector
 from ..obs import clock
 
 __all__ = [

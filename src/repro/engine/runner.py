@@ -61,16 +61,18 @@ metrics; with no collector the instrumentation reduces to a single
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
 from collections import deque
-from multiprocessing.connection import Connection, wait as _connection_wait
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from ..obs import active as _active_collector
+from ..obs.collector import active as _active_collector
 from ..obs import clock
 from .job import JobResult, JobStatus, VerificationJob, execute_job
 from .resilience import BackoffPolicy, BatchCancelled, BreakerState, CircuitBreaker
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import multiprocessing.process
+    from multiprocessing.connection import Connection
 
 __all__ = ["SerialRunner", "ParallelRunner", "make_runner"]
 
@@ -244,6 +246,10 @@ class ParallelRunner:
         backoff: BackoffPolicy | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
+        # Imported here, not at module level: a serial batch never
+        # loads multiprocessing (or the pickle and socket modules it
+        # pulls in).
+        import multiprocessing
         import os
 
         self.workers = max(1, int(workers or (os.cpu_count() or 1)))
@@ -314,6 +320,7 @@ class ParallelRunner:
             )
         if not jobs:
             return []
+        from multiprocessing.connection import wait as connection_wait
 
         coll = _active_collector()
         run_started = clock.monotonic()
@@ -521,7 +528,7 @@ class ParallelRunner:
                             max(0.0, min(_TICK, next_due - clock.monotonic()))
                         )
                     continue
-                for conn in _connection_wait(
+                for conn in connection_wait(
                     [s.conn for s in busy], timeout=_TICK
                 ):
                     slot = next(s for s in busy if s.conn is conn)

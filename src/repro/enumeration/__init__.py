@@ -2,32 +2,24 @@
 Definition 5 counting-equivalence pruning, plus the Theorem 1
 cross-validation harness."""
 
-from .crossval import CrossValResult, cross_validate, is_instance
-from .exhaustive import (
-    EnumerationResult,
-    EnumerationStats,
-    Equivalence,
-    concrete_violations,
-    enumerate_space,
-)
-from .product import (
-    ConcreteState,
-    ConcreteTransition,
-    concrete_successors,
-    initial_concrete,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ConcreteState",
-    "ConcreteTransition",
-    "CrossValResult",
-    "EnumerationResult",
-    "EnumerationStats",
-    "Equivalence",
-    "concrete_successors",
-    "concrete_violations",
-    "cross_validate",
-    "enumerate_space",
-    "initial_concrete",
-    "is_instance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "crossval": ("CrossValResult", "cross_validate", "is_instance"),
+        "exhaustive": (
+            "EnumerationResult",
+            "EnumerationStats",
+            "Equivalence",
+            "concrete_violations",
+            "enumerate_space",
+        ),
+        "product": (
+            "ConcreteState",
+            "ConcreteTransition",
+            "concrete_successors",
+            "initial_concrete",
+        ),
+    },
+)

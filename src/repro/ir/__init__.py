@@ -20,6 +20,10 @@ expansion kernel (:mod:`repro.kernel`).  See ``docs/IR.md`` for the
 format specification.
 """
 
+# Unlike the other package roots this one imports eagerly: ``lower`` is
+# both a function and the submodule defining it, and a lazy root would
+# expose the submodule under that name once anything imported
+# ``repro.ir.lower`` first.  Every user of the IR lowers anyway.
 from .lower import lower, lower_dsl, lower_spec
 from .model import (
     IR_SCHEMA,

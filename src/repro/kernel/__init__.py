@@ -31,13 +31,13 @@ stays the readable reference it is checked against.  See
 ``docs/KERNEL.md``.
 """
 
-from .compile import CompiledProtocol, compile_protocol
-from .essential import explore
-from .exhaustive import enumerate_space
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CompiledProtocol",
-    "compile_protocol",
-    "explore",
-    "enumerate_space",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "compile": ("CompiledProtocol", "compile_protocol"),
+        "essential": ("explore",),
+        "exhaustive": ("enumerate_space",),
+    },
+)

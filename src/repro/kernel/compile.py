@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
 from ..core.composite import CompositeState, Label
@@ -44,8 +45,10 @@ from ..core.operators import (
 )
 from ..core.protocol import ProtocolDefinitionError
 from ..core.symbols import CountCase, DataValue, Op, SharingLevel
-from ..enumeration.product import ConcreteState
 from ..ir.model import SELF, IRError, ProtocolIR
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..enumeration.product import ConcreteState
 
 __all__ = [
     "CompiledProtocol",
@@ -1286,6 +1289,8 @@ class CompiledProtocol:
         """
         cached = self._cdecoded.get(state)
         if cached is None:
+            from ..enumeration.product import ConcreteState
+
             n = len(state) - 1
             states = self._states
             cached = ConcreteState(

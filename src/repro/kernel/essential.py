@@ -22,7 +22,7 @@ from ..core.essential import ExpansionResult, ExpansionStats, PruningMode
 from ..core.expansion import SymbolicExpander, SymbolicTransition
 from ..core.protocol import ProtocolSpec
 from ..ir.model import IRError
-from ..obs import active as _active_collector
+from ..obs.collector import active as _active_collector
 from ..obs import clock
 from .compile import CompiledProtocol, compile_protocol
 

@@ -24,7 +24,7 @@ from ..enumeration.exhaustive import (
 )
 from ..enumeration.product import initial_concrete
 from ..ir.model import IRError
-from ..obs import active as _active_collector
+from ..obs.collector import active as _active_collector
 from ..obs import clock
 from .compile import CompiledProtocol, compile_protocol
 

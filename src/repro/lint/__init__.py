@@ -25,46 +25,27 @@ The batch engine and ``verify()`` use the same API as their
 ``preflight`` implementation; the CLI exposes it as ``repro lint``.
 """
 
-from .api import (
-    lint_all,
-    lint_builtin,
-    lint_path,
-    lint_protocol,
-    lint_source,
-    lint_spec,
-)
-from .context import LintContext, ProbeEntry
-from .flow import FlowAnalysis
-from .model import Diagnostic, LintError, LintReport, Location, Severity
-from .registry import RULES, SYNTAX_RULE, LintRule, rule, selected_rules
-from .render import RENDERERS, render_json, render_sarif, render_text
+from .._lazy import lazy_exports
 
 # Populate RULES with the built-in rule set at import time: the dict is
 # part of the public surface, so it must never be observed half-empty.
 from . import rules as _builtin_rules  # noqa: E402,F401
 
-__all__ = [
-    "Diagnostic",
-    "FlowAnalysis",
-    "LintContext",
-    "LintError",
-    "LintReport",
-    "LintRule",
-    "Location",
-    "ProbeEntry",
-    "RENDERERS",
-    "RULES",
-    "SYNTAX_RULE",
-    "Severity",
-    "lint_all",
-    "lint_builtin",
-    "lint_path",
-    "lint_protocol",
-    "lint_source",
-    "lint_spec",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "rule",
-    "selected_rules",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "api": (
+            "lint_all",
+            "lint_builtin",
+            "lint_path",
+            "lint_protocol",
+            "lint_source",
+            "lint_spec",
+        ),
+        "context": ("LintContext", "ProbeEntry"),
+        "flow": ("FlowAnalysis",),
+        "model": ("Diagnostic", "LintError", "LintReport", "Location", "Severity"),
+        "registry": ("RULES", "SYNTAX_RULE", "LintRule", "rule", "selected_rules"),
+        "render": ("RENDERERS", "render_json", "render_sarif", "render_text"),
+    },
+)

@@ -10,7 +10,6 @@ abort a multi-spec run.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -142,6 +141,8 @@ def lint_builtin(
     ignore: Sequence[str] | None = None,
 ) -> LintReport:
     """Lint a DSL specification shipped inside the package."""
+    from importlib import resources
+
     from ..protocols.dsl import builtin_spec_names
 
     specs = resources.files("repro.protocols") / "specs"

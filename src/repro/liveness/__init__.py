@@ -15,15 +15,13 @@ verification jobs, batch runs, the campaign server and the CLI; see
 ``docs/LIVENESS.md``.
 """
 
-from .analyze import analyze_liveness
-from .model import LassoStep, LassoWitness, LivenessReport, retry_label
-from .replay import replay_lasso
+from .._lazy import lazy_exports
 
-__all__ = [
-    "analyze_liveness",
-    "LassoStep",
-    "LassoWitness",
-    "LivenessReport",
-    "retry_label",
-    "replay_lasso",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analyze": ("analyze_liveness",),
+        "model": ("LassoStep", "LassoWitness", "LivenessReport", "retry_label"),
+        "replay": ("replay_lasso",),
+    },
+)

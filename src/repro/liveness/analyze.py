@@ -45,7 +45,7 @@ from ..core.errors import ErrorKind, Violation
 from ..core.essential import ExpansionResult, essential_home
 from ..core.expansion import SymbolicExpander
 from ..core.symbols import Op
-from ..obs import active as _active_collector
+from ..obs.collector import active as _active_collector
 from .model import LassoStep, LassoWitness, LivenessReport, retry_label
 
 __all__ = ["analyze_liveness"]

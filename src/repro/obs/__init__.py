@@ -32,58 +32,40 @@ The CLI front end is ``repro profile`` (see ``repro profile --help``
 and ``docs/OBSERVABILITY.md``).
 """
 
+from .._lazy import lazy_exports
 from . import clock
-from .collector import (
-    NOOP_SPAN,
-    Collector,
-    SpanRecord,
-    active,
-    count,
-    observe,
-    span,
-    use_collector,
-)
-from .export import (
-    EXPORT_EXTENSIONS,
-    EXPORTERS,
-    to_chrome_trace,
-    to_json,
-    to_prometheus,
-)
-from .metrics import (
-    CATALOG,
-    DEFAULT_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricKind,
-    MetricSpec,
-    catalog_entry,
-)
-from .profile import render_report
 
-__all__ = [
-    "CATALOG",
-    "Collector",
-    "Counter",
-    "DEFAULT_BOUNDS",
-    "EXPORTERS",
-    "EXPORT_EXTENSIONS",
-    "Gauge",
-    "Histogram",
-    "MetricKind",
-    "MetricSpec",
-    "NOOP_SPAN",
-    "SpanRecord",
-    "active",
-    "catalog_entry",
-    "clock",
-    "count",
-    "observe",
-    "render_report",
-    "span",
-    "to_chrome_trace",
-    "to_json",
-    "to_prometheus",
-    "use_collector",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "collector": (
+            "NOOP_SPAN",
+            "Collector",
+            "SpanRecord",
+            "active",
+            "count",
+            "observe",
+            "span",
+            "use_collector",
+        ),
+        "export": (
+            "EXPORT_EXTENSIONS",
+            "EXPORTERS",
+            "to_chrome_trace",
+            "to_json",
+            "to_prometheus",
+        ),
+        "metrics": (
+            "CATALOG",
+            "DEFAULT_BOUNDS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricKind",
+            "MetricSpec",
+            "catalog_entry",
+        ),
+        "profile": ("render_report",),
+    },
+)
+__all__.append("clock")

@@ -8,46 +8,28 @@ MOESI baselines.  :mod:`repro.protocols.mutations` derives deliberately
 broken variants used to exercise the verifier's bug detection.
 """
 
-from .berkeley import BerkeleyProtocol
-from .dragon import DragonProtocol
-from .firefly import FireflyProtocol
-from .dsl import DslError, DslProtocol, load_protocol, parse_protocol
-from .illinois import IllinoisProtocol
-from .lock_msi import LockMsiProtocol
-from .mesif import MesifProtocol
-from .moesi import MoesiProtocol
-from .msi import MsiProtocol
-from .perturb import (
-    PerturbedProtocol,
-    Perturbation,
-    all_perturbations,
-    criticality_profile,
-)
-from .registry import PROTOCOLS, all_protocols, get_protocol, protocol_names
-from .synapse import SynapseProtocol
-from .write_once import WriteOnceProtocol
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BerkeleyProtocol",
-    "DragonProtocol",
-    "FireflyProtocol",
-    "DslError",
-    "DslProtocol",
-    "IllinoisProtocol",
-    "LockMsiProtocol",
-    "MesifProtocol",
-    "MoesiProtocol",
-    "MsiProtocol",
-    "SynapseProtocol",
-    "WriteOnceProtocol",
-    "PROTOCOLS",
-    "Perturbation",
-    "PerturbedProtocol",
-    "all_perturbations",
-    "criticality_profile",
-    "all_protocols",
-    "load_protocol",
-    "parse_protocol",
-    "get_protocol",
-    "protocol_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "berkeley": ("BerkeleyProtocol",),
+        "dragon": ("DragonProtocol",),
+        "firefly": ("FireflyProtocol",),
+        "dsl": ("DslError", "DslProtocol", "load_protocol", "parse_protocol"),
+        "illinois": ("IllinoisProtocol",),
+        "lock_msi": ("LockMsiProtocol",),
+        "mesif": ("MesifProtocol",),
+        "moesi": ("MoesiProtocol",),
+        "msi": ("MsiProtocol",),
+        "perturb": (
+            "PerturbedProtocol",
+            "Perturbation",
+            "all_perturbations",
+            "criticality_profile",
+        ),
+        "registry": ("PROTOCOLS", "all_protocols", "get_protocol", "protocol_names"),
+        "synapse": ("SynapseProtocol",),
+        "write_once": ("WriteOnceProtocol",),
+    },
+)

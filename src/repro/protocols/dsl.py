@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -655,6 +654,8 @@ def load_protocol(path: str | Path) -> DslProtocol:
 
 def builtin_spec_names() -> tuple[str, ...]:
     """Names of the specification files shipped inside the package."""
+    from importlib import resources
+
     specs = resources.files(__package__) / "specs"
     return tuple(
         sorted(p.name[: -len(".proto")] for p in specs.iterdir() if p.name.endswith(".proto"))
@@ -667,6 +668,8 @@ def load_builtin(name: str) -> DslProtocol:
     ``name`` is the file stem, e.g. ``"illinois"`` for
     ``specs/illinois.proto``.
     """
+    from importlib import resources
+
     specs = resources.files(__package__) / "specs"
     candidate = specs / f"{name}.proto"
     try:

@@ -45,15 +45,13 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
-from ..engine import (
-    BackoffPolicy,
-    BatchCancelled,
-    CircuitBreaker,
-    ResultCache,
-    RunJournal,
-    run_batch,
-)
-from ..obs import Collector, clock, to_prometheus
+from ..engine.batch import run_batch
+from ..engine.cache import ResultCache
+from ..engine.journal import RunJournal
+from ..engine.resilience import BackoffPolicy, BatchCancelled, CircuitBreaker
+from ..obs import clock
+from ..obs.collector import Collector
+from ..obs.export import to_prometheus
 from .http import (
     HttpError,
     Request,

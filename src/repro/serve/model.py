@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core.options import FIELD_NAMES, RunOptions
-from ..engine import VerificationJob, registry_jobs
+from ..engine.job import VerificationJob, registry_jobs
 from ..engine.batch import BatchReport
 from ..obs import clock
 

@@ -24,7 +24,7 @@ import asyncio
 from collections import deque
 from typing import Any, Callable
 
-from ..engine import BatchCancelled
+from ..engine.resilience import BatchCancelled
 from ..obs import clock
 from .model import PRIORITIES, Campaign, CampaignState
 from .resilience import AdmissionPolicy

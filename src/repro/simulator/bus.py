@@ -22,7 +22,7 @@ from .cache import Cache
 from .memory import MainMemory
 
 if TYPE_CHECKING:
-    from ..obs import Collector
+    from ..obs.collector import Collector
 
 __all__ = ["BusStats", "Bus"]
 

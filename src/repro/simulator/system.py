@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..obs import active as _active_collector
+from ..obs.collector import active as _active_collector
 from ..core.protocol import ProtocolSpec
 from ..core.symbols import Op
 from .bus import Bus, BusStats
@@ -31,7 +31,7 @@ from .memory import MainMemory
 from .trace import Access, AccessKind, Trace
 
 if TYPE_CHECKING:
-    from ..obs import Collector
+    from ..obs.collector import Collector
 
 __all__ = ["CoherenceViolationError", "SystemStats", "SimulationReport", "System"]
 

@@ -80,12 +80,14 @@ from ..core.protocol import ProtocolDefinitionError, ProtocolSpec, reaction_tabl
 from ..core.reactions import Outcome
 from ..engine.guard import Budget, Guard
 from ..enumeration.exhaustive import Equivalence, enumerate_space
-from ..ir import ProtocolIR, lower
-from ..kernel import compile_protocol
-from ..kernel import enumerate_space as kernel_enumerate
-from ..kernel import explore as kernel_explore
+from ..ir.lower import lower
+from ..ir.model import ProtocolIR
+from ..kernel.compile import compile_protocol
+from ..kernel.essential import explore as kernel_explore
+from ..kernel.exhaustive import enumerate_space as kernel_enumerate
 from ..lint.flow import FlowAnalysis
-from ..liveness import analyze_liveness, replay_lasso
+from ..liveness.analyze import analyze_liveness
+from ..liveness.replay import replay_lasso
 from ..protocols.dsl import builtin_spec_names, load_builtin
 from ..protocols.mutations import liveness_mutants_for, mutants_for
 from ..protocols.registry import all_protocols

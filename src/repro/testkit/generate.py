@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from ..core.protocol import ProtocolDefinitionError
-from ..obs import count as _count
+from ..obs.collector import count as _count
 from ..protocols.dsl import DslError, DslProtocol, parse_protocol
 
 __all__ = [

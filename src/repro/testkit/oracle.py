@@ -54,7 +54,7 @@ from ..core.serialize import state_from_dict
 from ..engine.guard import Budget, Guard
 from ..enumeration.crossval import is_instance
 from ..enumeration.exhaustive import Equivalence, enumerate_space
-from ..obs import count as _count
+from ..obs.collector import count as _count
 from .diff import Finding
 
 __all__ = [

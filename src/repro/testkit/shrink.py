@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from ..obs import observe as _observe
+from ..obs.collector import observe as _observe
 from .generate import RuleModel, SpecModel
 from .oracle import OracleBudget, run_oracle
 

@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _WORKLOAD_CHOICES, build_parser, main
+from repro.cli import (
+    _EXPORT_CHOICES,
+    _MUTANT_CHOICES,
+    _WORKLOAD_CHOICES,
+    build_parser,
+    main,
+)
 from repro.core.options import RunOptions
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -31,38 +37,81 @@ class TestParser:
 
         assert _WORKLOAD_CHOICES == tuple(sorted(WORKLOADS))
 
+    def test_export_choices_match_the_exporters(self):
+        from repro.obs import EXPORTERS
+
+        assert _EXPORT_CHOICES == tuple(sorted(EXPORTERS))
+
+    def test_mutant_choices_match_both_catalogs(self):
+        from repro.protocols.mutations import LIVENESS_MUTATIONS, MUTATIONS
+
+        assert _MUTANT_CHOICES == tuple(sorted({**MUTATIONS, **LIVENESS_MUTATIONS}))
+
+
+def _run_probe(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+
 
 class TestColdImport:
-    """``import repro.cli`` loads only what ``repro batch`` needs."""
+    """``import repro.cli`` loads only what ``repro batch`` needs, and a
+    spec-file batch loads only the modules it runs."""
 
-    #: Modules only other subcommands need.
+    #: Modules a spec-file batch never runs: other subcommands', the
+    #: zoo and its catalogs, the explicit-state baselines, the other
+    #: analyses and exporters, and the worker pool's multiprocessing.
     DEFERRED = (
         "repro.simulator",
         "repro.analysis.sweeps",
         "repro.serve",
         "repro.testkit",
+        "repro.protocols.berkeley",
+        "repro.protocols.dragon",
+        "repro.protocols.firefly",
+        "repro.protocols.illinois",
+        "repro.protocols.lock_msi",
+        "repro.protocols.mesif",
+        "repro.protocols.moesi",
+        "repro.protocols.msi",
+        "repro.protocols.synapse",
+        "repro.protocols.write_once",
+        "repro.protocols.registry",
+        "repro.protocols.mutations",
+        "repro.protocols.perturb",
+        "repro.enumeration",
+        "repro.enumeration.crossval",
+        "repro.enumeration.exhaustive",
+        "repro.enumeration.product",
+        "repro.kernel.exhaustive",
+        "repro.analysis.compare",
+        "repro.analysis.complexity",
+        "repro.obs.export",
+        "repro.obs.profile",
+        "repro.core.graph",
+        "repro.liveness.replay",
+        "repro.lint.render",
+        "multiprocessing",
     )
 
     def test_import_loads_only_stdlib_and_batch_modules(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
         probe = (
             "import json, sys\n"
             "before = set(sys.modules)\n"
             "import repro.cli\n"
             "print(json.dumps(sorted(set(sys.modules) - before)))\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        ).stdout
-        loaded = json.loads(out)
+        loaded = json.loads(_run_probe(probe).stdout)
         assert "repro.cli" in loaded
         third_party = {
             name.partition(".")[0]
@@ -72,6 +121,54 @@ class TestColdImport:
         # multiprocessing aliases the main module as ``__mp_main__``.
         assert third_party - {"repro", "__mp_main__"} == set()
         assert [m for m in self.DEFERRED if m in loaded] == []
+
+    def test_spec_file_batch_loads_only_what_it_runs(self):
+        spec = SRC.parent / "examples" / "specs" / "firefly_like.proto"
+        argv = [
+            "batch", "--protocols", "none", "--spec-file", str(spec),
+            "--no-cache", "--preflight", "annotate", "--mode", "liveness",
+        ]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "import repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = repro.cli.main({argv!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        code, loaded = json.loads(_run_probe(probe).stdout)
+        assert code == 0
+        # The batch really ran the kernel, lint and liveness.
+        for module in (
+            "repro.kernel.essential",
+            "repro.lint.rules",
+            "repro.liveness.analyze",
+        ):
+            assert module in loaded
+        assert [m for m in self.DEFERRED if m in loaded] == []
+
+    def test_trace_targets_resolve_after_import(self):
+        # The end-to-end benchmark's traced child imports ``repro.cli``,
+        # then wraps every ``LAYERS`` target of ``trace.py`` where its
+        # callers look it up; a target that is gone fails that child.
+        trace = SRC.parent / "benchmarks" / "e2e" / "trace.py"
+        probe = (
+            "import importlib.util, json, sys\n"
+            "import repro.cli\n"
+            f"spec = importlib.util.spec_from_file_location('e2e_trace', {str(trace)!r})\n"
+            "trace = sys.modules['e2e_trace'] = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(trace)\n"
+            "targets = [t for ts in trace.LAYERS.values() for t in ts]\n"
+            "for target in targets:\n"
+            "    trace.resolve(target)\n"
+            "print(json.dumps(targets))\n"
+        )
+        targets = json.loads(_run_probe(probe).stdout)
+        for target in (
+            "repro.core.verifier:explore",
+            "repro.engine.job:result_to_dict",
+            "repro.engine.batch:spec_fingerprint",
+        ):
+            assert target in targets
 
 
 class TestListCommand:

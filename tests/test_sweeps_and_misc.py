@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
+import sys
+import types
+
 import pytest
 
 from repro.analysis.sweeps import metric_series, sweep_table, traffic_sweep
@@ -113,6 +117,40 @@ class TestAccessValidation:
         assert str(Access(2, AccessKind.UNLOCK, 3)) == "P2 U 0x3"
 
 
+#: Package roots that re-export their submodules' public names.
+PACKAGE_ROOTS = (
+    "repro",
+    "repro.analysis",
+    "repro.core",
+    "repro.engine",
+    "repro.enumeration",
+    "repro.ir",
+    "repro.kernel",
+    "repro.lint",
+    "repro.liveness",
+    "repro.obs",
+    "repro.protocols",
+)
+
+
+def _defined_in(value: object, name: str) -> list[str]:
+    """The loaded ``repro`` modules, package roots aside, that bind
+    ``name`` to ``value`` -- where a class or function was defined."""
+    if isinstance(value, types.ModuleType):
+        return [value.__name__]
+    home = getattr(value, "__module__", None)
+    if isinstance(home, str) and home.startswith("repro."):
+        return [home] if getattr(sys.modules[home], name, None) is value else []
+    return [
+        module.__name__
+        for module in list(sys.modules.values())
+        if isinstance(module, types.ModuleType)
+        and module.__name__.startswith("repro.")
+        and not hasattr(module, "__path__")
+        and vars(module).get(name) is value
+    ]
+
+
 class TestPackageSurface:
     def test_top_level_exports(self):
         import repro
@@ -121,21 +159,38 @@ class TestPackageSurface:
             assert hasattr(repro, name), name
 
     def test_subpackage_exports(self):
-        import repro.analysis
-        import repro.core
-        import repro.enumeration
-        import repro.protocols
         import repro.simulator
 
         for module in (
-            repro.core,
-            repro.protocols,
-            repro.enumeration,
+            *(importlib.import_module(root) for root in PACKAGE_ROOTS),
             repro.simulator,
-            repro.analysis,
         ):
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
+
+    @pytest.mark.parametrize("root", PACKAGE_ROOTS)
+    def test_exports_are_their_defining_objects(self, root):
+        package = importlib.import_module(root)
+        listing = dir(package)
+        for name in package.__all__:
+            if name == "__version__":
+                continue
+            value = getattr(package, name)
+            assert _defined_in(value, name), (root, name)
+            assert name in listing, (root, name)
+
+    @pytest.mark.parametrize("root", PACKAGE_ROOTS)
+    def test_star_import(self, root):
+        namespace: dict = {}
+        exec(f"from {root} import *", namespace)
+        package = importlib.import_module(root)
+        assert set(package.__all__) <= set(namespace)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import repro.core
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.core.no_such_name
 
     def test_version(self):
         import repro
