@@ -1,9 +1,11 @@
 """E7 -- Theorem 1: completeness of the essential states.
 
-Cross-validates the symbolic expansion against exhaustive enumeration
-for n = 1..4 caches over the whole zoo: every reachable concrete state
-must be an instance of an essential composite state (completeness) and
-every essential state must be concretely witnessed (tightness).
+Checks the symbolic expansion against exhaustive enumeration for
+n = 1..4 caches over the whole zoo with the one Theorem 1 check
+(``run_oracle``): every reachable concrete state must be an instance
+of an essential composite state (coverage), the engines' verdicts must
+agree, and every essential state must be concretely witnessed
+(non-vacuity).
 
 Expected shape: zero uncovered states, zero vacuous essential states,
 for every protocol.
@@ -12,27 +14,28 @@ for every protocol.
 from __future__ import annotations
 
 from repro.analysis.reporting import format_table
-from repro.enumeration.crossval import cross_validate
+from repro.enumeration.crossval import OracleBudget, run_oracle
 from repro.protocols.illinois import IllinoisProtocol
 from repro.protocols.registry import all_protocols
 
-NS = (1, 2, 3, 4)
+BUDGET = OracleBudget(ns=(1, 2, 3, 4))
 
 
 def test_crossval_table(benchmark, emit):
     def measure():
         rows = []
         for spec in all_protocols():
-            result = cross_validate(spec, ns=NS)
-            assert result.complete, result.summary()
-            assert result.tight, result.summary()
+            report = run_oracle(spec, budget=BUDGET)
+            assert report.agreed, report.describe()
+            assert report.checked_ns == BUDGET.ns, report.describe()
+            assert not report.vacuous, report.describe()
             rows.append(
                 [
                     spec.name,
-                    sum(result.checked.values()),
-                    len(result.symbolic.essential),
-                    len(result.uncovered),
-                    len(result.vacuous),
+                    report.concrete,
+                    report.essential,
+                    len(report.uncovered),
+                    len(report.vacuous),
                     "OK",
                 ]
             )
@@ -56,5 +59,5 @@ def test_crossval_table(benchmark, emit):
 
 
 def test_crossval_cost(benchmark):
-    result = benchmark(lambda: cross_validate(IllinoisProtocol(), ns=NS))
-    assert result.ok
+    report = benchmark(lambda: run_oracle(IllinoisProtocol(), budget=BUDGET))
+    assert report.agreed and not report.vacuous

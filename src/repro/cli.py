@@ -18,7 +18,8 @@ Subcommands cover the full workflow a protocol designer would use:
   a Chrome-trace / JSON / Prometheus export;
 * ``repro mutants illinois`` -- verify every injected-bug variant;
 * ``repro enumerate illinois -n 4`` -- the explicit Figure 2 baseline;
-* ``repro crossval illinois`` -- the Theorem 1 completeness check;
+* ``repro crossval illinois`` -- the Theorem 1 check (coverage,
+  completeness, soundness, non-vacuity), exit 2 when a budget trips;
 * ``repro simulate illinois -w hot-block`` -- run the executable
   multiprocessor on a synthetic workload;
 * ``repro fuzz --seed 42`` -- differential fuzzing: generated
@@ -804,16 +805,27 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossval(args: argparse.Namespace) -> int:
-    from .enumeration.crossval import cross_validate
+    from .enumeration.crossval import OracleBudget, run_oracle
     from .protocols.registry import resolve_specs
 
-    status = EXIT_OK
+    budget = OracleBudget(ns=tuple(range(1, args.max_n + 1)))
+    mismatch = partial = False
     for spec in resolve_specs(args.protocol):
-        result = cross_validate(spec, ns=tuple(range(1, args.max_n + 1)))
-        print(result.summary())
-        if not result.ok:
-            status = EXIT_VIOLATION
-    return status
+        report = run_oracle(spec, budget=budget)
+        print(report.describe())
+        missing = [n for n in budget.ns if n not in report.checked_ns]
+        if report.outcome == "disagree":
+            mismatch = True
+        elif report.outcome == "skipped":
+            partial = True
+        elif missing:
+            partial = True
+            print(f"  concrete budget exhausted at n={missing}: inconclusive")
+        elif report.vacuous:
+            mismatch = True
+    if mismatch:
+        return EXIT_VIOLATION
+    return EXIT_ERROR if partial else EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

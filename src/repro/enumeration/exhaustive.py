@@ -139,7 +139,6 @@ def enumerate_space(
     n: int,
     *,
     equivalence: Equivalence = Equivalence.STRICT,
-    check_errors: bool = True,
     guard: "Guard | None" = None,
 ) -> EnumerationResult:
     """Run the Figure 2 worklist search for *n* caches.
@@ -175,8 +174,6 @@ def enumerate_space(
     reported: set[ConcreteState] = set()
 
     def check(state: ConcreteState) -> None:
-        if not check_errors:
-            return
         k = key(state)
         if k in reported:
             return

@@ -41,7 +41,6 @@ def enumerate_space(
     n: int,
     *,
     equivalence: Equivalence = Equivalence.STRICT,
-    check_errors: bool = True,
     guard: "Guard | None" = None,
     compiled: CompiledProtocol | None = None,
 ) -> EnumerationResult:
@@ -111,7 +110,7 @@ def enumerate_space(
     reported: set[_Cells] = set()
 
     def check(state: _Cells, k: _Cells) -> None:
-        if not check_errors or k in reported:
+        if k in reported:
             return
         found = cp.concrete_violations_packed(state)
         if found:

@@ -12,11 +12,13 @@ perturbations of them; this subsystem removes the human from the loop:
   without the sharing-detection characteristic function), validity
   checked through :meth:`ProtocolSpec.validate` and the
   :mod:`repro.lint` preflight;
-* :mod:`repro.testkit.oracle` -- the differential oracle: each
-  generated specification runs through the symbolic ``explore()`` and
-  the exhaustive ``enumerate_space()`` for small cache counts plus the
-  Theorem 1 coverage check, and any verdict or coverage disagreement
-  between the engines is a finding;
+* the differential oracle is the one Theorem 1 check,
+  :func:`repro.enumeration.crossval.run_oracle` (re-exported here with
+  its budget and report types): each generated specification runs
+  through the symbolic ``explore()`` and the exhaustive
+  ``enumerate_space()`` for small cache counts, and any verdict or
+  coverage disagreement between the engines is a finding (vacuous
+  essential states are recorded, never findings);
 * :mod:`repro.testkit.shrink` -- a delta-debugging minimizer that
   greedily deletes states, rules and observer reactions while the
   disagreement persists, leaving a minimal reproducing specification;
@@ -47,7 +49,7 @@ from .campaign import CampaignConfig, CampaignReport, run_campaign
 from .corpus import Corpus, CorpusEntry, ReplayReport
 from .diff import Case, DiffReport, Finding, diff_spec, run_diff
 from .generate import GeneratorConfig, RuleModel, SpecGenerator, SpecModel
-from .oracle import (
+from ..enumeration.crossval import (
     OracleBudget,
     OracleReport,
     SymbolicView,

@@ -29,16 +29,16 @@ from ..engine.batch import run_batch
 from ..engine.cache import ResultCache
 from ..engine.job import JobStatus, VerificationJob
 from ..engine.journal import RunJournal
-from .corpus import Corpus
-from .diff import Case, Context, Skip, run_check
-from .generate import GeneratorConfig, SpecGenerator
-from .oracle import (
+from ..enumeration.crossval import (
     OracleBudget,
     OracleReport,
     SymbolicView,
     run_oracle,
     symbolic_view,
 )
+from .corpus import Corpus
+from .diff import Case, Context, Skip, run_check
+from .generate import GeneratorConfig, SpecGenerator
 from .shrink import shrink
 
 __all__ = ["CampaignConfig", "CampaignReport", "run_campaign"]

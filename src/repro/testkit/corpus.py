@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
+from ..enumeration.crossval import OracleBudget, OracleReport, run_oracle
 from ..protocols.dsl import DslProtocol, parse_protocol
 from .generate import source_digest
-from .oracle import OracleBudget, OracleReport, run_oracle
 
 __all__ = ["CorpusEntry", "Corpus", "ReplayReport"]
 

@@ -49,9 +49,12 @@ Checks (:data:`CHECKS`) yield :class:`Finding` objects:
     live (``static-contradiction``), and an expected starver is caught
     (``mutant-live``).
 ``theorem1``
-    The differential oracle (:func:`.oracle.run_oracle`): the symbolic
-    verdict agrees with exhaustive enumeration (``completeness``,
-    ``coverage``, ``soundness``).
+    The Theorem 1 check (:func:`repro.enumeration.crossval.run_oracle`):
+    the symbolic verdict agrees with exhaustive enumeration
+    (``completeness``, ``coverage``, ``soundness``).  Its non-vacuity
+    result is recorded, never a finding: a vacuous essential state
+    below some ``n`` is inconclusive, and at ``n <= 3`` every spec
+    with one is a spec the expansion rejects.
 
 Each case gets one :class:`Context` whose interpreter expansion,
 kernel expansion, IR lowering and flow analysis are built at most once
@@ -79,6 +82,7 @@ from ..core.operators import Rep
 from ..core.protocol import ProtocolDefinitionError, ProtocolSpec, reaction_table
 from ..core.reactions import Outcome
 from ..engine.guard import Budget, Guard
+from ..enumeration.crossval import Finding, run_oracle
 from ..enumeration.exhaustive import Equivalence, enumerate_space
 from ..ir.lower import lower
 from ..ir.model import ProtocolIR
@@ -91,6 +95,7 @@ from ..liveness.replay import replay_lasso
 from ..protocols.dsl import builtin_spec_names, load_builtin
 from ..protocols.mutations import liveness_mutants_for, mutants_for
 from ..protocols.registry import all_protocols
+from .corpus import Corpus
 from .generate import GeneratorConfig, SpecGenerator
 
 __all__ = [
@@ -120,21 +125,6 @@ CORPUS_ROOT = "tests/corpus"
 GENERATED_SEED = 2026
 GENERATED_COUNT = 10
 P_STALL = 0.5
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One broken claim: a check's (or the oracle's) counterexample."""
-
-    kind: str
-    spec: str
-    detail: str
-    #: The cache count the claim broke at, when there is one.
-    n: int | None = None
-
-    def __str__(self) -> str:
-        where = f" (n={self.n})" if self.n is not None else ""
-        return f"[{self.kind}] {self.spec}{where}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -497,8 +487,6 @@ def _check_liveness(ctx: Context) -> Iterator[Finding]:
 
 
 def _check_theorem1(ctx: Context) -> Iterator[Finding]:
-    from .oracle import run_oracle  # local: the oracle imports Finding
-
     report = run_oracle(ctx.spec, symbolic=ctx.kernel, augmented=AUGMENTED)
     if report.outcome == "skipped":
         raise Skip(report.skipped)
@@ -524,8 +512,6 @@ def _shipped() -> list[ProtocolSpec]:
 
 
 def _corpus() -> list[Case]:
-    from .corpus import Corpus  # local: corpus -> oracle -> this module
-
     return [
         Case("corpus", entry.compile(), entry.kind.startswith("liveness-"))
         for entry in Corpus(CORPUS_ROOT).entries()

@@ -6,8 +6,9 @@ write-through mixes, cache-to-cache supply chains, with and without
 the sharing-detection characteristic function.  Most drawn protocols
 are *incoherent* -- they leak obsolete data or violate their own
 forbidden patterns -- and that is the point: the differential oracle
-(:mod:`repro.testkit.oracle`) does not care whether a protocol is
-correct, only that the symbolic and concrete engines agree about it.
+(:func:`repro.enumeration.crossval.run_oracle`) does not care whether
+a protocol is correct, only that the symbolic and concrete engines
+agree about it.
 
 Well-formedness is layered:
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
+from ..enumeration.crossval import OracleBudget, run_oracle
 from ..obs.collector import observe as _observe
 from .generate import RuleModel, SpecModel
-from .oracle import OracleBudget, run_oracle
 
 __all__ = ["ShrinkResult", "shrink"]
 

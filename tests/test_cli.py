@@ -435,6 +435,53 @@ class TestCrossvalCommand:
         assert main(["crossval", "msi", "--max-n", "3"]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_max_n_below_one_is_a_usage_error(self, max_n, capsys):
+        assert main(["crossval", "illinois", "--max-n", max_n]) == 2
+        assert "cache counts" in capsys.readouterr().err
+
+    def test_vacuous_state_is_a_mismatch(self, capsys):
+        assert main(["crossval", "mesif", "--max-n", "2"]) == 1
+        assert capsys.readouterr().out.endswith("(0 uncovered, 1 vacuous)\n")
+
+    def test_disagreement_is_a_mismatch(self, monkeypatch, capsys):
+        from repro.enumeration import crossval
+
+        empty = crossval.SymbolicView(complete=True, violating=False, essential=())
+        monkeypatch.setattr(crossval, "symbolic_view", lambda symbolic: empty)
+        assert main(["crossval", "msi", "--max-n", "2"]) == 1
+        assert "[coverage] msi (n=1)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "limits, expected",
+        [
+            ({"symbolic_visits": 2}, "skipped (symbolic budget exhausted)"),
+            ({"concrete_visits": 10}, "concrete budget exhausted at n=[2, 3]"),
+        ],
+    )
+    def test_budget_trip_exits_2(self, monkeypatch, capsys, limits, expected):
+        import functools
+
+        from repro.enumeration import crossval
+
+        budget = functools.partial(crossval.OracleBudget, **limits)
+        monkeypatch.setattr(crossval, "OracleBudget", budget)
+        assert main(["crossval", "msi", "--max-n", "3"]) == 2
+        assert expected in capsys.readouterr().out
+
+    def test_loads_no_testkit_module(self):
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "import repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = repro.cli.main(['crossval', 'msi', '--max-n', '1'])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        code, loaded = json.loads(_run_probe(probe).stdout)
+        assert code == 0
+        assert "repro.enumeration.crossval" in loaded
+        assert [m for m in loaded if m.startswith("repro.testkit")] == []
+
 
 class TestSimulateCommand:
     def test_clean_simulation(self, capsys):

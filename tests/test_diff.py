@@ -14,6 +14,7 @@ import functools
 import pytest
 
 from repro.core.options import RunOptions
+from repro.enumeration.crossval import run_oracle
 from repro.obs import Collector, use_collector
 from repro.protocols.mutations import liveness_mutants_for
 from repro.protocols.registry import get_protocol
@@ -60,6 +61,20 @@ def test_every_check_holds_on_every_cheap_source(source, check):
         found, skipped = run_check(check, ctx)
         assert not found, "\n".join(map(str, found))
         assert skipped is None, f"{ctx.name}: {skipped}"
+
+
+@pytest.mark.parametrize("source", CHEAP_SOURCES)
+def test_verified_cheap_specs_are_tight(source):
+    # Non-vacuity is recorded, never a ``theorem1`` finding; on the
+    # cheap sources every spec the expansion verifies is tight anyway.
+    verified = 0
+    for ctx in _contexts(source):
+        report = run_oracle(ctx.spec, symbolic=ctx.kernel, augmented=diff.AUGMENTED)
+        if report.symbolic_verified:
+            verified += 1
+            vacuous = [s.pretty() for s in report.vacuous]
+            assert vacuous == [], ctx.name
+    assert verified
 
 
 def test_sources_carry_their_expectations():

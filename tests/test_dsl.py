@@ -10,7 +10,7 @@ from repro.core.essential import explore
 from repro.core.protocol import ProtocolDefinitionError
 from repro.core.reactions import Ctx, INITIATOR
 from repro.core.symbols import CountCase, Op
-from repro.enumeration.crossval import cross_validate
+from repro.enumeration.crossval import OracleBudget, run_oracle
 from repro.protocols.dsl import (
     DslError,
     builtin_spec_names,
@@ -164,7 +164,8 @@ class TestDslEquivalence:
         }
 
     def test_dsl_protocol_cross_validates(self):
-        assert cross_validate(load_builtin("illinois"), ns=(1, 2, 3)).ok
+        report = run_oracle(load_builtin("illinois"), budget=OracleBudget(ns=(1, 2, 3)))
+        assert report.agreed and report.vacuous == [], report.describe()
 
     def test_dsl_protocol_simulates(self):
         spec = load_builtin("illinois")

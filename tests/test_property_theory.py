@@ -66,9 +66,7 @@ class TestAbstractionSoundness:
         succ_cache = {
             s: [t.target for t in expander.successors(s)] for s in composites
         }
-        enumeration = enumerate_space(
-            spec, 3, equivalence=Equivalence.COUNTING, check_errors=False
-        )
+        enumeration = enumerate_space(spec, 3, equivalence=Equivalence.COUNTING)
         checked = 0
         for concrete in enumeration.states:
             homes = [s for s in composites if is_instance(concrete, s, spec)]

@@ -9,7 +9,7 @@ from repro.core.essential import explore
 from repro.core.expansion import SymbolicExpander
 from repro.core.reactions import Ctx, Outcome, stall
 from repro.core.symbols import CountCase, Op
-from repro.enumeration.crossval import cross_validate
+from repro.enumeration.crossval import OracleBudget, run_oracle
 from repro.enumeration.exhaustive import enumerate_space
 from repro.protocols.lock_msi import LockMsiProtocol
 from repro.protocols.mesif import MesifProtocol
@@ -107,7 +107,8 @@ class TestLockMsiVerification:
             assert hi is None or hi <= 1
 
     def test_theorem1_with_extended_alphabet(self):
-        assert cross_validate(LockMsiProtocol(), ns=(1, 2, 3)).ok
+        report = run_oracle(LockMsiProtocol(), budget=OracleBudget(ns=(1, 2, 3)))
+        assert report.agreed and report.vacuous == [], report.describe()
 
     def test_concrete_enumeration_with_locks(self):
         result = enumerate_space(LockMsiProtocol(), 3)
@@ -192,7 +193,8 @@ class TestMesifVerification:
         assert "(Invalid:nodata+, Shared:fresh+)" in structures
 
     def test_theorem1(self):
-        assert cross_validate(MesifProtocol(), ns=(1, 2, 3, 4)).ok
+        report = run_oracle(MesifProtocol(), budget=OracleBudget(ns=(1, 2, 3, 4)))
+        assert report.agreed and report.vacuous == [], report.describe()
 
     def test_monotonicity_violating_weakening_never_generated(self):
         """Essential states never claim two possible forwarders."""

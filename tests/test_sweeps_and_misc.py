@@ -186,6 +186,24 @@ class TestPackageSurface:
         package = importlib.import_module(root)
         assert set(package.__all__) <= set(namespace)
 
+    def test_one_theorem1_check_lives_in_enumeration(self):
+        import repro.enumeration
+        import repro.testkit
+        from repro.testkit import diff
+
+        oracle = (
+            "OracleBudget",
+            "OracleReport",
+            "SymbolicView",
+            "run_oracle",
+            "symbolic_view",
+        )
+        assert {*oracle, "Finding", "is_instance"} <= set(repro.enumeration.__all__)
+        assert not {"cross_validate", "CrossValResult"} & set(dir(repro.enumeration))
+        for name in oracle:
+            assert getattr(repro.testkit, name) is getattr(repro.enumeration, name)
+        assert repro.testkit.Finding is diff.Finding is repro.enumeration.Finding
+
     def test_unknown_name_is_an_attribute_error(self):
         import repro.core
 
