@@ -19,6 +19,7 @@ interpreter baseline.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 from repro.analysis.reporting import format_table
 from repro.core.essential import explore
@@ -26,7 +27,10 @@ from repro.enumeration.exhaustive import Equivalence, enumerate_space
 from repro.kernel import compile_protocol
 from repro.kernel import enumerate_space as kernel_enumerate
 from repro.kernel import explore as kernel_explore
+from repro.liveness.analyze import analyze_liveness, check_liveness
+from repro.protocols.dsl import load_protocol
 from repro.protocols.illinois import IllinoisProtocol
+from repro.testkit.diff import OracleFacts
 
 #: One spec instance for the whole module, so the kernel's compile
 #: cache behaves exactly as it does inside the batch engine (compile
@@ -34,6 +38,14 @@ from repro.protocols.illinois import IllinoisProtocol
 SPEC = IllinoisProtocol()
 
 NS = (1, 2, 3, 4, 5, 6, 7)
+
+#: The pinned corpus spec with the most essential states (78).
+LIVENESS_SPEC = (
+    Path(__file__).resolve().parent.parent
+    / "tests"
+    / "corpus"
+    / "f03fcb7a32988a77.proto"
+)
 
 
 def _best_of(fn, rounds: int = 5) -> tuple[float, object]:
@@ -175,3 +187,39 @@ def test_kernel_not_slower(emit):
     )
     assert kernel_explore_s < interp_explore_s
     assert kernel_enum_s < interp_enum_s
+
+
+def test_liveness_not_slower(emit):
+    """The liveness smoke gate: kernel facts must beat the oracle.
+
+    Used by CI's bench-smoke step next to :func:`test_kernel_not_slower`:
+    fails if :func:`~repro.liveness.analyze_liveness`, which reads its
+    facts off the compiled kernel, is slower than the same search over
+    the interpreter-built :class:`~repro.testkit.diff.OracleFacts` on
+    one kernel expansion.  Equally loose: it catches liveness falling
+    back to re-expanding states, not a 5% regression.
+    """
+    spec = load_protocol(LIVENESS_SPEC)
+    result = kernel_explore(spec)
+    kernel_s, kernel_report = _best_of(lambda: analyze_liveness(result), rounds=3)
+    oracle_s, oracle_report = _best_of(
+        lambda: check_liveness(result, OracleFacts), rounds=3
+    )
+
+    emit(
+        "E8 -- liveness facts: kernel vs interpreter oracle\n"
+        + format_table(
+            ["spec", "essential", "oracle ms", "kernel ms", "speedup"],
+            [
+                [
+                    LIVENESS_SPEC.stem,
+                    str(len(result.essential)),
+                    f"{oracle_s * 1000:.2f}",
+                    f"{kernel_s * 1000:.2f}",
+                    f"{oracle_s / kernel_s:.1f}x",
+                ]
+            ],
+        )
+    )
+    assert kernel_report == oracle_report
+    assert kernel_s < oracle_s

@@ -33,10 +33,11 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "core.composite": ("CompositeState",),
-        "core.essential": ("ExpansionResult", "PruningMode", "explore"),
+        "core.essential": ("explore",),
         "core.operators": ("Rep",),
         "core.options": ("RunOptions",),
         "core.protocol": ("ProtocolSpec",),
+        "core.result": ("ExpansionResult", "PruningMode"),
         "core.symbols": ("DataValue", "Op", "SharingLevel"),
         "core.verifier": ("VerificationReport", "verify"),
         "engine.batch": ("BatchReport", "run_batch"),

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..core.digraph import adjacency, is_isomorphic
-from ..core.essential import ExpansionResult
+from ..core.result import ExpansionResult
 from ..core.graph import build_graph
 
 __all__ = ["DiagramShape", "ComparisonReport", "diagram_shape", "compare_protocols"]

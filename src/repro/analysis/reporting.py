@@ -19,7 +19,7 @@ from ..core.composite import CompositeState
 from ..core.symbols import SharingLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.essential import ExpansionResult
+    from ..core.result import ExpansionResult
 
 __all__ = [
     "format_table",

@@ -45,7 +45,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from .analysis.reporting import expansion_listing, figure4_table, format_table
 from .core.options import RunOptions
@@ -804,10 +804,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_ERROR if result.partial else EXIT_OK
 
 
+#: Largest ``repro crossval --max-n``.  The visit budget bounds each
+#: concrete enumeration, not their number, and counting-equivalence
+#: spaces grow slowly with ``n``: without a cap the run grows without
+#: limit (``dragon --max-n 40`` takes seconds); ``all --max-n 8`` takes
+#: well under one.
+CROSSVAL_MAX_N = 8
+
+
 def _cmd_crossval(args: argparse.Namespace) -> int:
     from .enumeration.crossval import OracleBudget, run_oracle
     from .protocols.registry import resolve_specs
 
+    if args.max_n > CROSSVAL_MAX_N:
+        raise ValueError(f"--max-n must be at most {CROSSVAL_MAX_N}")
     budget = OracleBudget(ns=tuple(range(1, args.max_n + 1)))
     mismatch = partial = False
     for spec in resolve_specs(args.protocol):
@@ -926,8 +936,13 @@ def _cmd_fsm(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level argument parser (exposed for testing)."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level argument parser (exposed for testing).
+
+    With *command*, only that subcommand's arguments are added:
+    :func:`main` parses one subcommand per process, and adding every
+    subcommand's arguments costs more than parsing them.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Symbolic verification of cache coherence protocols "
@@ -937,28 +952,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list protocols, mutations and workloads")
+    def add(name: str, **kwargs: Any) -> argparse.ArgumentParser | None:
+        """Add one subcommand; return its parser if it is wanted.
 
-    p = sub.add_parser("verify", help="symbolically verify a protocol")
-    p.add_argument(
-        "protocol",
-        nargs="?",
-        default="all",
-        help="protocol name or 'all' (ignored with --spec-file)",
-    )
-    p.add_argument(
-        "--spec-file",
-        metavar="FILE",
-        help="verify a protocol written in the specification language",
-    )
-    p.add_argument("--mutant", choices=_MUTANT_CHOICES, help="inject a bug first")
-    p.add_argument("--trace", action="store_true", help="print the expansion steps")
-    p.add_argument("--dot", metavar="FILE", help="write the diagram as DOT")
-    p.add_argument("--json", metavar="FILE", help="write the full result as JSON")
-    p.add_argument("--quiet", action="store_true", help="one-line summaries only")
-    RunOptions.add_arguments(p)
+        Every subcommand is listed with its help, for ``repro --help``
+        and for argparse's choice check, but only the wanted one gets
+        its arguments: ``None`` tells the caller to skip them.
+        """
+        if command is not None and name != command:
+            sub.add_parser(name, help=kwargs["help"])
+            return None
+        return sub.add_parser(name, **kwargs)
 
-    p = sub.add_parser(
+    add("list", help="list protocols, mutations and workloads")
+
+    p = add("verify", help="symbolically verify a protocol")
+    if p is not None:
+        p.add_argument(
+            "protocol",
+            nargs="?",
+            default="all",
+            help="protocol name or 'all' (ignored with --spec-file)",
+        )
+        p.add_argument(
+            "--spec-file",
+            metavar="FILE",
+            help="verify a protocol written in the specification language",
+        )
+        p.add_argument("--mutant", choices=_MUTANT_CHOICES, help="inject a bug first")
+        p.add_argument("--trace", action="store_true", help="print the expansion steps")
+        p.add_argument("--dot", metavar="FILE", help="write the diagram as DOT")
+        p.add_argument("--json", metavar="FILE", help="write the full result as JSON")
+        p.add_argument("--quiet", action="store_true", help="one-line summaries only")
+        RunOptions.add_arguments(p)
+
+    p = add(
         "batch",
         help="batch-verify many specs in parallel with caching + journal",
         description="Verify many specifications through the batch engine: "
@@ -973,96 +1001,97 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EXIT_STATUS_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument(
-        "--protocols",
-        nargs="+",
-        default=["all"],
-        metavar="NAME",
-        help="protocol names, 'all', or 'none' for spec-file-only runs "
-        "(default: all)",
-    )
-    p.add_argument(
-        "--mutants",
-        action="store_true",
-        help="also verify every applicable injected-bug mutant",
-    )
-    p.add_argument(
-        "--spec-file",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="additionally verify a DSL specification (repeatable)",
-    )
-    p.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (1 = serial in-process fallback)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="result cache directory (default: ~/.cache/repro)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    p.add_argument(
-        "--journal", metavar="FILE", help="write the JSONL run journal here"
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        help="per-job wall-clock budget in seconds (forces worker processes)",
-    )
-    p.add_argument(
-        "--grace",
-        type=float,
-        help="soft-cancel window for timed-out jobs: seconds granted to "
-        "emit a partial result before SIGKILL (default: 1)",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="retry budget for timed-out/crashed jobs (default: 1)",
-    )
-    p.add_argument(
-        "--backoff",
-        type=float,
-        metavar="SECONDS",
-        help="base delay for exponential retry backoff with "
-        "deterministic jitter (attempt n waits ~SECONDS*2^(n-2), "
-        "capped at 30s); default: retries re-dispatch immediately",
-    )
-    p.add_argument(
-        "--breaker-threshold",
-        type=int,
-        metavar="N",
-        help="trip a per-spec circuit breaker after N consecutive "
-        "crashes/timeouts: further attempts are quarantined "
-        "(status QUARANTINED, never cached) until the cooldown "
-        "half-opens the breaker; default: no breaker",
-    )
-    p.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="seconds a tripped breaker stays open before admitting "
-        "one half-open probe (default: 30)",
-    )
-    p.add_argument(
-        "--resume",
-        metavar="JOURNAL",
-        help="continue an interrupted run: replay finished jobs from "
-        "this journal (and the cache), re-dispatch only the rest; "
-        "appends to the same journal file",
-    )
-    RunOptions.add_arguments(p)
+    if p is not None:
+        p.add_argument(
+            "--protocols",
+            nargs="+",
+            default=["all"],
+            metavar="NAME",
+            help="protocol names, 'all', or 'none' for spec-file-only runs "
+            "(default: all)",
+        )
+        p.add_argument(
+            "--mutants",
+            action="store_true",
+            help="also verify every applicable injected-bug mutant",
+        )
+        p.add_argument(
+            "--spec-file",
+            action="append",
+            default=[],
+            metavar="FILE",
+            help="additionally verify a DSL specification (repeatable)",
+        )
+        p.add_argument(
+            "-j",
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker processes (1 = serial in-process fallback)",
+        )
+        p.add_argument(
+            "--cache-dir",
+            metavar="DIR",
+            help="result cache directory (default: ~/.cache/repro)",
+        )
+        p.add_argument(
+            "--no-cache", action="store_true", help="disable the result cache"
+        )
+        p.add_argument(
+            "--journal", metavar="FILE", help="write the JSONL run journal here"
+        )
+        p.add_argument(
+            "--timeout",
+            type=float,
+            help="per-job wall-clock budget in seconds (forces worker processes)",
+        )
+        p.add_argument(
+            "--grace",
+            type=float,
+            help="soft-cancel window for timed-out jobs: seconds granted to "
+            "emit a partial result before SIGKILL (default: 1)",
+        )
+        p.add_argument(
+            "--retries",
+            type=int,
+            default=1,
+            help="retry budget for timed-out/crashed jobs (default: 1)",
+        )
+        p.add_argument(
+            "--backoff",
+            type=float,
+            metavar="SECONDS",
+            help="base delay for exponential retry backoff with "
+            "deterministic jitter (attempt n waits ~SECONDS*2^(n-2), "
+            "capped at 30s); default: retries re-dispatch immediately",
+        )
+        p.add_argument(
+            "--breaker-threshold",
+            type=int,
+            metavar="N",
+            help="trip a per-spec circuit breaker after N consecutive "
+            "crashes/timeouts: further attempts are quarantined "
+            "(status QUARANTINED, never cached) until the cooldown "
+            "half-opens the breaker; default: no breaker",
+        )
+        p.add_argument(
+            "--breaker-cooldown",
+            type=float,
+            default=30.0,
+            metavar="SECONDS",
+            help="seconds a tripped breaker stays open before admitting "
+            "one half-open probe (default: 30)",
+        )
+        p.add_argument(
+            "--resume",
+            metavar="JOURNAL",
+            help="continue an interrupted run: replay finished jobs from "
+            "this journal (and the cache), re-dispatch only the rest; "
+            "appends to the same journal file",
+        )
+        RunOptions.add_arguments(p)
 
-    p = sub.add_parser(
+    p = add(
         "lint",
         help="statically analyze specs without running verification",
         description="Run the static protocol analyzer (repro.lint) over "
@@ -1070,65 +1099,66 @@ def build_parser() -> argparse.ArgumentParser:
         "Rules are addressable as PLxxx codes or kebab-case names; see "
         "docs/LINT.md for the catalog.",
     )
-    p.add_argument(
-        "spec_file",
-        nargs="*",
-        help="DSL specification files to analyze",
-    )
-    p.add_argument(
-        "--protocol",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="also lint a registry protocol (repeatable)",
-    )
-    p.add_argument(
-        "--all",
-        action="store_true",
-        help="lint every registry protocol and every builtin DSL spec",
-    )
-    p.add_argument(
-        "--select",
-        action="append",
-        metavar="RULES",
-        help="only run these rules (PLxxx codes or names, comma-separated; "
-        "repeatable)",
-    )
-    p.add_argument(
-        "--ignore",
-        action="append",
-        metavar="RULES",
-        help="skip these rules (PLxxx codes or names, comma-separated; "
-        "repeatable)",
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text; 'sarif' emits SARIF 2.1.0)",
-    )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 on warnings too, not just errors",
-    )
-    p.add_argument(
-        "-o",
-        "--output",
-        metavar="FILE",
-        help="write the report here instead of stdout",
-    )
-    p.add_argument(
-        "--explain",
-        action="append",
-        default=[],
-        metavar="RULE",
-        help="print one rule's documentation card -- rationale, severity "
-        "and a minimal triggering specification -- instead of linting "
-        "(PLxxx code or kebab-case name; repeatable)",
-    )
+    if p is not None:
+        p.add_argument(
+            "spec_file",
+            nargs="*",
+            help="DSL specification files to analyze",
+        )
+        p.add_argument(
+            "--protocol",
+            action="append",
+            default=[],
+            metavar="NAME",
+            help="also lint a registry protocol (repeatable)",
+        )
+        p.add_argument(
+            "--all",
+            action="store_true",
+            help="lint every registry protocol and every builtin DSL spec",
+        )
+        p.add_argument(
+            "--select",
+            action="append",
+            metavar="RULES",
+            help="only run these rules (PLxxx codes or names, comma-separated; "
+            "repeatable)",
+        )
+        p.add_argument(
+            "--ignore",
+            action="append",
+            metavar="RULES",
+            help="skip these rules (PLxxx codes or names, comma-separated; "
+            "repeatable)",
+        )
+        p.add_argument(
+            "--format",
+            choices=("text", "json", "sarif"),
+            default="text",
+            help="output format (default: text; 'sarif' emits SARIF 2.1.0)",
+        )
+        p.add_argument(
+            "--strict",
+            action="store_true",
+            help="exit 1 on warnings too, not just errors",
+        )
+        p.add_argument(
+            "-o",
+            "--output",
+            metavar="FILE",
+            help="write the report here instead of stdout",
+        )
+        p.add_argument(
+            "--explain",
+            action="append",
+            default=[],
+            metavar="RULE",
+            help="print one rule's documentation card -- rationale, severity "
+            "and a minimal triggering specification -- instead of linting "
+            "(PLxxx code or kebab-case name; repeatable)",
+        )
 
-    p = sub.add_parser(
+    p = add(
         "ir",
         help="work with the guarded-action intermediate representation",
         description="Lower a specification to the canonical guarded-action "
@@ -1136,27 +1166,28 @@ def build_parser() -> argparse.ArgumentParser:
         "shared by DSL and registry protocols, with a stable content "
         "fingerprint.  See docs/IR.md for the format.",
     )
-    ir_sub = p.add_subparsers(dest="ir_command", required=True)
-    p = ir_sub.add_parser(
-        "dump", help="print a spec's IR as canonical JSON"
-    )
-    p.add_argument(
-        "spec",
-        help="a DSL spec file path, a registry protocol name, or a "
-        "builtin DSL spec name",
-    )
-    p.add_argument(
-        "--compact",
-        action="store_true",
-        help="single-line canonical JSON (the exact fingerprint input)",
-    )
-    p.add_argument(
-        "--fingerprint",
-        action="store_true",
-        help="print only the SHA-256 content fingerprint",
-    )
+    if p is not None:
+        ir_sub = p.add_subparsers(dest="ir_command", required=True)
+        p = ir_sub.add_parser(
+            "dump", help="print a spec's IR as canonical JSON"
+        )
+        p.add_argument(
+            "spec",
+            help="a DSL spec file path, a registry protocol name, or a "
+            "builtin DSL spec name",
+        )
+        p.add_argument(
+            "--compact",
+            action="store_true",
+            help="single-line canonical JSON (the exact fingerprint input)",
+        )
+        p.add_argument(
+            "--fingerprint",
+            action="store_true",
+            help="print only the SHA-256 content fingerprint",
+        )
 
-    p = sub.add_parser(
+    p = add(
         "profile",
         help="verify under instrumentation; write a report + trace file",
         description="Run protocols (or DSL specs) through the verification "
@@ -1169,104 +1200,116 @@ def build_parser() -> argparse.ArgumentParser:
         "interpreter run per job follows, and an interpreter-vs-kernel "
         "wall-time/visits table is printed.",
     )
-    p.add_argument(
-        "protocol",
-        nargs="*",
-        default=[],
-        help="protocol names or 'all'",
-    )
-    p.add_argument(
-        "--spec-file",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="additionally profile a DSL specification (repeatable)",
-    )
-    p.add_argument("--mutant", choices=_MUTANT_CHOICES, help="inject a bug first")
-    p.add_argument(
-        "--mutants",
-        action="store_true",
-        help="also profile every applicable injected-bug mutant",
-    )
-    RunOptions.add_arguments(p, only=("augmented",))
-    p.add_argument(
-        "--format",
-        choices=_EXPORT_CHOICES,
-        default="chrome-trace",
-        help="trace export format (default: chrome-trace)",
-    )
-    p.add_argument(
-        "-o",
-        "--output",
-        metavar="FILE",
-        help="trace file path (default: profile-<label> with the "
-        "format's conventional extension)",
-    )
-    p.add_argument(
-        "--report",
-        metavar="FILE",
-        help="also write the text report to this file",
-    )
+    if p is not None:
+        p.add_argument(
+            "protocol",
+            nargs="*",
+            default=[],
+            help="protocol names or 'all'",
+        )
+        p.add_argument(
+            "--spec-file",
+            action="append",
+            default=[],
+            metavar="FILE",
+            help="additionally profile a DSL specification (repeatable)",
+        )
+        p.add_argument("--mutant", choices=_MUTANT_CHOICES, help="inject a bug first")
+        p.add_argument(
+            "--mutants",
+            action="store_true",
+            help="also profile every applicable injected-bug mutant",
+        )
+        RunOptions.add_arguments(p, only=("augmented",))
+        p.add_argument(
+            "--format",
+            choices=_EXPORT_CHOICES,
+            default="chrome-trace",
+            help="trace export format (default: chrome-trace)",
+        )
+        p.add_argument(
+            "-o",
+            "--output",
+            metavar="FILE",
+            help="trace file path (default: profile-<label> with the "
+            "format's conventional extension)",
+        )
+        p.add_argument(
+            "--report",
+            metavar="FILE",
+            help="also write the text report to this file",
+        )
 
-    p = sub.add_parser("mutants", help="verify every injected-bug variant")
-    p.add_argument("protocol", help="protocol name or 'all'")
-    p.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (1 = serial in-process)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="reuse cached verdicts from this result-cache directory",
-    )
+    p = add("mutants", help="verify every injected-bug variant")
+    if p is not None:
+        p.add_argument("protocol", help="protocol name or 'all'")
+        p.add_argument(
+            "-j",
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker processes (1 = serial in-process)",
+        )
+        p.add_argument(
+            "--cache-dir",
+            metavar="DIR",
+            help="reuse cached verdicts from this result-cache directory",
+        )
 
-    p = sub.add_parser("enumerate", help="explicit Figure 2 state enumeration")
-    p.add_argument("protocol")
-    p.add_argument("-n", type=int, default=3, help="number of caches")
-    p.add_argument("--counting", action="store_true", help="Definition 5 equivalence")
-    p.add_argument("--show-states", action="store_true")
-    RunOptions.add_arguments(p, only=("deadline",))
+    p = add("enumerate", help="explicit Figure 2 state enumeration")
+    if p is not None:
+        p.add_argument("protocol")
+        p.add_argument("-n", type=int, default=3, help="number of caches")
+        p.add_argument(
+            "--counting", action="store_true", help="Definition 5 equivalence"
+        )
+        p.add_argument("--show-states", action="store_true")
+        RunOptions.add_arguments(p, only=("deadline",))
 
-    p = sub.add_parser("crossval", help="Theorem 1 cross-validation")
-    p.add_argument("protocol", help="protocol name or 'all'")
-    p.add_argument("--max-n", type=int, default=4)
+    p = add("crossval", help="Theorem 1 cross-validation")
+    if p is not None:
+        p.add_argument("protocol", help="protocol name or 'all'")
+        p.add_argument("--max-n", type=int, default=4)
 
-    p = sub.add_parser("simulate", help="run the executable multiprocessor")
-    p.add_argument("protocol")
-    p.add_argument("-w", "--workload", choices=_WORKLOAD_CHOICES, default="hot-block")
-    p.add_argument("-p", "--processors", type=int, default=4)
-    p.add_argument("-l", "--length", type=int, default=10000)
-    p.add_argument("--sets", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mutant", choices=_MUTANT_CHOICES)
-    p.add_argument("--stop-on-violation", action="store_true")
-    p.add_argument("--trace-file", metavar="FILE", help="replay a saved trace")
-    p.add_argument("--save-trace", metavar="FILE", help="save the trace used")
+    p = add("simulate", help="run the executable multiprocessor")
+    if p is not None:
+        p.add_argument("protocol")
+        p.add_argument(
+            "-w", "--workload", choices=_WORKLOAD_CHOICES, default="hot-block"
+        )
+        p.add_argument("-p", "--processors", type=int, default=4)
+        p.add_argument("-l", "--length", type=int, default=10000)
+        p.add_argument("--sets", type=int, default=8)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--mutant", choices=_MUTANT_CHOICES)
+        p.add_argument("--stop-on-violation", action="store_true")
+        p.add_argument("--trace-file", metavar="FILE", help="replay a saved trace")
+        p.add_argument("--save-trace", metavar="FILE", help="save the trace used")
 
-    p = sub.add_parser("compare", help="compare two protocols' diagrams")
-    p.add_argument("a")
-    p.add_argument("b")
+    p = add("compare", help="compare two protocols' diagrams")
+    if p is not None:
+        p.add_argument("a")
+        p.add_argument("b")
 
-    p = sub.add_parser("fsm", help="Definition 1 checks on the cache FSM")
-    p.add_argument("protocol", help="protocol name or 'all'")
+    p = add("fsm", help="Definition 1 checks on the cache FSM")
+    if p is not None:
+        p.add_argument("protocol", help="protocol name or 'all'")
 
-    p = sub.add_parser(
+    p = add(
         "fragility", help="verify every single-point edit of a protocol"
     )
-    p.add_argument("protocol", help="protocol name or 'all'")
-    p.add_argument("--picks", type=int, default=2)
-    p.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the edit sweep (1 = serial)",
-    )
+    if p is not None:
+        p.add_argument("protocol", help="protocol name or 'all'")
+        p.add_argument("--picks", type=int, default=2)
+        p.add_argument(
+            "-j",
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker processes for the edit sweep (1 = serial)",
+        )
 
-    p = sub.add_parser(
+    p = add(
         "fuzz",
         help="differential fuzzing of the symbolic vs concrete engines",
         description="Draw seeded well-formed protocol specifications, "
@@ -1281,77 +1324,78 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EXIT_STATUS_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("--seed", type=int, default=0, help="campaign seed")
-    p.add_argument(
-        "--count", type=int, default=20, help="specifications to draw"
-    )
-    p.add_argument(
-        "--max-n",
-        type=int,
-        default=3,
-        help="largest cache count enumerated for completeness/coverage",
-    )
-    p.add_argument(
-        "--soundness-max-n",
-        type=int,
-        default=5,
-        help="largest cache count searched for a rejection witness",
-    )
-    p.add_argument(
-        "--concrete-visits",
-        type=int,
-        default=400_000,
-        help="visit budget for each concrete enumeration",
-    )
-    p.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the symbolic batch (1 = serial)",
-    )
-    p.add_argument(
-        "--corpus",
-        metavar="DIR",
-        default="tests/corpus",
-        help="regression corpus directory (default: tests/corpus)",
-    )
-    p.add_argument(
-        "--no-persist",
-        action="store_true",
-        help="do not write findings into the corpus",
-    )
-    p.add_argument(
-        "--findings",
-        metavar="FILE",
-        help="write the deterministic findings document (JSON) here",
-    )
-    p.add_argument(
-        "--journal", metavar="FILE", help="write the run journal here"
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="reuse cached symbolic verdicts from this result cache "
-        "(default: no cache, so repeated runs journal identically)",
-    )
-    p.add_argument(
-        "--replay",
-        action="store_true",
-        help="re-verify every corpus entry instead of fuzzing",
-    )
-    RunOptions.add_arguments(p, only=("mode", "max_visits", "deadline"))
-    p.add_argument(
-        "--p-stall",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="probability of stalling rules in generated specs (0 "
-        "disables; raise it in liveness modes so the generator actually "
-        "draws starvable protocols)",
-    )
+    if p is not None:
+        p.add_argument("--seed", type=int, default=0, help="campaign seed")
+        p.add_argument(
+            "--count", type=int, default=20, help="specifications to draw"
+        )
+        p.add_argument(
+            "--max-n",
+            type=int,
+            default=3,
+            help="largest cache count enumerated for completeness/coverage",
+        )
+        p.add_argument(
+            "--soundness-max-n",
+            type=int,
+            default=5,
+            help="largest cache count searched for a rejection witness",
+        )
+        p.add_argument(
+            "--concrete-visits",
+            type=int,
+            default=400_000,
+            help="visit budget for each concrete enumeration",
+        )
+        p.add_argument(
+            "-j",
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker processes for the symbolic batch (1 = serial)",
+        )
+        p.add_argument(
+            "--corpus",
+            metavar="DIR",
+            default="tests/corpus",
+            help="regression corpus directory (default: tests/corpus)",
+        )
+        p.add_argument(
+            "--no-persist",
+            action="store_true",
+            help="do not write findings into the corpus",
+        )
+        p.add_argument(
+            "--findings",
+            metavar="FILE",
+            help="write the deterministic findings document (JSON) here",
+        )
+        p.add_argument(
+            "--journal", metavar="FILE", help="write the run journal here"
+        )
+        p.add_argument(
+            "--cache-dir",
+            metavar="DIR",
+            help="reuse cached symbolic verdicts from this result cache "
+            "(default: no cache, so repeated runs journal identically)",
+        )
+        p.add_argument(
+            "--replay",
+            action="store_true",
+            help="re-verify every corpus entry instead of fuzzing",
+        )
+        RunOptions.add_arguments(p, only=("mode", "max_visits", "deadline"))
+        p.add_argument(
+            "--p-stall",
+            type=float,
+            default=0.0,
+            metavar="P",
+            help="probability of stalling rules in generated specs (0 "
+            "disables; raise it in liveness modes so the generator actually "
+            "draws starvable protocols)",
+        )
 
-    sub.add_parser(
+    add(
         "diff",
         help="the differential gate: every check over every spec source",
         description="Run every differential check (IR against react() cell "
@@ -1365,7 +1409,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
 
-    p = sub.add_parser(
+    p = add(
         "serve",
         help="run the verification-as-a-service campaign server",
         description="Start the long-running campaign service (repro.serve): "
@@ -1386,79 +1430,80 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EXIT_STATUS_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument("--port", type=int, default=8642, help="bind port")
-    p.add_argument(
-        "--state-dir",
-        default="repro-serve",
-        metavar="DIR",
-        help="campaign state root: journals, reports, inline specs "
-        "(default: ./repro-serve)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="concurrent campaigns (scheduler worker pool, default: 2)",
-    )
-    p.add_argument(
-        "--job-workers",
-        type=int,
-        default=1,
-        help="worker processes per campaign batch (default: 1, serial)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="shared result cache directory (default: ~/.cache/repro)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    p.add_argument(
-        "--tenant",
-        action="append",
-        default=[],
-        metavar="NAME=SECONDS",
-        help="wall-clock allotment for one tenant (repeatable); tenants "
-        "without one are unlimited",
-    )
-    RunOptions.add_arguments(p, only=("preflight",))
-    p.add_argument(
-        "--max-queue",
-        type=int,
-        default=64,
-        metavar="N",
-        help="admission control: campaigns queued per priority lane "
-        "before new submissions get 429 + Retry-After (default: 64)",
-    )
-    p.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission control: concurrently executing campaigns "
-        "before new submissions get 429 (default: unlimited)",
-    )
-    p.add_argument(
-        "--read-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="per-connection bound on parsing one request; slow "
-        "clients get 408 (default: 10; 0 disables)",
-    )
-    p.add_argument(
-        "--drain-grace",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="graceful drain (SIGTERM/SIGINT): seconds an in-flight "
-        "job gets to honour its soft-cancel before SIGKILL "
-        "(default: 5)",
-    )
+    if p is not None:
+        p.add_argument("--host", default="127.0.0.1", help="bind address")
+        p.add_argument("--port", type=int, default=8642, help="bind port")
+        p.add_argument(
+            "--state-dir",
+            default="repro-serve",
+            metavar="DIR",
+            help="campaign state root: journals, reports, inline specs "
+            "(default: ./repro-serve)",
+        )
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=2,
+            help="concurrent campaigns (scheduler worker pool, default: 2)",
+        )
+        p.add_argument(
+            "--job-workers",
+            type=int,
+            default=1,
+            help="worker processes per campaign batch (default: 1, serial)",
+        )
+        p.add_argument(
+            "--cache-dir",
+            metavar="DIR",
+            help="shared result cache directory (default: ~/.cache/repro)",
+        )
+        p.add_argument(
+            "--no-cache", action="store_true", help="disable the result cache"
+        )
+        p.add_argument(
+            "--tenant",
+            action="append",
+            default=[],
+            metavar="NAME=SECONDS",
+            help="wall-clock allotment for one tenant (repeatable); tenants "
+            "without one are unlimited",
+        )
+        RunOptions.add_arguments(p, only=("preflight",))
+        p.add_argument(
+            "--max-queue",
+            type=int,
+            default=64,
+            metavar="N",
+            help="admission control: campaigns queued per priority lane "
+            "before new submissions get 429 + Retry-After (default: 64)",
+        )
+        p.add_argument(
+            "--max-inflight",
+            type=int,
+            default=None,
+            metavar="N",
+            help="admission control: concurrently executing campaigns "
+            "before new submissions get 429 (default: unlimited)",
+        )
+        p.add_argument(
+            "--read-timeout",
+            type=float,
+            default=10.0,
+            metavar="SECONDS",
+            help="per-connection bound on parsing one request; slow "
+            "clients get 408 (default: 10; 0 disables)",
+        )
+        p.add_argument(
+            "--drain-grace",
+            type=float,
+            default=5.0,
+            metavar="SECONDS",
+            help="graceful drain (SIGTERM/SIGINT): seconds an in-flight "
+            "job gets to honour its soft-cancel before SIGKILL "
+            "(default: 5)",
+        )
 
-    p = sub.add_parser(
+    p = add(
         "submit",
         help="submit a campaign to a running campaign server",
         description="POST a campaign to `repro serve` and print its id.  "
@@ -1467,45 +1512,46 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EXIT_STATUS_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("url", help="server base URL, e.g. http://127.0.0.1:8642")
-    p.add_argument(
-        "--protocols",
-        nargs="+",
-        default=["all"],
-        metavar="NAME",
-        help="protocol names or 'all' (default: all)",
-    )
-    p.add_argument(
-        "--mutants",
-        action="store_true",
-        help="also verify every applicable injected-bug mutant",
-    )
-    p.add_argument(
-        "--spec-file",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="submit a local DSL spec inline (repeatable; the server "
-        "needs no shared filesystem)",
-    )
-    p.add_argument("--tenant", default="default", help="tenant to bill")
-    p.add_argument(
-        "--priority",
-        choices=("high", "normal", "low"),
-        default="normal",
-        help="scheduler lane (default: normal)",
-    )
-    RunOptions.add_arguments(p)
-    p.add_argument(
-        "--watch",
-        action="store_true",
-        help="stream events until done; exit with the campaign status",
-    )
-    p.add_argument(
-        "--quiet", action="store_true", help="suppress per-event lines"
-    )
+    if p is not None:
+        p.add_argument("url", help="server base URL, e.g. http://127.0.0.1:8642")
+        p.add_argument(
+            "--protocols",
+            nargs="+",
+            default=["all"],
+            metavar="NAME",
+            help="protocol names or 'all' (default: all)",
+        )
+        p.add_argument(
+            "--mutants",
+            action="store_true",
+            help="also verify every applicable injected-bug mutant",
+        )
+        p.add_argument(
+            "--spec-file",
+            action="append",
+            default=[],
+            metavar="FILE",
+            help="submit a local DSL spec inline (repeatable; the server "
+            "needs no shared filesystem)",
+        )
+        p.add_argument("--tenant", default="default", help="tenant to bill")
+        p.add_argument(
+            "--priority",
+            choices=("high", "normal", "low"),
+            default="normal",
+            help="scheduler lane (default: normal)",
+        )
+        RunOptions.add_arguments(p)
+        p.add_argument(
+            "--watch",
+            action="store_true",
+            help="stream events until done; exit with the campaign status",
+        )
+        p.add_argument(
+            "--quiet", action="store_true", help="suppress per-event lines"
+        )
 
-    p = sub.add_parser(
+    p = add(
         "watch",
         help="stream a campaign's journal events from a campaign server",
         description="Follow GET /campaigns/{id}/events over SSE until the "
@@ -1515,25 +1561,29 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EXIT_STATUS_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("url", help="server base URL, e.g. http://127.0.0.1:8642")
-    p.add_argument("campaign", help="campaign id from `repro submit`")
-    p.add_argument(
-        "--offset",
-        type=int,
-        default=0,
-        help="journal byte offset to replay from (default: 0, the start)",
-    )
-    p.add_argument(
-        "--quiet", action="store_true", help="only print the final summary"
-    )
+    if p is not None:
+        p.add_argument("url", help="server base URL, e.g. http://127.0.0.1:8642")
+        p.add_argument("campaign", help="campaign id from `repro submit`")
+        p.add_argument(
+            "--offset",
+            type=int,
+            default=0,
+            help="journal byte offset to replay from (default: 0, the start)",
+        )
+        p.add_argument(
+            "--quiet", action="store_true", help="only print the final summary"
+        )
 
-    p = sub.add_parser("sweep", help="traffic sweep across machine sizes")
-    p.add_argument("protocol", help="protocol name or 'all'")
-    p.add_argument("-w", "--workload", choices=_WORKLOAD_CHOICES, default="hot-block")
-    p.add_argument("-p", "--processors", type=int, nargs="+", default=[2, 4, 8])
-    p.add_argument("-l", "--length", type=int, default=8000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p = add("sweep", help="traffic sweep across machine sizes")
+    if p is not None:
+        p.add_argument("protocol", help="protocol name or 'all'")
+        p.add_argument(
+            "-w", "--workload", choices=_WORKLOAD_CHOICES, default="hot-block"
+        )
+        p.add_argument("-p", "--processors", type=int, nargs="+", default=[2, 4, 8])
+        p.add_argument("-l", "--length", type=int, default=8000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -1570,7 +1620,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     is broken" (2).
     """
     global _last_signal
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = argv[0] if argv and argv[0] in _HANDLERS else None
+    args = build_parser(named).parse_args(argv)
     _last_signal = None
     try:
         return _HANDLERS[args.command](args)

@@ -22,15 +22,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "Violation",
             "Witness",
         ),
-        "essential": (
-            "Disposition",
-            "ExpansionResult",
-            "ExpansionStats",
-            "PruningMode",
-            "TraceEntry",
-            "explore",
-        ),
-        "expansion": ("SymbolicExpander", "SymbolicTransition", "TransitionLabel"),
+        "essential": ("Disposition", "TraceEntry", "explore"),
+        "expansion": ("SymbolicExpander",),
         "graph": ("GlobalGraph", "ascii_diagram", "build_graph", "to_dot"),
         "operators": ("Rep", "aggregate", "leq", "remove_one"),
         "protocol": ("ProtocolDefinitionError", "ProtocolSpec"),
@@ -39,6 +32,13 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "result_to_json",
             "state_from_dict",
             "state_to_dict",
+        ),
+        "result": (
+            "ExpansionResult",
+            "ExpansionStats",
+            "PruningMode",
+            "SymbolicTransition",
+            "TransitionLabel",
         ),
         "reactions": (
             "INITIATOR",

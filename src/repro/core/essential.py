@@ -26,7 +26,7 @@ E8 can quantify the value of containment over exact-duplicate detection.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs.collector import active as _active_collector
@@ -40,17 +40,20 @@ from .errors import (
     check_data_consistency,
     check_patterns,
 )
-from .expansion import SymbolicExpander, SymbolicTransition
+from .expansion import SymbolicExpander
 from .protocol import ProtocolSpec
+from .result import (
+    ExpansionResult,
+    ExpansionStats,
+    PruningMode,
+    SymbolicTransition,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # The guard lives in the engine layer (above core); explore() only
     # relies on its check() protocol, so no runtime import is needed
-    # and the core -> engine dependency stays a typing artifact.  The
-    # liveness report likewise lives above core and is only attached
-    # here, never constructed.
+    # and the core -> engine dependency stays a typing artifact.
     from ..engine.guard import Exhaustion, Guard
-    from ..liveness.model import LivenessReport
 
 __all__ = [
     "PruningMode",
@@ -61,15 +64,6 @@ __all__ = [
     "explore",
     "essential_home",
 ]
-
-
-class PruningMode(str, enum.Enum):
-    """How redundant composite states are pruned during expansion."""
-
-    #: Only exact duplicates are dropped (no use of Definition 9).
-    DUPLICATES = "duplicates"
-    #: Full containment pruning as in Figure 3.
-    CONTAINMENT = "containment"
 
 
 class Disposition(str, enum.Enum):
@@ -101,108 +95,6 @@ class TraceEntry:
         return (
             f"{self.source.pretty(annotations=False)} --{self.label}--> "
             f"{self.target.pretty(annotations=False)}{mark}"
-        )
-
-
-@dataclass
-class ExpansionStats:
-    """Instrumentation counters for one expansion run."""
-
-    #: States generated during expansion (the paper's "state visits").
-    visits: int = 0
-    #: Working states popped and (at least partially) expanded.
-    expanded: int = 0
-    #: Generated states discarded because contained in a known state.
-    discarded_contained: int = 0
-    #: Known states removed because contained in a new state.
-    removed_superseded: int = 0
-    #: Exact duplicates dropped.
-    duplicates: int = 0
-    #: Scenario case-splits evaluated.
-    scenarios: int = 0
-    #: Peak size of the working list.
-    max_worklist: int = 0
-    #: Wall-clock seconds.
-    elapsed: float = 0.0
-
-
-@dataclass
-class ExpansionResult:
-    """Everything produced by one run of :func:`explore`."""
-
-    spec: ProtocolSpec
-    augmented: bool
-    pruning: PruningMode
-    initial: CompositeState
-    essential: tuple[CompositeState, ...]
-    transitions: tuple[SymbolicTransition, ...]
-    stats: ExpansionStats
-    violations: tuple[Violation, ...]
-    witnesses: tuple[Witness, ...]
-    trace: tuple[TraceEntry, ...] = field(default_factory=tuple)
-    #: True when a guard budget expired before the fixpoint: the
-    #: essential set is a sound *prefix* (every listed state is
-    #: reachable) but may be incomplete, and ``transitions`` is empty.
-    partial: bool = False
-    #: Why the run stopped early (``None`` for complete runs).
-    exhausted: "Exhaustion | None" = None
-    #: Unexplored working states at the moment the budget expired
-    #: (first entry: the state whose expansion was interrupted).
-    frontier: tuple[CompositeState, ...] = field(default_factory=tuple)
-    #: Liveness verdict attached by the liveness post-pass
-    #: (:func:`repro.liveness.analyze_liveness`); ``None`` when the
-    #: verification ran in safety-only mode.
-    liveness: "LivenessReport | None" = None
-
-    @property
-    def ok(self) -> bool:
-        """True iff the protocol is *proven* correct: the expansion ran
-        to its fixpoint, no erroneous state is reachable, and (when the
-        liveness pass ran) no pending request can starve.  A partial
-        run is never ``ok`` -- unvisited states could still be
-        erroneous -- though any violations it did find are definitive.
-        """
-        return (
-            not self.violations
-            and not self.partial
-            and (self.liveness is None or not self.liveness.violations)
-        )
-
-    @property
-    def live(self) -> bool | None:
-        """Liveness verdict: ``True``/``False`` when the liveness pass
-        ran to a conclusion, ``None`` when it did not run (safety mode)
-        or was inconclusive (partial expansion)."""
-        if self.liveness is None or not self.liveness.checked:
-            return None
-        return not self.liveness.violations
-
-    def essential_by_render(self) -> dict[str, CompositeState]:
-        """Map from pretty-rendering to state, for report lookups."""
-        return {s.pretty(): s for s in self.essential}
-
-    def summary(self) -> str:
-        """One-paragraph textual summary of the verification run."""
-        if self.violations:
-            verdict = f"FAILED ({len(self.violations)} violations)"
-        elif self.liveness is not None and self.liveness.violations:
-            verdict = (
-                f"NOT LIVE ({len(self.liveness.violations)} starvable "
-                "requests)"
-            )
-        elif self.partial:
-            reason = self.exhausted.reason if self.exhausted else "budget"
-            verdict = (
-                f"PARTIAL ({reason}; {len(self.frontier)} frontier states "
-                "unexplored)"
-            )
-        else:
-            verdict = "VERIFIED"
-        return (
-            f"{self.spec.full_name or self.spec.name}: {verdict}; "
-            f"{len(self.essential)} essential states, "
-            f"{self.stats.visits} state visits, "
-            f"{len(self.transitions)} global transitions"
         )
 
 
@@ -471,9 +363,9 @@ def essential_home(
 ) -> CompositeState:
     """The essential state containing *state* (itself if listed).
 
-    Public because the liveness analysis (:mod:`repro.liveness`) uses
-    the same covering map to close its product graph over the essential
-    set.
+    Public because lasso replay (:mod:`repro.liveness.replay`) and the
+    interpreter's liveness oracle (:mod:`repro.testkit.diff`) close
+    their steps over the essential set with the same covering map.
     """
     if pruning is PruningMode.DUPLICATES:
         for candidate in essential:

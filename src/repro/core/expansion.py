@@ -43,6 +43,12 @@ from .operators import (
 )
 from .protocol import ProtocolSpec
 from .reactions import Ctx, INITIATOR, Outcome
+from .result import (
+    ExpansionSemanticsError,
+    SymbolicTransition,
+    TransitionLabel,
+    initial_state,
+)
 from .semantics import (
     initiator_data_after,
     is_store,
@@ -59,37 +65,6 @@ __all__ = [
     "SymbolicExpander",
     "ExpansionSemanticsError",
 ]
-
-
-class ExpansionSemanticsError(Exception):
-    """The expansion produced a state the abstraction cannot classify."""
-
-
-@dataclass(frozen=True)
-class TransitionLabel:
-    """Label of a global transition, e.g. ``W_shared``.
-
-    Matches the paper's Figure 4 notation: the operation letter with the
-    initiator's pre-transition state as a subscript.
-    """
-
-    op: Op
-    initiator: str
-
-    def __str__(self) -> str:
-        return f"{self.op.value}_{self.initiator.lower()}"
-
-
-@dataclass(frozen=True)
-class SymbolicTransition:
-    """One edge of the global (symbolic) transition system."""
-
-    source: CompositeState
-    label: TransitionLabel
-    target: CompositeState
-
-    def __str__(self) -> str:
-        return f"{self.source.pretty()} --{self.label}--> {self.target.pretty()}"
 
 
 #: Environment representation: the source state minus one initiator.
@@ -162,17 +137,9 @@ class SymbolicExpander:
 
     # ------------------------------------------------------------------
     def initial_state(self) -> CompositeState:
-        """The paper's initial state: every cache Invalid, memory fresh.
-
-        Rendered ``(Invalid+)`` -- an arbitrary positive number of caches,
-        none holding a copy.
-        """
-        data = DataValue.NODATA if self.augmented else None
-        return make_state(
-            [(Label(self.spec.invalid, data), Rep.PLUS)],
-            sharing=SharingLevel.NONE if self.sharing else None,
-            mdata=DataValue.FRESH if self.augmented else None,
-        )
+        """The paper's initial state ``(Invalid+)`` (see
+        :func:`~repro.core.result.initial_state`)."""
+        return initial_state(self.spec, self.augmented)
 
     # ------------------------------------------------------------------
     def successors(self, state: CompositeState) -> list[SymbolicTransition]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .essential import ExpansionResult
+from .result import ExpansionResult
 
 __all__ = ["GlobalGraph", "build_graph", "to_dot", "ascii_diagram"]
 

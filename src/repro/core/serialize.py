@@ -25,7 +25,7 @@ from typing import Any
 
 from .composite import CompositeState, Label, make_state
 from .errors import Violation, Witness
-from .essential import ExpansionResult
+from .result import ExpansionResult
 from .operators import Rep
 from .protocol import ProtocolSpec, reaction_table
 from .reactions import Outcome

@@ -11,14 +11,12 @@ protocol is broken -- counterexample paths from the initial state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .errors import Violation, Witness
-
-# ``explore`` stays importable here: profiling harnesses wrap it by name.
-from .essential import ExpansionResult, PruningMode, explore  # noqa: F401
 from .options import RunOptions
 from .protocol import ProtocolSpec, reaction_table
+from .result import ExpansionResult, PruningMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.guard import Guard
@@ -26,6 +24,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..liveness.model import LivenessReport
 
 __all__ = ["VerificationReport", "verify"]
+
+
+def __getattr__(name: str) -> Any:
+    """PEP 562: ``explore`` (the interpreter's Figure 3 search) stays
+    importable from here, where profiling harnesses wrap it by name,
+    but loads only on first access -- :func:`verify` never runs it."""
+    if name != "explore":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .essential import explore
+
+    globals()["explore"] = explore
+    return explore
 
 
 @dataclass
@@ -179,7 +189,8 @@ def verify(
     its behaviour table, which is built under the run's guard: a guard
     that trips there skips validation and yields a partial report.
     The expansion runs on the compiled kernel (:mod:`repro.kernel`),
-    which reports what the interpreter (:func:`explore`) does.
+    which reports what the interpreter
+    (:func:`~repro.core.essential.explore`) does.
     """
     if isinstance(protocol, str):
         # Imported lazily: the registry lives above the core package.
@@ -214,9 +225,9 @@ def verify(
     )
     if options.mode == "liveness":
         # Imported lazily: the liveness pass lives above the core
-        # package.  It is engine-agnostic -- it consumes the decoded
-        # ExpansionResult, so interpreter and kernel runs get the same
-        # verdict by construction.
+        # package.  It reads its facts from the same compiled kernel
+        # (a cache hit here); `repro diff` checks it against the
+        # interpreter-built oracle.
         from ..liveness import analyze_liveness
 
         result.liveness = analyze_liveness(result)

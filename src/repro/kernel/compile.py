@@ -29,12 +29,12 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 from weakref import WeakKeyDictionary
 
 from ..core.composite import CompositeState, Label
 from ..core.errors import ErrorKind, Violation
-from ..core.expansion import ExpansionSemanticsError, TransitionLabel
+from ..core.result import ExpansionSemanticsError, TransitionLabel
 from ..core.operators import (
     Rep,
     aggregate,
@@ -600,7 +600,8 @@ class CompiledProtocol:
     # Decision table: (sid, opid, present-mask) -> flat reaction entry
     # ------------------------------------------------------------------
     def _entry(self, sid: int, opid: int, mask: int) -> tuple:
-        """Resolved decision entry; tags: 0 full, 1 stall, 2 error."""
+        """Resolved decision entry; tags: 0 full (ending in the declared
+        observer moves), 1 stall, 2 error."""
         cell = self._select[sid * self._O + opid]
         entry = cell.get(mask)
         if entry is None:
@@ -668,6 +669,11 @@ class CompiledProtocol:
             for obs, nxt, updated in action.observers:
                 obs_next[obs] = nxt
                 obs_upd[obs] = updated
+            # The declared observer moves by name: what liveness edges
+            # are keyed and ordered by.
+            moves = tuple(
+                sorted((states[obs], states[nxt]) for obs, nxt, _ in action.observers)
+            )
             return (
                 0,
                 action.next_state,
@@ -679,6 +685,7 @@ class CompiledProtocol:
                 action.write_through,
                 tuple(obs_next),
                 tuple(obs_upd),
+                moves,
             )
         present = sorted(states[s] for s in range(self._S) if mask >> s & 1)
         return (
@@ -713,26 +720,157 @@ class CompiledProtocol:
     def _compute_successors(
         self, src_id: int
     ) -> tuple[tuple[tuple[int, int, int], ...], int]:
-        classes, shc, md = self._keys[src_id]
-        aug = md != 0
+        md = self._keys[src_id][2]
+        results: dict[tuple[int, int, int], None] = {}
+        count = [0]
+        for opid, init_sid, init_d, entry, env, caselist in self._scenarios(
+            src_id, count
+        ):
+            if entry[0] == 1:
+                # A stall leaves the state unchanged: a self-loop.
+                targets: list[int] | tuple[int] = (src_id,)
+            else:
+                targets = self._targets(opid, init_d, entry, env, caselist, md)
+            for target in targets:
+                key = (opid, init_sid, target)
+                if key not in results:
+                    results[key] = None
+        return tuple(results), count[0]
+
+    def reaction_facts(
+        self, src_id: int
+    ) -> tuple[
+        set[tuple[int, int]],
+        set[tuple[int, int]],
+        tuple[tuple[int, int, int, tuple[tuple[str, str], ...]], ...],
+    ]:
+        """What the liveness pass reads off one interned state.
+
+        Returns ``(stalls, serves, steps)``: the ``(initiator_sid,
+        opid)`` cells some scenario refuses and some scenario
+        completes, and every distinct non-stalled step as ``(opid,
+        initiator_sid, target_id, moves)``, where ``moves`` are the
+        outcome's declared observer moves as sorted ``(state, next)``
+        names (undeclared observers stay put).  The same scenario walk
+        as :meth:`successors`, so it raises where that does; not
+        memoized (liveness reads each essential state once).
+        """
+        md = self._keys[src_id][2]
+        stalls: set[tuple[int, int]] = set()
+        serves: set[tuple[int, int]] = set()
+        steps: dict[tuple[int, int, int, tuple[tuple[str, str], ...]], None] = {}
+        for opid, init_sid, init_d, entry, env, caselist in self._scenarios(
+            src_id, [0]
+        ):
+            cell = (init_sid, opid)
+            if entry[0] == 1:
+                stalls.add(cell)
+                continue
+            serves.add(cell)
+            moves = entry[10]
+            for target in self._targets(opid, init_d, entry, env, caselist, md):
+                steps[(opid, init_sid, target, moves)] = None
+        return stalls, serves, tuple(steps)
+
+    def offclass_request(
+        self, src_id: int, sym_sid: int, opid: int
+    ) -> tuple[bool, bool]:
+        """``(can_stall, can_serve)`` for a cache in *sym_sid* posing
+        *opid* at a state where *sym_sid* labels no class.
+
+        The liveness product follows a blocked cache whose class
+        covering merged away.  A valid symbol that labels no class has
+        no cache to pose the request, and an inapplicable operation
+        cannot be posed: both are moot ``(False, False)``.  An invalid
+        cache is re-posed with the whole state as its environment (no
+        class loses a member), a sound over-approximation of what an
+        extra invalid cache can observe.
+        """
+        if sym_sid != self._inv or not self._applm[sym_sid] >> opid & 1:
+            return False, False
+        classes, shc, _md = self._keys[src_id]
+        can_stall = can_serve = False
+        for _caselist, mask in self._conditionings(list(classes), 0, shc)[1]:
+            entry = self._entry(sym_sid, opid, mask)
+            if entry[0] == 2:
+                raise entry[1](entry[2])
+            if entry[0] == 1:
+                can_stall = True
+            else:
+                can_serve = True
+        return can_stall, can_serve
+
+    def _conditionings(
+        self, env: list[int], init_copy: int, shc: int
+    ) -> tuple[int, list[tuple[list[int], int]]]:
+        """Scenario case-splits of one environment.
+
+        Returns the number of splits and, for each one consistent with
+        the state's sharing level (*init_copy* copies held by the
+        initiator), ``(caselist, present mask)``: one case code per
+        ``env`` position (-1 for invalid classes, which are never
+        split) and the bitmask of states with a present copy.
+        """
         inv_rank = self._inv_rank
         sid_by_rank = self._sid_by_rank
         sh_flag = 1 if self.sharing else 0
         sh_interval = _SH_INTERVAL[shc]
-        applm = self._applm
-        scenarios = 0
-        results: dict[tuple[int, int, int], None] = {}
+        valid_pos = [pos for pos, c in enumerate(env) if c >> 4 != inv_rank]
+        options = [_CASES[(env[pos] & 3) * 2 + sh_flag] for pos in valid_pos]
+        splits = 1
+        for option in options:
+            splits *= len(option)
+        consistent: list[tuple[list[int], int]] = []
+        for combo in itertools.product(*options):
+            if sh_interval is not None:
+                pre_lo = init_copy
+                pre_hi: int | None = init_copy
+                for case in combo:
+                    pre_lo += _CASE_LO[case]
+                    pre_hi = _add_hi(pre_hi, _CASE_HI[case])
+                slo, shi = sh_interval
+                lo = pre_lo if pre_lo > slo else slo
+                if pre_hi is None:
+                    ok = shi is None or shi >= lo
+                elif shi is None:
+                    ok = pre_hi >= lo
+                else:
+                    ok = min(pre_hi, shi) >= lo
+                if not ok:
+                    continue
+            caselist = [-1] * len(env)
+            mask = 0
+            for pos, case in zip(valid_pos, combo):
+                caselist[pos] = case
+                if case:
+                    mask |= 1 << sid_by_rank[env[pos] >> 4]
+            consistent.append((caselist, mask))
+        return splits, consistent
 
+    def _scenarios(
+        self, src_id: int, count: list[int]
+    ) -> Iterator[tuple[int, int, int, tuple, list[int], list[int]]]:
+        """The scenario walk of one interned state.
+
+        Yields ``(opid, initiator_sid, initiator_dcode, entry, env,
+        caselist)`` for every consistent scenario, in the
+        interpreter's order (``SymbolicExpander.reaction_events``):
+        initiator classes in state order, operations in specification
+        order, case splits in product order.  ``env`` is the state's
+        class list with one member split off the initiator's class
+        (``1->0``, ``+->*``, ``*->*``) and ``entry`` the resolved
+        decision entry (tag 0 full or 1 stall); an error entry raises
+        when its scenario is reached.  ``count[0]`` grows by every case
+        split considered, consistent or not.
+        """
+        classes, shc, _md = self._keys[src_id]
+        inv_rank = self._inv_rank
         for idx, cls in enumerate(classes):
-            lcode = cls >> 2
-            rank = lcode >> 2
-            init_d = lcode & 3
-            init_sid = sid_by_rank[rank]
-            am = applm[init_sid]
-            if not am:
+            rank = cls >> 4
+            init_sid = self._sid_by_rank[rank]
+            opids = self._opids[init_sid]
+            if not opids:
                 continue
-            # Split one member off class idx (1->0, +->*, *->*); order
-            # of the remaining classes is preserved.
             new_rep = _REMOVE1[cls & 3]
             env: list[int] = []
             for i, c in enumerate(classes):
@@ -741,54 +879,17 @@ class CompiledProtocol:
                         env.append((c & ~3) | new_rep)
                 else:
                     env.append(c)
-            valid_pos = [
-                pos for pos, c in enumerate(env) if c >> 4 != inv_rank
-            ]
-            options = [
-                _CASES[(env[pos] & 3) * 2 + sh_flag] for pos in valid_pos
-            ]
-            init_copy = 0 if rank == inv_rank else 1
-            for opid in range(self._O):
-                if not am >> opid & 1:
-                    continue
-                for combo in itertools.product(*options):
-                    scenarios += 1
-                    if sh_interval is not None:
-                        pre_lo = init_copy
-                        pre_hi: int | None = init_copy
-                        for case in combo:
-                            pre_lo += _CASE_LO[case]
-                            pre_hi = _add_hi(pre_hi, _CASE_HI[case])
-                        slo, shi = sh_interval
-                        lo = pre_lo if pre_lo > slo else slo
-                        if pre_hi is None:
-                            ok = shi is None or shi >= lo
-                        elif shi is None:
-                            ok = pre_hi >= lo
-                        else:
-                            ok = min(pre_hi, shi) >= lo
-                        if not ok:
-                            continue
-                    caselist = [-1] * len(env)
-                    mask = 0
-                    for pos, case in zip(valid_pos, combo):
-                        caselist[pos] = case
-                        if case:
-                            mask |= 1 << sid_by_rank[env[pos] >> 4]
+            splits, conditionings = self._conditionings(
+                env, 0 if rank == inv_rank else 1, shc
+            )
+            init_d = (cls >> 2) & 3
+            for opid in opids:
+                count[0] += splits
+                for caselist, mask in conditionings:
                     entry = self._entry(init_sid, opid, mask)
-                    tag = entry[0]
-                    if tag == 2:
+                    if entry[0] == 2:
                         raise entry[1](entry[2])
-                    if tag == 1:
-                        key = (opid, init_sid, src_id)
-                        if key not in results:
-                            results[key] = None
-                        continue
-                    self._emit(
-                        results, src_id, opid, init_sid, init_d,
-                        entry, env, caselist, aug, md,
-                    )
-        return tuple(results), scenarios
+                    yield opid, init_sid, init_d, entry, env, caselist
 
     def _present_values(
         self, env: list[int], caselist: list[int], sym_sid: int
@@ -810,31 +911,28 @@ class CompiledProtocol:
             )
         return values
 
-    def _emit(
+    def _targets(
         self,
-        results: dict[tuple[int, int, int], None],
-        src_id: int,
         opid: int,
-        init_sid: int,
         init_d: int,
         entry: tuple,
         env: list[int],
         caselist: list[int],
-        aug: bool,
         md: int,
-    ) -> None:
-        """Assemble and intern the successors of one scenario.
+    ) -> list[int]:
+        """Assemble and intern the successors of one full scenario.
 
         Mirrors ``SymbolicExpander._build_successors``: one successor
-        per distinct write-back/load data-source choice, write-back
-        choices in the outer loop, and both choice lists computed
-        before the product so a spec/ctx mismatch raises before any
-        successor is emitted.
+        per write-back/load data-source choice, write-back choices in
+        the outer loop, and both choice lists computed before the
+        product so a spec/ctx mismatch raises before any successor is
+        emitted.  Returns the target ids in that order.
         """
         (
             _tag, next_sid, becomes_invalid, load_kind, load_sid,
-            wb_kind, wb_sid, write_through, obs_next, obs_upd,
+            wb_kind, wb_sid, write_through, obs_next, obs_upd, _moves,
         ) = entry
+        aug = md != 0
         store = self._is_store[opid]
         inv = self._inv
         inv_rank = self._inv_rank
@@ -857,6 +955,7 @@ class CompiledProtocol:
                 (2, v) for v in self._present_values(env, caselist, load_sid)
             )
 
+        targets: list[int] = []
         for wb_value in wb_choices:
             for lk, load_data in load_choices:
                 if aug:
@@ -964,10 +1063,8 @@ class CompiledProtocol:
                 target_classes = tuple(
                     sorted((lcode << 2) | rep for lcode, rep in merged.items())
                 )
-                target_id = self.intern((target_classes, sh2, mdata2))
-                key = (opid, init_sid, target_id)
-                if key not in results:
-                    results[key] = None
+                targets.append(self.intern((target_classes, sh2, mdata2)))
+        return targets
 
     # ------------------------------------------------------------------
     # Concrete (product-machine) side
@@ -1008,7 +1105,7 @@ class CompiledProtocol:
             return entry  # stall (1,) or error (2, exc, msg) pass through
         (
             _tag, next_sid, becomes_invalid, load_kind, load_sid,
-            wb_kind, wb_sid, write_through, obs_next, obs_upd,
+            wb_kind, wb_sid, write_through, obs_next, obs_upd, _moves,
         ) = entry
         store = self._is_store[opid]
         d_actor = cell & 3

@@ -18,9 +18,14 @@ from typing import TYPE_CHECKING
 
 from ..core.composite import CompositeState
 from ..core.errors import Witness
-from ..core.essential import ExpansionResult, ExpansionStats, PruningMode
-from ..core.expansion import SymbolicExpander, SymbolicTransition
 from ..core.protocol import ProtocolSpec
+from ..core.result import (
+    ExpansionResult,
+    ExpansionStats,
+    PruningMode,
+    SymbolicTransition,
+    initial_state,
+)
 from ..ir.model import IRError
 from ..obs.collector import active as _active_collector
 from ..obs import clock
@@ -29,7 +34,7 @@ from .compile import CompiledProtocol, compile_protocol
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.guard import Exhaustion, Guard
 
-__all__ = ["explore"]
+__all__ = ["essential_home_id", "explore"]
 
 
 def explore(
@@ -56,7 +61,7 @@ def explore(
     except IRError:
         if guard is None or guard.exhausted is None:
             raise
-        initial = SymbolicExpander(spec, augmented=augmented).initial_state()
+        initial = initial_state(spec, augmented)
         return ExpansionResult(
             spec=spec, augmented=augmented, pruning=pruning, initial=initial,
             essential=(), transitions=(), stats=ExpansionStats(),
@@ -206,7 +211,7 @@ def explore(
             for source in essential_ids:
                 source_entries, _ = cp.successors(source)
                 for opid, init_sid, target in source_entries:
-                    home = _essential_home_id(
+                    home = essential_home_id(
                         cp, target, essential_ids, pruning
                     )
                     key = (source, cp.label_str(opid, init_sid), home)
@@ -260,13 +265,15 @@ def explore(
     )
 
 
-def _essential_home_id(
+def essential_home_id(
     cp: CompiledProtocol,
     state_id: int,
     essential_ids: tuple[int, ...],
     pruning: PruningMode,
 ) -> int:
-    """The essential id containing *state_id* (itself if listed).
+    """The essential id containing *state_id* (itself if listed): the
+    id form of :func:`repro.core.essential.essential_home`, which the
+    final edge pass and the liveness product both close over.
 
     Interned ids make value equality id equality, so the duplicates
     branch is a membership test.

@@ -2,19 +2,23 @@
 
 The safety verifier proves that no *reachable* state is erroneous; this
 pass proves that no *pending request* can be refused forever.  It runs
-as a post-pass over a completed :class:`~repro.core.essential.
-ExpansionResult` -- interpreter- or kernel-produced, the decoded result
-is identical, which is what gives the two backends liveness parity by
-construction.
+as a post-pass over a completed :class:`~repro.core.result.
+ExpansionResult` and reads its facts -- who stalls, who is served and
+where each step lands -- off the compiled kernel
+(:meth:`~repro.kernel.compile.CompiledProtocol.reaction_facts`), keyed
+by the kernel's interned state ids.  The interpreter never runs here:
+an interpreter-built oracle of the same facts lives in
+:mod:`repro.testkit.diff`, whose ``liveness`` check requires both to
+give byte-identical reports.
 
 The model is a product automaton.  A node pairs an essential state
 ``S`` with the FSM symbol ``q`` of one distinguished cache -- the
 *blocked* cache, which issued an operation ``o`` that stalled and keeps
 retrying it.  Edges are the global transitions other initiators can
 take (closed over the essential set through the ``contains`` covering,
-:func:`~repro.core.essential.essential_home`); along an edge the
-blocked cache evolves as an observer, ``q -> outcome.observer_for(q)``.
-At each node the protocol's reaction table classifies the pending
+the essential home of each successor); along an edge the blocked
+cache evolves as an observer, ``q -> outcome.observer_for(q)``.  At
+each node the protocol's reaction table classifies the pending
 request:
 
 * **stalling** -- some consistent scenario refuses ``o``;
@@ -33,31 +37,38 @@ a **deadlock** whose loop is the retry itself.
 Everything is iterated in sorted order (operations in specification
 order, states by canonical rendering, symbols alphabetically, edges by
 label), so the report is a pure function of the expansion's *graph
-content* -- the backends and worklist schedules cannot leak in.
+content* -- the engine that built the facts and its worklist schedule
+cannot leak in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Protocol
 
 from ..core.composite import CompositeState
 from ..core.errors import ErrorKind, Violation
-from ..core.essential import ExpansionResult, essential_home
-from ..core.expansion import SymbolicExpander
+from ..core.result import ExpansionResult
 from ..core.symbols import Op
+from ..kernel.compile import compile_protocol
+from ..kernel.essential import essential_home_id
 from ..obs.collector import active as _active_collector
 from .model import LassoStep, LassoWitness, LivenessReport, retry_label
 
-__all__ = ["analyze_liveness"]
+__all__ = ["Edge", "Facts", "analyze_liveness", "check_liveness", "ordered_edges"]
 
 
 @dataclass(frozen=True)
-class _Edge:
+class Edge:
     """One progress edge of the product graph (blocked cache observing)."""
 
     label: str
-    target: CompositeState
-    #: Observer moves of the underlying outcome: sorted (state, next).
+    #: The target's essential-state key, in the facts' own key space.
+    target: Hashable
+    #: The target's canonical rendering (edge and lasso ordering).
+    pretty: str
+    #: Declared observer moves of the underlying outcome: sorted
+    #: ``(state, next)`` names; undeclared observers stay put.
     moves: tuple[tuple[str, str], ...]
 
     def observer_next(self, symbol: str) -> str:
@@ -68,120 +79,96 @@ class _Edge:
         return symbol
 
 
-class _Facts:
-    """Cached per-state reaction facts over one expansion result."""
+def ordered_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """The deterministic edge order both fact sources use."""
+    return tuple(sorted(edges, key=lambda e: (e.label, e.pretty, e.moves)))
+
+
+class Facts(Protocol):
+    """Per-state reaction facts over one complete expansion.
+
+    States are addressed by opaque hashable keys: :attr:`states` lists
+    the essential states' keys in the result's order, :attr:`initial`
+    is the key of the essential state covering the initial one.
+    """
+
+    states: tuple[Hashable, ...]
+    initial: Hashable
+
+    def state(self, key: Hashable) -> CompositeState:
+        """The composite state of one key."""
+
+    def edges(self, key: Hashable) -> tuple[Edge, ...]:
+        """Outgoing progress edges, in :func:`ordered_edges` order."""
+
+    def request(self, key: Hashable, symbol: str, op: Op) -> tuple[bool, bool]:
+        """``(can_stall, can_serve)`` for a pending ``op`` by *symbol*;
+        neither means the request is *moot*."""
+
+
+class _KernelFacts:
+    """:class:`Facts` read off the compiled kernel, keyed by interned id."""
 
     def __init__(self, result: ExpansionResult) -> None:
-        self.spec = result.spec
-        self.expander = SymbolicExpander(
-            result.spec, augmented=result.augmented
-        )
-        self.essential = result.essential
+        cp = self.cp = compile_protocol(result.spec)
         self.pruning = result.pruning
-        self._base: dict[
-            CompositeState,
-            tuple[tuple[_Edge, ...], set[tuple[str, Op]], set[tuple[str, Op]]],
-        ] = {}
-        self._posed: dict[tuple[CompositeState, str, Op], tuple[bool, bool]] = {}
-        #: Successor -> its essential home (a linear containment scan).
-        self._homes: dict[CompositeState, CompositeState] = {}
+        self.states = tuple(cp.intern(cp.encode(s)) for s in result.essential)
+        self.initial = self._home(cp.intern(cp.encode(result.initial)))
+        self._sid = {name: sid for sid, name in enumerate(cp.ir.states)}
+        self._opid = {Op(name): opid for opid, name in enumerate(cp.ir.ops)}
+        #: id -> (edges, stalled cells, served cells, class symbols).
+        self._scans: dict[int, tuple] = {}
+        self._homes: dict[int, int] = {}
+        self._posed: dict[tuple[int, int, int], tuple[bool, bool]] = {}
 
-    # ------------------------------------------------------------------
-    def _scan(
-        self, state: CompositeState
-    ) -> tuple[tuple[_Edge, ...], set[tuple[str, Op]], set[tuple[str, Op]]]:
-        cached = self._base.get(state)
+    def _home(self, target: int) -> int:
+        return essential_home_id(self.cp, target, self.states, self.pruning)
+
+    def state(self, key: int) -> CompositeState:
+        return self.cp.decoded(key)
+
+    def _scan(self, key: int) -> tuple:
+        cached = self._scans.get(key)
         if cached is not None:
             return cached
-        stalls: set[tuple[str, Op]] = set()
-        serves: set[tuple[str, Op]] = set()
-        edges: dict[tuple[str, CompositeState, tuple], _Edge] = {}
-        for event in self.expander.reaction_events(state):
-            cell = (event.initiator, event.op)
-            if event.outcome.stalled:
-                stalls.add(cell)
-                continue  # a stalled step changes nothing: no edge
-            serves.add(cell)
-            moves = tuple(
-                sorted(
-                    (obs, reaction.next_state)
-                    for obs, reaction in event.outcome.observers.items()
+        cp = self.cp
+        stalls, serves, steps = cp.reaction_facts(key)
+        edges: dict[tuple[str, int, tuple], Edge] = {}
+        homes = self._homes
+        for opid, init_sid, target, moves in steps:
+            home = homes.get(target)
+            if home is None:
+                home = homes[target] = self._home(target)
+            label = cp.label_str(opid, init_sid)
+            if (label, home, moves) not in edges:
+                edges[label, home, moves] = Edge(
+                    label, home, cp.decoded(home).pretty(), moves
                 )
-            )
-            label = str(event.label)
-            for target in event.targets:
-                home = self._homes.get(target)
-                if home is None:
-                    home = essential_home(target, self.essential, self.pruning)
-                    self._homes[target] = home
-                key = (label, home, moves)
-                if key not in edges:
-                    edges[key] = _Edge(label, home, moves)
-        ordered = tuple(
-            sorted(
-                edges.values(),
-                key=lambda e: (e.label, e.target.pretty(), e.moves),
-            )
-        )
-        facts = (ordered, stalls, serves)
-        self._base[state] = facts
+        symbols = frozenset(label.symbol for label, _ in cp.decoded(key).classes)
+        facts = (ordered_edges(edges.values()), stalls, serves, symbols)
+        self._scans[key] = facts
         return facts
 
-    def edges(self, state: CompositeState) -> tuple[_Edge, ...]:
-        """Outgoing progress edges of *state*, in deterministic order."""
-        return self._scan(state)[0]
+    def edges(self, key: int) -> tuple[Edge, ...]:
+        return self._scan(key)[0]
 
-    def request(
-        self, state: CompositeState, symbol: str, op: Op
-    ) -> tuple[bool, bool]:
-        """``(can_stall, can_serve)`` for a pending ``op`` by *symbol*.
-
-        A request neither stallable nor servable is *moot*: it cannot
-        even be posed at this node (operation inapplicable, symbol no
-        longer realizable, no consistent scenario).
-        """
-        _, stalls, serves = self._scan(state)
-        cell = (symbol, op)
-        if any(label.symbol == symbol for label, _rep in state.classes):
+    def request(self, key: int, symbol: str, op: Op) -> tuple[bool, bool]:
+        _, stalls, serves, symbols = self._scan(key)
+        cell = (self._sid[symbol], self._opid[op])
+        if symbol in symbols:
             return cell in stalls, cell in serves
-        key = (state, symbol, op)
-        cached = self._posed.get(key)
-        if cached is not None:
-            return cached
-        answer = self._offclass_request(state, symbol, op)
-        self._posed[key] = answer
+        posed = (key, *cell)
+        answer = self._posed.get(posed)
+        if answer is None:
+            answer = self._posed[posed] = self.cp.offclass_request(*posed)
         return answer
 
-    def _offclass_request(
-        self, state: CompositeState, symbol: str, op: Op
-    ) -> tuple[bool, bool]:
-        """Stall/serve classification when *symbol* labels no class.
 
-        The blocked cache's symbol can be merged away by covering; it
-        is then re-posed against the whole state as environment.  An
-        unrealizable symbol (the state admits no such cache and it is
-        not the ever-available invalid state) is moot.
-        """
-        if not self.spec.applicable(symbol, op):
-            return False, False
-        if symbol != self.spec.invalid:
-            _lo, hi = state.symbol_interval(symbol)
-            if hi == 0:
-                return False, False
-        can_stall = can_serve = False
-        for ctx in self.expander.observation_contexts(state, symbol):
-            if self.spec.react(symbol, op, ctx).stalled:
-                can_stall = True
-            else:
-                can_serve = True
-        return can_stall, can_serve
-
-
-_Node = tuple[CompositeState, str]
+_Node = tuple[Hashable, str]
 
 
 def _resolvable(
-    facts: _Facts, start: _Node, op: Op
+    facts: Facts, start: _Node, op: Op
 ) -> tuple[bool, set[_Node]]:
     """Can the pending request reach a serving (or moot) node?"""
     seen: set[_Node] = {start}
@@ -201,7 +188,7 @@ def _resolvable(
 
 
 def _extract_lasso(
-    facts: _Facts, start: _Node, op: Op
+    facts: Facts, start: _Node, op: Op
 ) -> tuple[ErrorKind, list[tuple[_Node, str]], list[tuple[_Node, str]]]:
     """Deterministic walk from *start* until a cycle or a dead node.
 
@@ -221,7 +208,7 @@ def _extract_lasso(
             return ErrorKind.DEADLOCK, steps, loop
         chosen = min(
             edges,
-            key=lambda e: (e.label, e.target.pretty(), e.observer_next(symbol)),
+            key=lambda e: (e.label, e.pretty, e.observer_next(symbol)),
         )
         nxt = (chosen.target, chosen.observer_next(symbol))
         labels.append(chosen.label)
@@ -234,10 +221,10 @@ def _extract_lasso(
 
 
 def _global_stem(
-    result: ExpansionResult, target: CompositeState
+    result: ExpansionResult, start: CompositeState, target: CompositeState
 ) -> list[tuple[CompositeState, str]]:
-    """Shortest path of global transitions from the initial cover."""
-    start = essential_home(result.initial, result.essential, result.pruning)
+    """Shortest path of global transitions from *start*, the initial
+    state's essential cover."""
     if start == target:
         return []
     adjacency: dict[CompositeState, list[tuple[str, CompositeState]]] = {}
@@ -276,8 +263,18 @@ def analyze_liveness(result: ExpansionResult) -> LivenessReport:
 
     Returns an unchecked report (``checked=False``) for partial results
     and for expansions stopped at the first safety error: the product
-    graph is only sound over the complete essential set.
+    graph is only sound over the complete essential set.  The facts
+    come from the compiled kernel of ``result.spec`` (the one the
+    expansion ran on, so a cache hit).
     """
+    return check_liveness(result, _KernelFacts)
+
+
+def check_liveness(
+    result: ExpansionResult, facts_of: Callable[[ExpansionResult], Facts]
+) -> LivenessReport:
+    """:func:`analyze_liveness` over the facts ``facts_of(result)``
+    builds: the one product-graph search, whatever the fact source."""
     if result.partial:
         return LivenessReport(
             checked=False,
@@ -295,8 +292,11 @@ def analyze_liveness(result: ExpansionResult) -> LivenessReport:
         span = coll.span("liveness.check", protocol=result.spec.name)
         span.__enter__()
     try:
-        facts = _Facts(result)
-        ordered_states = sorted(result.essential, key=lambda s: s.pretty())
+        facts = facts_of(result)
+        ordered_states = sorted(
+            facts.states, key=lambda key: facts.state(key).pretty()
+        )
+        start = facts.state(facts.initial)
         pending = 0
         explored: set[_Node] = set()
         claimed: set[tuple[Op, str]] = set()
@@ -305,7 +305,7 @@ def analyze_liveness(result: ExpansionResult) -> LivenessReport:
         for op in result.spec.operations:
             for state in ordered_states:
                 symbols = sorted(
-                    {label.symbol for label, _rep in state.classes}
+                    {label.symbol for label, _rep in facts.state(state).classes}
                 )
                 for symbol in symbols:
                     can_stall, _can_serve = facts.request(state, symbol, op)
@@ -322,12 +322,13 @@ def analyze_liveness(result: ExpansionResult) -> LivenessReport:
                     kind, prefix, loop = _extract_lasso(
                         facts, (state, symbol), op
                     )
+                    composite = facts.state(state)
                     stem = [
                         LassoStep(s, None, label)
-                        for s, label in _global_stem(result, state)
+                        for s, label in _global_stem(result, start, composite)
                     ]
                     stem.extend(
-                        LassoStep(s, q, label)
+                        LassoStep(facts.state(s), q, label)
                         for (s, q), label in prefix
                     )
                     witness = LassoWitness(
@@ -336,7 +337,8 @@ def analyze_liveness(result: ExpansionResult) -> LivenessReport:
                         kind=kind,
                         stem=tuple(stem),
                         loop=tuple(
-                            LassoStep(s, q, label) for (s, q), label in loop
+                            LassoStep(facts.state(s), q, label)
+                            for (s, q), label in loop
                         ),
                     )
                     lassos.append(witness)
@@ -355,7 +357,7 @@ def analyze_liveness(result: ExpansionResult) -> LivenessReport:
                             kind,
                             f"a cache in {symbol} can be stalled forever "
                             f"on {op.value}: {detail}",
-                            state,
+                            composite,
                         )
                     )
         report = LivenessReport(

@@ -40,9 +40,12 @@ Checks (:data:`CHECKS`) yield :class:`Finding` objects:
     The compiled kernel is observably the interpreter (``explore``:
     violation kinds and witnesses, essential set, visit and expansion
     counts, verdict; ``enumerate``: concrete state spaces for small
-    ``n``; ``liveness``: byte-identical liveness documents).
+    ``n``).
 ``liveness``
-    Every lasso re-executes through the reaction semantics
+    The analysis, which reads its facts off the kernel, gives the
+    byte-identical document of :class:`OracleFacts`, the same facts
+    rebuilt by the interpreter over its own expansion (``parity``);
+    every lasso re-executes through the reaction semantics
     (``lasso-replay``), violations and lassos pair up
     (``witness-mismatch``), re-analysis is byte-identical
     (``determinism``), a spec with no statically reachable stall is
@@ -58,10 +61,10 @@ Checks (:data:`CHECKS`) yield :class:`Finding` objects:
 
 Each case gets one :class:`Context` whose interpreter expansion,
 kernel expansion, IR lowering and flow analysis are built at most once
-and shared by every check.  ``kernel`` and the flow part of ``ir``
-read the interpreter reference; ``liveness`` and ``theorem1`` read the
-expansion users get: the kernel's (lowering is total, so every spec
-has one).
+and shared by every check.  ``kernel``, the flow part of ``ir`` and
+the liveness oracle read the interpreter reference; ``liveness`` and
+``theorem1`` otherwise read the expansion users get: the kernel's
+(lowering is total, so every spec has one).
 
 One skip rule: a check that cannot reach a verdict is *skipped*, never
 failed.  A partial expansion or enumeration (each runs under a
@@ -76,11 +79,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from ..core.composite import CompositeState
 from ..core.errors import ForbidMultiple, ForbidState, ForbidTogether
-from ..core.essential import ExpansionResult, explore
+from ..core.essential import ExpansionResult, essential_home, explore
+from ..core.expansion import SymbolicExpander
 from ..core.operators import Rep
 from ..core.protocol import ProtocolDefinitionError, ProtocolSpec, reaction_table
-from ..core.reactions import Outcome
+from ..core.symbols import Op
 from ..engine.guard import Budget, Guard
 from ..enumeration.crossval import Finding, run_oracle
 from ..enumeration.exhaustive import Equivalence, enumerate_space
@@ -90,7 +95,12 @@ from ..kernel.compile import compile_protocol
 from ..kernel.essential import explore as kernel_explore
 from ..kernel.exhaustive import enumerate_space as kernel_enumerate
 from ..lint.flow import FlowAnalysis
-from ..liveness.analyze import analyze_liveness
+from ..liveness.analyze import (
+    Edge,
+    analyze_liveness,
+    check_liveness,
+    ordered_edges,
+)
 from ..liveness.replay import replay_lasso
 from ..protocols.dsl import builtin_spec_names, load_builtin
 from ..protocols.mutations import liveness_mutants_for, mutants_for
@@ -105,6 +115,7 @@ __all__ = [
     "Context",
     "DiffReport",
     "Finding",
+    "OracleFacts",
     "Skip",
     "diff_spec",
     "run_check",
@@ -213,6 +224,114 @@ class Context:
         if not report.checked:
             raise Skip(f"unchecked ({report.reason})")
         return report
+
+
+# ----------------------------------------------------------------------
+# The liveness oracle
+# ----------------------------------------------------------------------
+class OracleFacts:
+    """The liveness facts rebuilt by the interpreter: a
+    :class:`~repro.liveness.analyze.Facts` keyed by composite state.
+
+    Each state's reaction events come from
+    :meth:`~repro.core.expansion.SymbolicExpander.reaction_events`, and
+    each successor's essential home from a linear
+    :func:`~repro.core.essential.essential_home` scan -- the reference
+    the kernel's :meth:`~repro.kernel.compile.CompiledProtocol.reaction_facts`
+    is held to by the ``parity`` finding.
+    """
+
+    def __init__(self, result: ExpansionResult) -> None:
+        self.spec = result.spec
+        self.expander = SymbolicExpander(result.spec, augmented=result.augmented)
+        self.states = result.essential
+        self.pruning = result.pruning
+        self.initial = essential_home(result.initial, self.states, self.pruning)
+        self._base: dict[
+            CompositeState,
+            tuple[tuple[Edge, ...], set[tuple[str, Op]], set[tuple[str, Op]]],
+        ] = {}
+        self._posed: dict[tuple[CompositeState, str, Op], tuple[bool, bool]] = {}
+        self._homes: dict[CompositeState, CompositeState] = {}
+
+    def state(self, key: CompositeState) -> CompositeState:
+        return key
+
+    def _scan(
+        self, state: CompositeState
+    ) -> tuple[tuple[Edge, ...], set[tuple[str, Op]], set[tuple[str, Op]]]:
+        cached = self._base.get(state)
+        if cached is not None:
+            return cached
+        stalls: set[tuple[str, Op]] = set()
+        serves: set[tuple[str, Op]] = set()
+        edges: dict[tuple[str, CompositeState, tuple], Edge] = {}
+        for event in self.expander.reaction_events(state):
+            cell = (event.initiator, event.op)
+            if event.outcome.stalled:
+                stalls.add(cell)
+                continue  # a stalled step changes nothing: no edge
+            serves.add(cell)
+            moves = tuple(
+                sorted(
+                    (obs, reaction.next_state)
+                    for obs, reaction in event.outcome.observers.items()
+                )
+            )
+            label = str(event.label)
+            for target in event.targets:
+                home = self._homes.get(target)
+                if home is None:
+                    home = essential_home(target, self.states, self.pruning)
+                    self._homes[target] = home
+                key = (label, home, moves)
+                if key not in edges:
+                    edges[key] = Edge(label, home, home.pretty(), moves)
+        facts = (ordered_edges(edges.values()), stalls, serves)
+        self._base[state] = facts
+        return facts
+
+    def edges(self, state: CompositeState) -> tuple[Edge, ...]:
+        return self._scan(state)[0]
+
+    def request(
+        self, state: CompositeState, symbol: str, op: Op
+    ) -> tuple[bool, bool]:
+        _, stalls, serves = self._scan(state)
+        cell = (symbol, op)
+        if any(label.symbol == symbol for label, _rep in state.classes):
+            return cell in stalls, cell in serves
+        key = (state, symbol, op)
+        cached = self._posed.get(key)
+        if cached is not None:
+            return cached
+        answer = self._offclass_request(state, symbol, op)
+        self._posed[key] = answer
+        return answer
+
+    def _offclass_request(
+        self, state: CompositeState, symbol: str, op: Op
+    ) -> tuple[bool, bool]:
+        """Stall/serve classification when *symbol* labels no class.
+
+        The blocked cache's symbol can be merged away by covering; it
+        is then re-posed against the whole state as environment.  An
+        unrealizable symbol (the state admits no such cache and it is
+        not the ever-available invalid state) is moot.
+        """
+        if not self.spec.applicable(symbol, op):
+            return False, False
+        if symbol != self.spec.invalid:
+            _lo, hi = state.symbol_interval(symbol)
+            if hi == 0:
+                return False, False
+        can_stall = can_serve = False
+        for ctx in self.expander.observation_contexts(state, symbol):
+            if self.spec.react(symbol, op, ctx).stalled:
+                can_stall = True
+            else:
+                can_serve = True
+        return can_stall, can_serve
 
 
 # ----------------------------------------------------------------------
@@ -393,18 +512,6 @@ def _check_kernel(ctx: Context) -> Iterator[Finding]:
         if detail:
             yield Finding("explore", ctx.name, detail)
 
-    # Liveness is a pure function of the expansion graph (and the
-    # kernel's expansion is the default one, analyzed in the context).
-    base_doc = json.dumps(analyze_liveness(base).to_dict(), sort_keys=True)
-    kern_doc = json.dumps(ctx.liveness.to_dict(), sort_keys=True)
-    if base_doc != kern_doc:
-        yield Finding(
-            "liveness",
-            ctx.name,
-            "liveness documents differ between interpreter and kernel "
-            "expansions",
-        )
-
     for n in ENUMERATE_NS:
         for equivalence in (Equivalence.STRICT, Equivalence.COUNTING):
             eb = enumerate_space(ctx.spec, n, equivalence=equivalence, guard=_guard())
@@ -440,6 +547,16 @@ def _check_kernel(ctx: Context) -> Iterator[Finding]:
 
 def _check_liveness(ctx: Context) -> Iterator[Finding]:
     result, report = ctx.kernel, ctx.liveness
+    first = json.dumps(report.to_dict(), sort_keys=True)
+    oracle = check_liveness(ctx.interp, OracleFacts)
+    if json.dumps(oracle.to_dict(), sort_keys=True) != first:
+        yield Finding(
+            "parity",
+            ctx.name,
+            "the kernel-fact liveness document differs from the "
+            "interpreter oracle's",
+        )
+
     for lasso in report.lassos:
         ok, reason = replay_lasso(result, lasso)
         if not ok:
@@ -462,7 +579,6 @@ def _check_liveness(ctx: Context) -> Iterator[Finding]:
                     f"{lasso.kind.value} lasso ({lasso.signature})",
                 )
 
-    first = json.dumps(report.to_dict(), sort_keys=True)
     second = json.dumps(analyze_liveness(result).to_dict(), sort_keys=True)
     if first != second:
         yield Finding(

@@ -12,14 +12,18 @@ import pytest
 
 from repro.cli import (
     _EXPORT_CHOICES,
+    _HANDLERS,
     _MUTANT_CHOICES,
     _WORKLOAD_CHOICES,
+    CROSSVAL_MAX_N,
     build_parser,
     main,
 )
 from repro.core.options import RunOptions
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+#: ``repro [CMD] --help`` output at 80 columns, keyed by ``CMD``.
+HELP_GOLDEN = Path(__file__).resolve().parent / "goldens" / "cli" / "help.json"
 
 
 class TestParser:
@@ -41,6 +45,30 @@ class TestParser:
         from repro.obs import EXPORTERS
 
         assert _EXPORT_CHOICES == tuple(sorted(EXPORTERS))
+
+    @pytest.mark.parametrize(
+        "command", sorted(json.loads(HELP_GOLDEN.read_text()))
+    )
+    def test_help_is_pinned(self, command, monkeypatch, capsys):
+        # main() adds arguments only to the subcommand it runs; every
+        # help page must read as when it built them all.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command.split(), "--help"])
+        assert exit_info.value.code == 0
+        expected = json.loads(HELP_GOLDEN.read_text())[command]
+        assert capsys.readouterr().out == expected
+
+    def test_help_golden_covers_every_subcommand(self):
+        pinned = set(json.loads(HELP_GOLDEN.read_text()))
+        assert pinned == {"", "ir dump", *_HANDLERS}
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        argv = ["batch", "--protocols", "msi"]
+        assert build_parser().parse_args(argv).protocols == ["msi"]
+        assert build_parser("batch").parse_args(argv).protocols == ["msi"]
+        with pytest.raises(SystemExit):
+            build_parser("verify").parse_args(argv)
 
     def test_mutant_choices_match_both_catalogs(self):
         from repro.protocols.mutations import LIVENESS_MUTATIONS, MUTATIONS
@@ -69,7 +97,8 @@ class TestColdImport:
     spec-file batch loads only the modules it runs."""
 
     #: Modules a spec-file batch never runs: other subcommands', the
-    #: zoo and its catalogs, the explicit-state baselines, the other
+    #: zoo and its catalogs, the explicit-state baselines, the
+    #: interpreter (the kernel expands and feeds liveness), the other
     #: analyses and exporters, and the worker pool's multiprocessing.
     DEFERRED = (
         "repro.simulator",
@@ -94,6 +123,10 @@ class TestColdImport:
         "repro.enumeration.exhaustive",
         "repro.enumeration.product",
         "repro.kernel.exhaustive",
+        "repro.core.expansion",
+        "repro.core.essential",
+        "repro.core.covering",
+        "repro.core.semantics",
         "repro.analysis.compare",
         "repro.analysis.complexity",
         "repro.obs.export",
@@ -439,6 +472,18 @@ class TestCrossvalCommand:
     def test_max_n_below_one_is_a_usage_error(self, max_n, capsys):
         assert main(["crossval", "illinois", "--max-n", max_n]) == 2
         assert "cache counts" in capsys.readouterr().err
+
+    def test_max_n_up_to_the_cap_runs(self, capsys):
+        assert main(["crossval", "msi", "--max-n", str(CROSSVAL_MAX_N)]) == 0
+        assert f"n={list(range(1, CROSSVAL_MAX_N + 1))}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("past", [1, 32])
+    def test_max_n_past_the_cap_is_a_usage_error(self, past, capsys):
+        max_n = str(CROSSVAL_MAX_N + past)
+        assert main(["crossval", "dragon", "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--max-n must be at most {CROSSVAL_MAX_N}" in captured.err
 
     def test_vacuous_state_is_a_mismatch(self, capsys):
         assert main(["crossval", "mesif", "--max-n", "2"]) == 1
