@@ -1,9 +1,10 @@
 """Batch orchestration: verify many specifications fast and reproducibly.
 
-:func:`run_batch` is the engine's front door.  It fingerprints every
-job's specification, replays cached results where possible, runs the
-remainder through a serial or parallel runner, journals every event
-and persists fresh results back into the cache:
+:func:`run_batch` is the engine's front door.  It admits each job as
+the runner draws it -- fingerprints the job's specification and
+replays a cached result where possible -- runs the remainder on a
+serial or parallel runner, journals every event and persists fresh
+results back into the cache:
 
     jobs ──fingerprint──► cache? ──hit──────────────► results
                              │
@@ -25,7 +26,7 @@ the result cache for verdicts), re-dispatching only the remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from ..obs.collector import NOOP_SPAN
 from ..obs.collector import active as _active_collector
@@ -247,7 +248,7 @@ def run_batch(
         worker.
     workers:
         Worker processes.  ``1`` (with no ``timeout``) runs serially in
-        this process.
+        this process; out-of-range runner settings raise ``ValueError``.
     cache:
         Persistent result cache; ``None`` disables caching entirely.
     journal:
@@ -262,8 +263,10 @@ def run_batch(
         ``None`` keeps the runner default).
     runner:
         Explicit runner instance (overrides ``workers``/``timeout``/
-        ``retries``/``grace``); used by tests to compare execution
-        strategies.
+        ``retries``/``grace``/``backoff``), e.g. the one the service
+        keeps for all its campaigns.  It draws ``(fingerprint, job)``
+        pairs from one lazy stream; each job is admitted as it is
+        drawn and carries the spec admission resolved.
     resume:
         Event stream of an interrupted run (``RunJournal.read(path)``):
         jobs whose ``job_finish`` record carries a terminal
@@ -298,6 +301,15 @@ def run_batch(
     picked up with ``resume``.
     """
     jobs = list(jobs)
+    if runner is None:
+        runner = make_runner(
+            workers=workers,
+            timeout=timeout,
+            retries=retries,
+            grace=grace,
+            backoff=backoff,
+            breaker=breaker,
+        )
     if journal is None:
         journal = RunJournal()
     started = clock.monotonic()
@@ -365,8 +377,8 @@ def run_batch(
             journal.emit("job_replayed", job=job.label, status=prior["status"])
             _finish(journal, results[i])
             return None
-        # Lint, fingerprint and (serially) verification read one
-        # resolved spec: one behaviour table per job.
+        # Lint, fingerprint and verification read one resolved spec:
+        # one behaviour table per job in this process.
         ended: JobResult | None = None
         try:
             spec = job.resolve_spec()
@@ -453,60 +465,33 @@ def run_batch(
             cache.put(fingerprints[i], jobs[i], result, keys[i])
         _finish(journal, result)
 
-    if runner is None:
-        runner = make_runner(
-            workers=workers,
-            timeout=timeout,
-            retries=retries,
-            grace=grace,
-            backoff=backoff,
-            breaker=breaker,
-        )
-    run_kwargs: dict[str, Any] = {}
-    if cancel is not None:
-        run_kwargs["cancel"] = cancel
-    if isinstance(runner, SerialRunner):
-        # Each job is admitted just before it runs and verifies the spec
-        # admission resolved: one behaviour table and one lowering per
-        # job at any batch size, and one resolved spec alive at a time.
-        def admitted():
-            for i, job in enumerate(jobs):
-                with coll.span("batch.admit") if coll is not None else NOOP_SPAN:
-                    spec = admit(i, job)
-                if spec is not None:
-                    yield VerificationJob(
-                        spec=spec, options=job.options, label=job.label
-                    )
-
-        pending: Any = admitted()
-    else:
-        # Workers resolve their own copy (where a chaos fault detonates).
-        admitting = (
-            coll.span("batch.admit", jobs=len(jobs)) if coll is not None else NOOP_SPAN
-        )
-        with admitting:
-            for i, job in enumerate(jobs):
-                admit(i, job)
-        pending = [jobs[i] for i in to_run]
-        if backoff is not None or breaker is not None:
-            run_kwargs["keys"] = [fingerprints[i] for i in to_run]
-    if pending:  # a serial generator is always run
-        try:
-            with coll.span("batch.dispatch") if coll is not None else NOOP_SPAN:
-                runner.run(
-                    pending,
-                    on_event=lambda event, fields: journal.emit(event, **fields),
-                    on_result=on_result,
-                    **run_kwargs,
+    def admitted() -> Iterator[tuple[str, VerificationJob]]:
+        # The runner draws each job when it can run it and verifies the
+        # spec admission resolved (a worker receives it pickled).
+        for i, job in enumerate(jobs):
+            with coll.span("batch.admit") if coll is not None else NOOP_SPAN:
+                spec = admit(i, job)
+            if spec is not None:
+                yield fingerprints[i], VerificationJob(
+                    spec=spec, options=job.options, label=job.label
                 )
-        except (KeyboardInterrupt, BatchCancelled):
-            journal.emit(
-                "run_aborted",
-                jobs=len(jobs),
-                finished=sum(1 for r in results if r is not None),
+
+    try:
+        with coll.span("batch.dispatch") if coll is not None else NOOP_SPAN:
+            runner.run(
+                admitted(),
+                on_event=lambda event, fields: journal.emit(event, **fields),
+                on_result=on_result,
+                cancel=cancel,
             )
-            journal.close()
-            raise
+    except (KeyboardInterrupt, BatchCancelled):
+        journal.emit(
+            "run_aborted",
+            jobs=len(jobs),
+            finished=sum(1 for r in results if r is not None),
+        )
+        journal.close()
+        raise
 
     final = [r for r in results if r is not None]
     assert len(final) == len(jobs)

@@ -1,11 +1,10 @@
 """Verification jobs: the unit of work of the batch engine.
 
 A :class:`VerificationJob` is a small, picklable description of "verify
-this specification with these options".  The specification itself is
-named indirectly whenever possible (registry name + optional mutation
-key, or a DSL spec file path) so that jobs cross process boundaries as
-a few strings; ad-hoc specifications (e.g. the perturbation sweep's
-single-point edits) can be embedded directly as ``spec``.
+this specification with these options".  It names the specification
+(registry name + optional mutation key, or a DSL spec file path) or
+embeds it as ``spec``; batch admission resolves a named spec once and
+hands the runner a job embedding it, which is what a worker receives.
 
 :func:`execute_job` is the single execution path used by every runner
 -- serial or parallel, fresh or replayed from cache they all produce

@@ -1,21 +1,29 @@
 """Job runners: serial in-process execution and a crash-isolated pool.
 
+Both runners take one iterable of ``(key, job)`` pairs and draw from
+it lazily: :func:`~repro.engine.batch.run_batch` admits each job as it
+is drawn, and the job carries the spec admission resolved (a worker
+receives it pickled).  ``key``, the spec fingerprint, names the job
+for breaker supervision and backoff jitter.
+
 :class:`SerialRunner` executes jobs one after another in the calling
 process -- the zero-dependency fallback, and the fastest option for
 small sweeps on small machines.
 
 :class:`ParallelRunner` maintains a pool of persistent worker
-processes, each connected to the parent by its own duplex pipe.  Jobs
-are dispatched one at a time to idle workers; the parent multiplexes
-completions with :func:`multiprocessing.connection.wait` and enforces
-a per-job wall-clock timeout in two stages.  First a **soft cancel**:
+processes, each connected to the parent by its own duplex pipe and
+spawned when a drawn job needs it.  A job is drawn when a worker is
+idle and no retry is due.  The parent multiplexes completions
+with :func:`multiprocessing.connection.wait` and enforces a per-job
+wall-clock timeout in two stages.  First a **soft cancel**:
 the worker's shared cancel flag is set, which the job's guard polls
 from the hot loop, so a cooperative job wraps up and returns a
 *partial* result -- everything verified so far -- within a ``grace``
 window.  Only when the grace window also expires is the worker
-SIGKILLed and respawned.  A worker that dies mid-job (segfault,
-``os._exit``, OOM-kill) is likewise detected through its closed pipe,
-so one pathological specification can never take down a sweep.
+SIGKILLed (the next job drawn gets a fresh one).  A worker that dies
+mid-job (segfault, ``os._exit``, OOM-kill) is likewise detected
+through its closed pipe, so one pathological specification can never
+take down a sweep.
 Timed-out and crashed jobs are retried a bounded number of times
 before being reported as ``timeout``/``crash`` results; deterministic
 in-job exceptions are *not* retried (they are folded into ``error``
@@ -27,15 +35,14 @@ Retries are *supervised* (see :mod:`repro.engine.resilience`): an
 optional :class:`~repro.engine.resilience.BackoffPolicy` delays each
 retry with deterministic seeded jitter instead of redispatching
 immediately (the ``job_retry`` event records the ``delay``), and an
-optional :class:`~repro.engine.resilience.CircuitBreaker` -- keyed by
-the per-job ``keys`` the batch orchestrator supplies, i.e. spec
-fingerprints -- quarantines specs that keep crashing or hanging:
-once the breaker trips, the job is finalized with a structured
-``quarantined`` result (``breaker_open`` event) instead of burning
-further worker respawns.
+optional :class:`~repro.engine.resilience.CircuitBreaker`, keyed by
+``key``, quarantines specs that keep crashing or hanging: once the
+breaker trips, the job is finalized with a structured ``quarantined``
+result (``breaker_open`` event) instead of burning further worker
+respawns.
 
 Both runners also accept an external ``cancel`` flag for graceful
-drain: when it is set, no further jobs are dispatched, every in-flight
+drain: when it is set, no further jobs are drawn, every in-flight
 job is soft-cancelled through the same Guard path as a timeout (its
 partial result is journaled; jobs that ignore the soft-cancel are
 SIGKILLed after the grace window and left unfinished), and the runner
@@ -43,11 +50,9 @@ raises :class:`~repro.engine.resilience.BatchCancelled` so the batch
 orchestrator can flush a resumable ``run_aborted`` journal.
 
 Results are always returned in input order, so serial and parallel
-execution of the same job list are interchangeable.  The optional
-``on_result`` callback fires the moment each job reaches its terminal
-result (in completion order, not input order): the batch orchestrator
-uses it to journal and cache incrementally, which is what makes an
-interrupted batch resumable.
+execution of the same job list are interchangeable; ``on_result``
+fires as each job finishes, so the batch orchestrator can journal and
+cache incrementally, which is what makes an interrupted batch resumable.
 
 All timing (deadlines, per-job elapsed, queue wait) goes through
 :mod:`repro.obs.clock`, the same clock as the rest of the engine, so
@@ -61,9 +66,9 @@ metrics; with no collector the instrumentation reduces to a single
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..obs.collector import active as _active_collector
 from ..obs import clock
@@ -104,32 +109,27 @@ class SerialRunner:
 
     def run(
         self,
-        jobs: Iterable[VerificationJob],
+        jobs: Iterable[tuple[str, VerificationJob]],
         on_event: EventSink | None = None,
         on_result: ResultSink | None = None,
         *,
-        keys: Sequence[str] | None = None,
         cancel: CancelFlag | None = None,
     ) -> list[JobResult]:
-        """Run every job, drawn one at a time; results are in input order.
+        """Run every ``(key, job)``, drawn when the previous job has
+        finished; results are in input order.
 
-        ``keys`` is accepted for interface parity with
-        :class:`ParallelRunner` but unused: breaker supervision guards
-        against crashes and hangs, which need process isolation to
-        survive in the first place (in-process failures are already
-        folded into deterministic ``error`` results).  ``cancel`` is
+        ``key`` is unused: the breaker guards against crashes and
+        hangs, which only process isolation survives.  ``cancel`` is
         the graceful-drain flag: when another thread sets it, the job
         in flight wraps up with a partial result through its guard and
-        :class:`~repro.engine.resilience.BatchCancelled` is raised
-        before the next dispatch.
+        :class:`~repro.engine.resilience.BatchCancelled` is raised.
         """
-        del keys
         coll = _active_collector()
         run_started = clock.monotonic()
         if coll is not None:
             coll.gauge("engine.workers", 1)
         results = []
-        for index, job in enumerate(jobs):
+        for index, (_, job) in enumerate(jobs):
             if cancel is not None and cancel.is_set():
                 raise BatchCancelled(finished=len(results))
             started = clock.monotonic()
@@ -233,31 +233,45 @@ class _Slot:
         self.cancelled_at: float | None = None
 
 
+def _check_limits(
+    workers: int, timeout: float | None, retries: int, grace: float | None
+) -> None:
+    """Refuse runner settings no run can honour (``ValueError``)."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be positive and finite, got {timeout}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if grace is not None and not 0 <= grace < math.inf:
+        raise ValueError(f"grace must be >= 0 and finite, got {grace}")
+
+
 class ParallelRunner:
     """Crash-isolated multiprocessing worker pool with per-job timeouts."""
 
     def __init__(
         self,
         *,
-        workers: int | None = None,
+        workers: int,
         timeout: float | None = None,
         retries: int = 1,
         grace: float = 1.0,
         backoff: BackoffPolicy | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
+        _check_limits(workers, timeout, retries, grace)
         # Imported here, not at module level: a serial batch never
         # loads multiprocessing (or the pickle and socket modules it
         # pulls in).
         import multiprocessing
-        import os
 
-        self.workers = max(1, int(workers or (os.cpu_count() or 1)))
+        self.workers = workers
         self.timeout = timeout
-        self.retries = max(0, int(retries))
+        self.retries = retries
         #: Soft-cancel grace window (seconds): how long a timed-out
         #: worker gets to emit its partial result before SIGKILL.
-        self.grace = max(0.0, float(grace))
+        self.grace = grace
         #: Retry backoff policy (``None`` retries immediately, the
         #: pre-supervision behavior).
         self.backoff = backoff
@@ -296,30 +310,22 @@ class ParallelRunner:
     # ------------------------------------------------------------------
     def run(
         self,
-        jobs: Sequence[VerificationJob],
+        jobs: Iterable[tuple[str, VerificationJob]],
         on_event: EventSink | None = None,
         on_result: ResultSink | None = None,
         *,
-        keys: Sequence[str] | None = None,
         cancel: CancelFlag | None = None,
     ) -> list[JobResult]:
-        """Run every job across the pool; results are in input order.
+        """Run every ``(key, job)`` across the pool; results are in input
+        order.
 
-        ``keys`` aligns with ``jobs`` and names each job for breaker
-        supervision and backoff jitter (the batch orchestrator passes
-        spec fingerprints; job labels are the fallback).  ``cancel`` is
-        the graceful-drain flag: once set, dispatch stops, in-flight
-        jobs are soft-cancelled (partials journaled, hung workers
-        SIGKILLed after the grace window and left unfinished) and
+        A job is drawn when a worker is idle (or may still be spawned)
+        and no retry is due.  ``cancel`` is the graceful-drain flag:
+        once set, drawing stops, in-flight jobs are soft-cancelled
+        (partials journaled, hung workers SIGKILLed after the grace
+        window and left unfinished) and
         :class:`~repro.engine.resilience.BatchCancelled` is raised.
         """
-        jobs = list(jobs)
-        if keys is not None and len(keys) != len(jobs):
-            raise ValueError(
-                f"keys length {len(keys)} does not match {len(jobs)} jobs"
-            )
-        if not jobs:
-            return []
         from multiprocessing.connection import wait as connection_wait
 
         coll = _active_collector()
@@ -340,38 +346,77 @@ class ParallelRunner:
                 "engine.job",
                 slot.started,
                 ended=ended,
-                job=jobs[slot.index].label,
+                job=unfinished[slot.index][1].label,
                 attempt=slot.attempt,
                 status=status,
             )
             coll.observe("engine.job.elapsed", ended - slot.started)
             coll.count("engine.worker.busy_seconds", ended - slot.started)
 
-        results: list[JobResult | None] = [None] * len(jobs)
-        pending: deque[tuple[int, int]] = deque(
-            (i, 1) for i in range(len(jobs))
-        )  # (job index, attempt number)
-        #: Retries waiting out their backoff: (ready at, index, attempt).
-        delayed: list[tuple[float, int, int]] = []
-        draining = False
+        stream = iter(jobs)
+        #: Results by input index, and the ``(key, job)`` of each drawn
+        #: job until it has one (a finished job's spec is not kept).
+        results: list[JobResult | None] = []
+        unfinished: dict[int, tuple[str, VerificationJob]] = {}
+        #: Retries to dispatch: (due at, job index, attempt number).
+        retries: list[tuple[float, int, int]] = []
+        exhausted = draining = False
         tokens = itertools.count()
-        slots = [self._spawn() for _ in range(min(self.workers, len(jobs)))]
+        slots: list[_Slot] = []
 
-        def key_for(index: int) -> str:
-            return keys[index] if keys is not None else jobs[index].label
+        def next_task() -> tuple[int, int] | None:
+            """The earliest due retry, else the next job drawn from *jobs*."""
+            nonlocal exhausted
+            due = min(retries, default=None)
+            if due is not None and due[0] <= clock.monotonic():
+                retries.remove(due)
+                return due[1], due[2]
+            if exhausted or draining:
+                return None
+            item = next(stream, None)
+            if item is None:
+                exhausted = True
+                return None
+            unfinished[len(results)] = item
+            results.append(None)
+            return len(results) - 1, 1
 
         def finalize(index: int, result: JobResult) -> None:
             """Record a terminal result and notify the result sink."""
             results[index] = result
+            del unfinished[index]
             if on_result is not None:
                 on_result(index, result)
+
+        def quarantine(
+            index: int, error: str, attempts: int, elapsed: float = 0.0, **fields: Any
+        ) -> None:
+            """Finalize a job the open breaker refuses (``breaker_open``)."""
+            key, job = unfinished[index]
+            emit(
+                "breaker_open",
+                job=job.label,
+                key=key,
+                cooldown=self.breaker.cooldown,
+                **fields,
+            )
+            finalize(
+                index,
+                JobResult(
+                    job,
+                    JobStatus.QUARANTINED,
+                    error=error,
+                    attempts=attempts,
+                    elapsed=elapsed,
+                ),
+            )
 
         def fail_or_retry(slot: _Slot, status: str, error: str) -> None:
             """Requeue, quarantine or finalize a job after timeout/crash."""
             reason = "timeout" if status == JobStatus.TIMEOUT else "crash"
             record_job(slot, status)
             index, attempt = slot.index, slot.attempt
-            key = key_for(index)
+            key, job = unfinished[index]
             transition = None
             if self.breaker is not None:
                 transition = self.breaker.record_failure(key)
@@ -383,26 +428,13 @@ class ParallelRunner:
                 self.breaker is not None
                 and self.breaker.state(key) == BreakerState.OPEN
             ):
-                emit(
-                    "breaker_open",
-                    job=jobs[index].label,
-                    key=key,
+                quarantine(
+                    index,
+                    f"circuit breaker opened after repeated {reason} (last: {error})",
+                    attempt,
+                    clock.monotonic() - slot.started,
                     reason=reason,
                     transition=transition or "open",
-                    cooldown=self.breaker.cooldown,
-                )
-                finalize(
-                    index,
-                    JobResult(
-                        jobs[index],
-                        JobStatus.QUARANTINED,
-                        error=(
-                            f"circuit breaker opened after repeated {reason} "
-                            f"(last: {error})"
-                        ),
-                        attempts=attempt,
-                        elapsed=clock.monotonic() - slot.started,
-                    ),
                 )
             elif attempt <= self.retries:
                 delay = 0.0
@@ -412,41 +444,39 @@ class ParallelRunner:
                         coll.observe("engine.retry.backoff", delay)
                 emit(
                     "job_retry",
-                    job=jobs[index].label,
+                    job=job.label,
                     attempt=attempt,
                     reason=reason,
                     delay=round(delay, 6),
                 )
-                if delay > 0:
-                    delayed.append((clock.monotonic() + delay, index, attempt + 1))
-                else:
-                    pending.append((index, attempt + 1))
+                retries.append((clock.monotonic() + delay, index, attempt + 1))
             else:
                 finalize(
                     index,
                     JobResult(
-                        jobs[index],
+                        job,
                         status,
                         error=error,
                         attempts=attempt,
                         elapsed=clock.monotonic() - slot.started,
                     ),
                 )
+            # The next job drawn spawns a fresh worker in its place.
             self._retire(slot)
-            if draining:
-                slots.remove(slot)
-            else:
-                slots[slots.index(slot)] = self._spawn()
+            slots.remove(slot)
 
         try:
-            while pending or delayed or any(s.token is not None for s in slots):
+            while (
+                retries
+                or not (exhausted or draining)
+                or any(s.token is not None for s in slots)
+            ):
                 if cancel is not None and not draining and cancel.is_set():
-                    # Graceful drain: stop dispatching, ask every
-                    # in-flight job to wrap up through the same
-                    # soft-cancel path as a timeout.
+                    # Graceful drain: stop drawing, ask every in-flight
+                    # job to wrap up through the same soft-cancel path
+                    # as a timeout.
                     draining = True
-                    pending.clear()
-                    delayed.clear()
+                    retries.clear()
                     now = clock.monotonic()
                     for slot in slots:
                         if slot.token is not None and slot.cancelled_at is None:
@@ -454,76 +484,59 @@ class ParallelRunner:
                             slot.cancelled_at = now
                             emit(
                                 "job_cancel",
-                                job=jobs[slot.index].label,
+                                job=unfinished[slot.index][1].label,
                                 attempt=slot.attempt,
                                 reason="drain",
                                 grace=self.grace,
                             )
 
-                if delayed:
-                    # Promote retries whose backoff has elapsed.
-                    now = clock.monotonic()
-                    due = sorted(d for d in delayed if d[0] <= now)
-                    if due:
-                        delayed = [d for d in delayed if d[0] > now]
-                        pending.extend((i, a) for _, i, a in due)
-
-                for slot in list(slots):
-                    while slot.token is None and pending:
-                        index, attempt = pending.popleft()
-                        key = key_for(index)
-                        if self.breaker is not None and not self.breaker.allow(
-                            key
-                        ):
-                            # The breaker tripped while this job (or its
-                            # retry) sat in the queue; quarantine it
-                            # without burning a worker.
-                            emit(
-                                "breaker_open",
-                                job=jobs[index].label,
-                                key=key,
-                                reason="open",
-                                transition="open",
-                                cooldown=self.breaker.cooldown,
-                            )
-                            finalize(
-                                index,
-                                JobResult(
-                                    jobs[index],
-                                    JobStatus.QUARANTINED,
-                                    error=(
-                                        "circuit breaker open for this spec "
-                                        "fingerprint"
-                                    ),
-                                    attempts=max(0, attempt - 1),
-                                ),
-                            )
-                            continue
-                        slot.token = next(tokens)
-                        slot.index = index
-                        slot.attempt = attempt
-                        slot.started = clock.monotonic()
-                        if coll is not None:
-                            coll.observe(
-                                "engine.queue.wait", slot.started - run_started
-                            )
-                        try:
-                            slot.conn.send((slot.token, jobs[index]))
-                        except (BrokenPipeError, OSError):
-                            # The worker died between jobs; replace it and
-                            # put the task back without burning an attempt.
-                            pending.appendleft((index, attempt))
-                            slot.token = None
-                            self._retire(slot)
-                            slots[slots.index(slot)] = self._spawn()
+                while True:
+                    slot = next((s for s in slots if s.token is None), None)
+                    if slot is None and len(slots) == self.workers:
                         break
+                    task = next_task()
+                    if task is None:
+                        break
+                    index, attempt = task
+                    key, job = unfinished[index]
+                    if self.breaker is not None and not self.breaker.allow(key):
+                        # The breaker tripped since this job (or its
+                        # retry) was queued; quarantine it without
+                        # burning a worker.
+                        quarantine(
+                            index,
+                            "circuit breaker open for this spec fingerprint",
+                            max(0, attempt - 1),
+                            reason="open",
+                            transition="open",
+                        )
+                        continue
+                    if slot is None:
+                        slot = self._spawn()
+                        slots.append(slot)
+                    slot.token = next(tokens)
+                    slot.index = index
+                    slot.attempt = attempt
+                    slot.started = clock.monotonic()
+                    if coll is not None:
+                        coll.observe(
+                            "engine.queue.wait", slot.started - run_started
+                        )
+                    try:
+                        slot.conn.send((slot.token, job))
+                    except (BrokenPipeError, OSError):
+                        # The worker died between jobs; retire it and
+                        # put the task back without burning an attempt.
+                        retries.append((0.0, index, attempt))
+                        self._retire(slot)
+                        slots.remove(slot)
 
                 busy = [s for s in slots if s.token is not None]
                 if not busy:
-                    if delayed:
+                    if retries:
                         # Nothing in flight; sleep until the next retry
                         # is due (bounded by the usual tick).
-                        next_due = min(d[0] for d in delayed)
+                        next_due = min(retries)[0]
                         time.sleep(
                             max(0.0, min(_TICK, next_due - clock.monotonic()))
                         )
@@ -538,7 +551,7 @@ class ParallelRunner:
                         exitcode = slot.proc.exitcode
                         emit(
                             "job_crash",
-                            job=jobs[slot.index].label,
+                            job=unfinished[slot.index][1].label,
                             attempt=slot.attempt,
                             exitcode=exitcode,
                         )
@@ -555,7 +568,7 @@ class ParallelRunner:
                         # Any delivered result -- even an in-job error --
                         # means the worker survived; only crashes and
                         # hangs count against the breaker.
-                        self.breaker.record_success(key_for(slot.index))
+                        self.breaker.record_success(unfinished[slot.index][0])
                     result.attempts = slot.attempt
                     if result.partial:
                         # Terminal, whether the budget was the job's own
@@ -563,7 +576,7 @@ class ParallelRunner:
                         # budgets would only exhaust them again.
                         emit(
                             "job_partial",
-                            job=jobs[slot.index].label,
+                            job=unfinished[slot.index][1].label,
                             reason=result.exhausted_reason,
                             attempt=slot.attempt,
                         )
@@ -575,6 +588,7 @@ class ParallelRunner:
                 for slot in list(slots):
                     if slot.token is None:
                         continue
+                    label = unfinished[slot.index][1].label
                     if (
                         self.timeout is not None
                         and slot.cancelled_at is None
@@ -588,7 +602,7 @@ class ParallelRunner:
                         slot.cancelled_at = now
                         emit(
                             "job_cancel",
-                            job=jobs[slot.index].label,
+                            job=label,
                             attempt=slot.attempt,
                             timeout=self.timeout,
                             grace=self.grace,
@@ -605,7 +619,7 @@ class ParallelRunner:
                         # with no per-job timeout.
                         emit(
                             "job_timeout",
-                            job=jobs[slot.index].label,
+                            job=label,
                             attempt=slot.attempt,
                             timeout=self.timeout,
                         )
@@ -627,12 +641,11 @@ class ParallelRunner:
                 slot.proc.join(0.5)
                 self._retire(slot)
 
+        finished = [r for r in results if r is not None]
         if draining:
-            raise BatchCancelled(
-                finished=sum(1 for r in results if r is not None)
-            )
-        assert all(r is not None for r in results)
-        return [r for r in results if r is not None]
+            raise BatchCancelled(finished=len(finished))
+        assert len(finished) == len(results)
+        return finished
 
 
 def make_runner(
@@ -653,16 +666,17 @@ def make_runner(
     ``breaker`` the retry-supervision policies (all parallel only:
     crashes and hangs cannot survive without process isolation, so the
     serial runner has nothing to back off from or quarantine).
+    Out-of-range settings raise ``ValueError`` whichever runner they
+    would build.
     """
-    if workers <= 1 and timeout is None:
+    _check_limits(workers, timeout, retries, grace)
+    if workers == 1 and timeout is None:
         return SerialRunner()
-    kwargs: dict[str, Any] = {
-        "workers": workers,
-        "timeout": timeout,
-        "retries": retries,
-        "backoff": backoff,
-        "breaker": breaker,
-    }
-    if grace is not None:
-        kwargs["grace"] = grace
-    return ParallelRunner(**kwargs)
+    return ParallelRunner(
+        workers=workers,
+        timeout=timeout,
+        retries=retries,
+        backoff=backoff,
+        breaker=breaker,
+        **({} if grace is None else {"grace": grace}),
+    )

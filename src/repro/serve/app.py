@@ -49,6 +49,7 @@ from ..engine.batch import run_batch
 from ..engine.cache import ResultCache
 from ..engine.journal import RunJournal
 from ..engine.resilience import BackoffPolicy, BatchCancelled, CircuitBreaker
+from ..engine.runner import make_runner
 from ..obs import clock
 from ..obs.collector import Collector
 from ..obs.export import to_prometheus
@@ -117,6 +118,13 @@ class ServeApp:
         backoff: BackoffPolicy | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
+        #: The runner every campaign batch runs on, built (and its
+        #: settings checked) once: ``drain_grace`` is the seconds a
+        #: drained job gets to honour its soft-cancel before SIGKILL,
+        #: and ``backoff`` the retry policy shared by every campaign.
+        self.runner = make_runner(
+            workers=job_workers, grace=drain_grace, backoff=backoff, breaker=breaker
+        )
         self.store = CampaignStore(state_dir)
         self.cache = cache
         self.job_workers = job_workers
@@ -126,11 +134,6 @@ class ServeApp:
         self.collector = collector if collector is not None else Collector("serve")
         #: Per-connection bound on parsing one request (slowloris guard).
         self.read_timeout = read_timeout
-        #: Seconds a drained job gets to honour its soft-cancel before
-        #: SIGKILL (forwarded to ``run_batch(grace=...)`` during drain).
-        self.drain_grace = drain_grace
-        #: Retry policy shared by every campaign this server runs.
-        self.backoff = backoff
         #: Circuit breaker shared across campaigns: a spec that keeps
         #: killing workers is quarantined service-wide, not per-run.
         self.breaker = breaker
@@ -290,13 +293,12 @@ class ServeApp:
                 report = run_batch(
                     jobs,
                     workers=self.job_workers,
+                    runner=self.runner,
                     cache=self.cache,
                     journal=journal,
                     resume=resume_events,
-                    backoff=self.backoff,
                     breaker=self.breaker,
                     cancel=self._cancel,
-                    grace=self.drain_grace,
                 )
         except BatchCancelled:
             # Graceful drain: deliberately *no* report file and no

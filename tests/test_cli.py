@@ -424,6 +424,25 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--timeout", "-1"],
+            ["--timeout", "0"],
+            ["--timeout", "nan"],
+            ["--grace", "nan"],
+            ["--grace", "-1"],
+            ["-j", "0"],
+            ["-j", "-3"],
+            ["-j", "0", "--timeout", "5"],
+            ["--retries", "-1"],
+        ],
+    )
+    def test_out_of_range_runner_setting_is_usage_error(self, flags, capsys):
+        assert main(["batch", "--protocols", "msi", "--no-cache", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err and not captured.out
+
+    @pytest.mark.parametrize(
         "extra", [[], ["--deadline", "100"]], ids=["visits", "with-deadline"]
     )
     def test_exhausted_visit_budget_is_partial(self, extra, capsys):

@@ -34,6 +34,7 @@ from repro.engine import (
     VerificationJob,
     execute_job,
     job_key,
+    make_runner,
     registry_jobs,
     run_batch,
     spec_fingerprint,
@@ -446,8 +447,9 @@ class TestRunners:
             VerificationJob(protocol=name)
             for name in protocol_names()
         ]
-        serial = SerialRunner().run(jobs)
-        parallel = ParallelRunner(workers=2).run(jobs)
+        pairs = [(job.label, job) for job in jobs]
+        serial = SerialRunner().run(pairs)
+        parallel = ParallelRunner(workers=2).run(pairs)
         assert len(serial) == len(parallel) == len(jobs)
         for s, p in zip(serial, parallel):
             assert s.status == p.status == JobStatus.VERIFIED
@@ -455,7 +457,7 @@ class TestRunners:
 
     def test_workers_deliver_the_payload_as_its_canonical_bytes(self):
         job = VerificationJob(protocol="illinois", mutant="drop-invalidation")
-        [result] = ParallelRunner(workers=1).run([job])
+        [result] = ParallelRunner(workers=1).run([(job.label, job)])
         raw = result.__dict__["_payload"]
         assert isinstance(raw, bytes)
         assert result.payload_chunks() == [raw]  # held bytes: no re-encoding
@@ -469,7 +471,7 @@ class TestRunners:
         events = []
         runner = ParallelRunner(workers=1, timeout=0.3, retries=1)
         [result] = runner.run(
-            [VerificationJob(spec=HangingProtocol(), label="hang")],
+            [("hang", VerificationJob(spec=HangingProtocol(), label="hang"))],
             on_event=lambda event, fields: events.append((event, fields)),
         )
         assert result.status == JobStatus.TIMEOUT
@@ -488,7 +490,8 @@ class TestRunners:
             VerificationJob(protocol="illinois", label="good-2"),
         ]
         results = runner.run(
-            jobs, on_event=lambda event, fields: events.append(event)
+            [(job.label, job) for job in jobs],
+            on_event=lambda event, fields: events.append(event),
         )
         assert results[0].status == JobStatus.VERIFIED
         assert results[1].status == JobStatus.CRASH
@@ -500,7 +503,7 @@ class TestRunners:
         events = []
         runner = ParallelRunner(workers=1, retries=3)
         [result] = runner.run(
-            [VerificationJob(protocol="nonexistent")],
+            [("nonexistent", VerificationJob(protocol="nonexistent"))],
             on_event=lambda event, fields: events.append(event),
         )
         assert result.status == JobStatus.ERROR
@@ -676,6 +679,99 @@ class TestRunBatch:
         table = report.summary_table()
         assert "msi" in table and "VERIFIED" in table
         assert "1 jobs: 1 verified" in report.counts_line()
+
+
+# ----------------------------------------------------------------------
+class TestAdmission:
+    """Both runners draw admitted jobs from one lazy stream."""
+
+    def test_parallel_runner_admits_a_job_when_a_worker_is_free(self):
+        jobs = [
+            VerificationJob(protocol=name) for name in ("msi", "illinois", "moesi")
+        ]
+        report = run_batch(jobs, runner=ParallelRunner(workers=1))
+        assert report.verified == 3
+        order = [
+            (e["event"], e["job"])
+            for e in report.journal.events
+            if e["event"] in ("job_start", "job_finish")
+        ]
+        assert order.index(("job_start", "moesi")) > order.index(
+            ("job_finish", "msi")
+        )
+
+    def test_an_all_cache_hit_batch_spawns_no_worker(self, tmp_path, monkeypatch):
+        jobs = [VerificationJob(protocol=name) for name in ("msi", "illinois")]
+        cache = ResultCache(tmp_path)
+        run_batch(jobs, cache=cache)
+        spawned = []
+        spawn = ParallelRunner._spawn
+
+        def counting_spawn(self):
+            spawned.append(self)
+            return spawn(self)
+
+        monkeypatch.setattr(ParallelRunner, "_spawn", counting_spawn)
+        report = run_batch(jobs, cache=cache, workers=2)
+        assert report.cache_hits == 2
+        assert spawned == []
+
+    def test_a_retry_runs_before_the_next_draw(self):
+        jobs = [
+            VerificationJob(spec=CrashingProtocol(), label="bad"),
+            VerificationJob(protocol="msi", label="good"),
+        ]
+        report = run_batch(jobs, runner=ParallelRunner(workers=1, retries=1))
+        assert [r.status for r in report.results] == [
+            JobStatus.CRASH,
+            JobStatus.VERIFIED,
+        ]
+        kinds = [
+            (e["event"], e.get("job"))
+            for e in report.journal.events
+            if e["event"] in ("job_start", "job_crash", "job_finish")
+        ]
+        assert kinds == [
+            ("job_start", "bad"),
+            ("job_crash", "bad"),
+            ("job_crash", "bad"),
+            ("job_finish", "bad"),
+            ("job_start", "good"),
+            ("job_finish", "good"),
+        ]
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"workers": 0},
+            {"workers": -3},
+            {"workers": 0, "timeout": 5.0},
+            {"timeout": -1.0},
+            {"timeout": 0.0},
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
+            {"grace": -0.5},
+            {"grace": float("nan")},
+            {"grace": float("inf")},
+            {"retries": -1},
+        ],
+        ids=lambda settings: ",".join(f"{k}={v}" for k, v in settings.items()),
+    )
+    def test_out_of_range_runner_settings_are_refused(self, settings, tmp_path):
+        with pytest.raises(ValueError):
+            make_runner(**settings)
+        with pytest.raises(ValueError):
+            ParallelRunner(**{"workers": 1, **settings})
+        journal = RunJournal(tmp_path / "run.jsonl")
+        with pytest.raises(ValueError):
+            run_batch([VerificationJob(protocol="msi")], journal=journal, **settings)
+        assert journal.events == []  # refused before anything is journaled
+
+    def test_in_range_runner_settings_are_kept(self):
+        runner = make_runner(workers=2, timeout=1.5, retries=0, grace=0.0)
+        assert runner.workers == 2 and runner.timeout == 1.5
+        assert runner.retries == 0 and runner.grace == 0.0
+        assert isinstance(make_runner(retries=0, grace=2.0), SerialRunner)
 
 
 # ----------------------------------------------------------------------

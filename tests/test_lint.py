@@ -672,12 +672,13 @@ class _SpyRunner:
     def __init__(self):
         self.dispatched = []
 
-    def run(self, jobs, on_event=None, on_result=None):
-        self.dispatched.extend(jobs)
-        results = [execute_job(job) for job in jobs]
-        if on_result is not None:
-            for index, result in enumerate(results):
-                on_result(index, result)
+    def run(self, jobs, on_event=None, on_result=None, *, cancel=None):
+        results = []
+        for index, (_, job) in enumerate(jobs):
+            self.dispatched.append(job)
+            results.append(execute_job(job))
+            if on_result is not None:
+                on_result(index, results[-1])
         return results
 
 
@@ -716,6 +717,29 @@ class TestBatchPreflight:
             for line in (tmp_path / "run.jsonl").read_text().splitlines()
         ]
         assert any(e["event"] == "lint" for e in lines)
+
+    def test_runner_receives_only_resolved_jobs(self, tmp_path):
+        warn = tmp_path / "warn.proto"
+        warn.write_text(TestVerifyPreflight.WARN_ONLY, encoding="utf-8")
+        spy = _SpyRunner()
+        jobs = [
+            VerificationJob(protocol="msi", mutant="drop-invalidation"),
+            VerificationJob(spec_file=self._broken_file(tmp_path), options=REJECT),
+            VerificationJob(spec_file=str(warn)),
+        ]
+        report = run_batch(jobs, runner=spy)
+        assert [j.label for j in spy.dispatched] == ["msi+drop-invalidation", "warn"]
+        # Admission resolved each spec; the runner verifies it as it is.
+        for job in spy.dispatched:
+            assert job.spec is not None
+            assert job.protocol is None and job.spec_file is None
+        assert [r.status for r in report.results] == [
+            JobStatus.VIOLATION,
+            JobStatus.REJECTED,
+            JobStatus.VERIFIED,
+        ]
+        # Results carry the job as submitted, not the resolved one.
+        assert [r.job for r in report.results] == jobs
 
     def test_annotate_dispatches_and_attaches_findings(self, tmp_path):
         path = tmp_path / "warn.proto"

@@ -318,6 +318,19 @@ class TestCampaignModel:
 
 # ----------------------------------------------------------------------
 class TestServiceEndToEnd:
+    @pytest.mark.parametrize(
+        "settings", [{"job_workers": 0}, {"drain_grace": float("nan")}]
+    )
+    def test_out_of_range_runner_settings_are_refused(self, tmp_path, settings):
+        with pytest.raises(ValueError):
+            ServeApp(tmp_path / "state", **settings)
+        assert not (tmp_path / "state").exists()
+
+    def test_cli_refuses_zero_job_workers(self, tmp_path, capsys):
+        state = str(tmp_path / "state")
+        assert main(["serve", "--state-dir", state, "--job-workers", "0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
     def test_submit_stream_report_and_warm_cache(self, tmp_path):
         app = ServeApp(tmp_path / "state", cache=ResultCache(tmp_path / "cache"))
         with ServerThread(app) as server:
