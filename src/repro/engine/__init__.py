@@ -70,6 +70,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "BreakerState",
             "CircuitBreaker",
         ),
-        "runner": ("ParallelRunner", "SerialRunner", "make_runner"),
+        "pool": ("ParallelRunner",),
+        "runner": ("SerialRunner", "make_runner"),
     },
 )

@@ -33,15 +33,16 @@ from ..obs.collector import active as _active_collector
 from ..obs import clock
 from ..analysis.reporting import batch_summary_table, lint_table
 from ..core.protocol import ProtocolSpec
-from .cache import ResultCache
 from .fingerprint import ENGINE_VERSION, spec_fingerprint
 from .job import JobResult, JobStatus, VerificationJob
 from .journal import RunJournal
 from .resilience import BackoffPolicy, BatchCancelled, BreakerState, CircuitBreaker
-from .runner import CancelFlag, ParallelRunner, SerialRunner, make_runner
+from .runner import CancelFlag, SerialRunner, make_runner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..lint.model import LintReport
+    from .cache import ResultCache
+    from .pool import ParallelRunner
 
 __all__ = ["BatchReport", "run_batch"]
 
@@ -327,7 +328,7 @@ def run_batch(
     journal.emit(
         "run_start",
         jobs=len(jobs),
-        workers=workers,
+        workers=runner.workers,
         engine=ENGINE_VERSION,
         cache_dir=str(cache.root) if cache is not None else None,
         journal=str(journal.path) if journal.path is not None else None,

@@ -27,10 +27,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import clock
-from .metrics import Counter, Gauge, Histogram
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .metrics import Counter, Gauge, Histogram
 
 __all__ = [
     "SpanRecord",
@@ -205,10 +207,14 @@ class Collector:
         return record
 
     # -- metrics --------------------------------------------------------
+    # The instruments (and the metric catalog beside them) load with
+    # the first one created: an uninstrumented run never compiles them.
     def count(self, name: str, amount: float = 1.0) -> None:
         """Increment counter *name* (created on first use)."""
         counter = self.counters.get(name)
         if counter is None:
+            from .metrics import Counter
+
             counter = self.counters[name] = Counter()
         counter.add(amount)
 
@@ -216,6 +222,8 @@ class Collector:
         """Set gauge *name* (created on first use)."""
         gauge = self.gauges.get(name)
         if gauge is None:
+            from .metrics import Gauge
+
             gauge = self.gauges[name] = Gauge()
         gauge.set(value)
 
@@ -233,6 +241,8 @@ class Collector:
         """
         histogram = self.histograms.get(name)
         if histogram is None:
+            from .metrics import Histogram
+
             histogram = self.histograms[name] = (
                 Histogram(bounds=bounds) if bounds is not None else Histogram()
             )

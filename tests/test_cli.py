@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -10,15 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import (
-    _EXPORT_CHOICES,
-    _HANDLERS,
-    _MUTANT_CHOICES,
-    _WORKLOAD_CHOICES,
-    CROSSVAL_MAX_N,
-    build_parser,
-    main,
-)
+from repro.cli import COMMANDS, build_parser, main
+from repro.commands.crossval import CROSSVAL_MAX_N
+from repro.commands.profile import EXPORT_CHOICES
+from repro.commands.simulate import WORKLOAD_CHOICES
+from repro.commands.verify import MUTANT_CHOICES
 from repro.core.options import RunOptions
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -39,12 +36,12 @@ class TestParser:
     def test_workload_choices_match_the_simulator(self):
         from repro.simulator.workloads import WORKLOADS
 
-        assert _WORKLOAD_CHOICES == tuple(sorted(WORKLOADS))
+        assert WORKLOAD_CHOICES == tuple(sorted(WORKLOADS))
 
     def test_export_choices_match_the_exporters(self):
         from repro.obs import EXPORTERS
 
-        assert _EXPORT_CHOICES == tuple(sorted(EXPORTERS))
+        assert EXPORT_CHOICES == tuple(sorted(EXPORTERS))
 
     @pytest.mark.parametrize(
         "command", sorted(json.loads(HELP_GOLDEN.read_text()))
@@ -61,7 +58,7 @@ class TestParser:
 
     def test_help_golden_covers_every_subcommand(self):
         pinned = set(json.loads(HELP_GOLDEN.read_text()))
-        assert pinned == {"", "ir dump", *_HANDLERS}
+        assert pinned == {"", "ir dump", *COMMANDS}
 
     def test_only_the_named_subcommand_gets_arguments(self):
         argv = ["batch", "--protocols", "msi"]
@@ -73,7 +70,7 @@ class TestParser:
     def test_mutant_choices_match_both_catalogs(self):
         from repro.protocols.mutations import LIVENESS_MUTATIONS, MUTATIONS
 
-        assert _MUTANT_CHOICES == tuple(sorted({**MUTATIONS, **LIVENESS_MUTATIONS}))
+        assert MUTANT_CHOICES == tuple(sorted({**MUTATIONS, **LIVENESS_MUTATIONS}))
 
 
 def _run_probe(code: str) -> subprocess.CompletedProcess:
@@ -92,15 +89,53 @@ def _run_probe(code: str) -> subprocess.CompletedProcess:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _spec_file_batch() -> tuple[int, list[str], dict[str, int]]:
+    """One cold ``--spec-file`` liveness batch in a fresh interpreter:
+    its exit status, every module it loaded and the source lines of
+    each ``repro`` module among them."""
+    spec = SRC.parent / "examples" / "specs" / "firefly_like.proto"
+    argv = [
+        "batch", "--protocols", "none", "--spec-file", str(spec),
+        "--no-cache", "--preflight", "annotate", "--mode", "liveness",
+    ]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = repro.cli.main({argv!r})\n"
+        "lines = {}\n"
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    if name.partition('.')[0] == 'repro':\n"
+        "        with open(module.__file__, encoding='utf-8') as fh:\n"
+        "            lines[name] = sum(1 for _ in fh)\n"
+        "print(json.dumps([code, sorted(sys.modules), lines]))\n"
+    )
+    code, loaded, lines = json.loads(_run_probe(probe).stdout)
+    return code, loaded, lines
+
+
 class TestColdImport:
     """``import repro.cli`` loads only what ``repro batch`` needs, and a
     spec-file batch loads only the modules it runs."""
 
+    #: Source lines a cold spec-file batch may compile (14,319 when every
+    #: subcommand, the worker pool, the concrete kernel, the metric
+    #: catalog and the result cache were on its path).  Without cached
+    #: bytecode a child compiles each line it imports.
+    SOURCE_LINES_LIMIT = 12_000
+
     #: Modules a spec-file batch never runs: other subcommands', the
     #: zoo and its catalogs, the explicit-state baselines, the
     #: interpreter (the kernel expands and feeds liveness), the other
-    #: analyses and exporters, and the worker pool's multiprocessing.
+    #: analyses and exporters, the worker pool and its multiprocessing,
+    #: the metric catalog (no collector is active) and, under
+    #: ``--no-cache``, the result cache.
     DEFERRED = (
+        *(f"repro.commands.{name}" for name in COMMANDS if name != "batch"),
+        "repro.engine.pool",
+        "repro.obs.metrics",
+        "repro.engine.cache",
         "repro.simulator",
         "repro.analysis.sweeps",
         "repro.serve",
@@ -156,28 +191,22 @@ class TestColdImport:
         assert [m for m in self.DEFERRED if m in loaded] == []
 
     def test_spec_file_batch_loads_only_what_it_runs(self):
-        spec = SRC.parent / "examples" / "specs" / "firefly_like.proto"
-        argv = [
-            "batch", "--protocols", "none", "--spec-file", str(spec),
-            "--no-cache", "--preflight", "annotate", "--mode", "liveness",
-        ]
-        probe = (
-            "import contextlib, io, json, sys\n"
-            "import repro.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = repro.cli.main({argv!r})\n"
-            "print(json.dumps([code, sorted(sys.modules)]))\n"
-        )
-        code, loaded = json.loads(_run_probe(probe).stdout)
+        code, loaded, _ = _spec_file_batch()
         assert code == 0
         # The batch really ran the kernel, lint and liveness.
         for module in (
+            "repro.commands.batch",
             "repro.kernel.essential",
             "repro.lint.rules",
             "repro.liveness.analyze",
         ):
             assert module in loaded
         assert [m for m in self.DEFERRED if m in loaded] == []
+
+    def test_spec_file_batch_compiles_little_source(self):
+        _, _, lines = _spec_file_batch()
+        largest = sorted(lines.items(), key=lambda item: -item[1])[:5]
+        assert sum(lines.values()) <= self.SOURCE_LINES_LIMIT, largest
 
     def test_trace_targets_resolve_after_import(self):
         # The end-to-end benchmark's traced child imports ``repro.cli``,

@@ -773,6 +773,18 @@ class TestAdmission:
         assert runner.retries == 0 and runner.grace == 0.0
         assert isinstance(make_runner(retries=0, grace=2.0), SerialRunner)
 
+    @pytest.mark.parametrize(
+        "runner, workers",
+        [(SerialRunner(), 1), (ParallelRunner(workers=2), 2)],
+        ids=["serial", "parallel-2"],
+    )
+    def test_run_start_journals_the_runners_pool_size(self, runner, workers):
+        # An explicit runner overrides ``workers=``; the journal must
+        # record the pool the batch actually ran on.
+        report = run_batch([VerificationJob(protocol="msi")], runner=runner)
+        [start] = [e for e in report.journal.events if e["event"] == "run_start"]
+        assert start["workers"] == workers
+
 
 # ----------------------------------------------------------------------
 class TestFragilityOnEngine:

@@ -38,6 +38,7 @@ from repro.ir import lower
 from repro.kernel import CompiledProtocol, compile_protocol
 from repro.kernel.compile import _covers_packed, _signature
 from repro.kernel import enumerate_space as kernel_enumerate
+from repro.kernel.exhaustive import ConcreteTables
 from repro.kernel import explore as kernel_explore
 from repro.obs import Collector, use_collector
 from repro.protocols.illinois import IllinoisProtocol
@@ -185,7 +186,7 @@ def test_containment_memo_is_per_protocol():
 def test_initial_cells_requires_a_cache():
     cp = CompiledProtocol.from_spec(IllinoisProtocol())
     with pytest.raises(ValueError):
-        cp.initial_cells(0)
+        ConcreteTables(cp).initial_cells(0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +236,11 @@ def test_data_errors_raise_in_the_interpreters_order():
         ir.state_id(s) * 4 + dcode[d] for s, d in zip(state.states, state.cdata)
     ) + (dcode[state.mdata],)
     mask = 1 << ir.state_id("Dirty")
-    entry = cp.delta(packed[0], ir.op_id(Op.READ), mask, packed[-1])
+    tables = ConcreteTables(cp)
+    entry = tables.delta(packed[0], ir.op_id(Op.READ), mask, packed[-1])
     assert entry[0] == 4  # the general path, with data choices
     with pytest.raises(ValueError) as kern:
-        cp.apply_general(packed, 0, entry)
+        tables.apply_general(packed, 0, entry)
     assert str(kern.value) == str(interp.value)
     assert "observer copy" in str(interp.value)
 

@@ -669,6 +669,8 @@ on S Z -> I
 class _SpyRunner:
     """Serial runner that records which jobs were dispatched to it."""
 
+    workers = 1  # the pool size run_batch journals
+
     def __init__(self):
         self.dispatched = []
 
